@@ -382,8 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("--unprotected", required=True)
     p.add_argument("--tgrid", required=True, help="start:stop:N[log]")
     p.add_argument("--config", default=None, help="optional integration config JSON")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface stability; execution is serial")
     p.add_argument("--out", required=True, help="scaling CSV path")
     p.set_defaults(func=_cmd_sweep)
 

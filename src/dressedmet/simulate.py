@@ -1,17 +1,22 @@
 """Master-equation integration, Fisher-information estimates, and sweeps.
 
-The integrator is fixed-step classical 4th order on the vectorized generator,
-with per-step trace renormalization (drift logged, hard failure past 1e-6)
-and positivity checks on recorded states.  Fisher information follows the
-convention ``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity
-finite differences, and a symmetric-logarithmic-derivative estimator used
-where fidelities underflow) are scaled to match it.
+One propagation core serves every trajectory: fixed-step classical 4th order
+as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
+built once per generator and dt, with one stacked matmul per step advancing
+all signal offsets of an estimate.  ``Trajectory.trace_drift`` is the largest
+per-step trace error of ``M v`` before renormalization; past
+``tol.trace_drift`` the run aborts.  Recorded states are checked for
+positivity.  Fisher information follows the convention
+``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity finite
+differences, and a symmetric-logarithmic-derivative estimator used where
+fidelities underflow) are scaled to match it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,41 +73,67 @@ class Trajectory:
 
 def _default_dt(h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum) -> float:
     hnorm = float(np.abs(np.linalg.eigvalsh(h_s.entries)).max())
-    total_rate = 0.0
-    for nu in lset.transitions:
-        total_rate += float(np.trace(spectrum.rate(nu)).real)
+    total_rate = sum(float(np.trace(spectrum.rate(nu)).real) for nu in lset.transitions)
     return 1e-3 / max(hnorm, total_rate, 1e-3)
 
 
-def _rk4_run(
-    sop: np.ndarray,
-    vec: np.ndarray,
-    dt: float,
-    n_steps: int,
-) -> Tuple[np.ndarray, float]:
-    """Advance the flattened state n_steps, renormalizing trace each step."""
-    dim = int(round(math.sqrt(vec.shape[0])))
-    trace_idx = np.arange(dim) * (dim + 1)
-    drift = 0.0
-    for _ in range(n_steps):
-        k1 = sop @ vec
-        k2 = sop @ (vec + 0.5 * dt * k1)
-        k3 = sop @ (vec + 0.5 * dt * k2)
-        k4 = sop @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr = vec[trace_idx].sum().real
-        err = abs(tr - 1.0)
-        if err > 1e-6:
-            raise NumericalError(f"trace drift {err:.3e} exceeds 1e-6")
-        drift = max(drift, err)
-        vec = vec / tr
-    return vec, drift
+def _check_stability(gens: np.ndarray, dt: float, tol: Tolerances) -> None:
+    gen_norm = float(np.linalg.norm(gens, 2, axis=(-2, -1)).max())
+    if dt * gen_norm >= tol.stability:
+        raise ValidationError(f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard")
 
 
 def _check_state(rho: np.ndarray, tol: Tolerances) -> None:
-    low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    herm = 0.5 * (rho + np.swapaxes(rho, -2, -1).conj())
+    low = float(np.linalg.eigvalsh(herm).min())
     if low < tol.positivity_floor:
         raise NumericalError(f"state lost positivity: min eigenvalue {low:.3e}")
+
+
+def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
+    """``M - I`` for the RK4 step matrix ``M = sum_{j<=4} (dt L)^j / j!``; leaving
+    out ``I`` keeps the rounding of ``I + dt L`` from repeating at every step."""
+    a = dt * gens
+    eye = np.eye(gens.shape[-1])
+    poly = eye + a / 4.0
+    for j in (3.0, 2.0):
+        poly = eye + (a / j) @ poly
+    return a @ poly
+
+
+def _propagate(
+    gens: np.ndarray, rho0: np.ndarray, legs: Sequence[Tuple[float, int]], tol: Tolerances
+) -> Tuple[np.ndarray, float]:
+    """Advance ``rho0`` under each stacked generator through ``legs`` of ``(dt, steps)``.
+
+    Returns the states after each leg, ``(legs, generators, d, d)``, and the drift.
+    """
+    rho0 = as_matrix(rho0)
+    if abs(np.trace(rho0).real - 1.0) > 1e-8:
+        raise ValidationError("initial state must have unit trace")
+    _check_state(rho0, tol)
+    dim = rho0.shape[0]
+    trace_row = np.eye(dim).reshape(-1)
+    vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
+    steppers = {}
+    out = []
+    drift = 0.0
+    for dt, n_steps in legs:
+        if n_steps and dt not in steppers:
+            steppers[dt] = _step_increment(gens, dt)
+        step = steppers.get(dt)
+        for _ in range(n_steps):
+            vecs = vecs + np.matmul(step, vecs[..., None])[..., 0]
+            tr = (vecs @ trace_row).real
+            err = max([abs(x - 1.0) for x in tr.tolist()])
+            if err > tol.trace_drift:
+                raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
+            drift = max(drift, err)
+            vecs = vecs / tr[:, None]
+        rhos = vecs.reshape(-1, dim, dim)
+        _check_state(rhos, tol)
+        out.append(rhos)
+    return np.array(out), drift
 
 
 def evolve(
@@ -115,45 +146,26 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation from ``rho0`` over ``cfg.t_final``."""
     rho0 = as_matrix(rho0)
-    if abs(np.trace(rho0).real - 1.0) > 1e-8:
-        raise ValidationError("initial state must have unit trace")
-    _check_state(rho0, tol)
-
-    sop = superoperator(h_s, lset, spectrum, tol=tol)
+    gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
     dt = cfg.dt if cfg.dt is not None else _default_dt(h_s, lset, spectrum)
-    gen_norm = float(np.linalg.norm(sop, 2))
-    if dt * gen_norm >= tol.stability:
-        raise ValidationError(
-            f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard"
-        )
+    _check_stability(gens, dt, tol)
     n_steps = max(1, int(math.ceil(cfg.t_final / dt - 1e-12)))
     dt = cfg.t_final / n_steps
-
-    dim = rho0.shape[0]
-    vec = rho0.reshape(-1).astype(complex)
-    times = [0.0]
-    states = [rho0.copy()]
-    drift = 0.0
-    done = 0
-    while done < n_steps:
-        chunk = min(cfg.record_stride, n_steps - done)
-        vec, d = _rk4_run(sop, vec, dt, chunk)
-        drift = max(drift, d)
-        done += chunk
-        rho = vec.reshape(dim, dim)
-        _check_state(rho, tol)
-        times.append(done * dt)
-        states.append(rho.copy())
-    return Trajectory(np.array(times), np.array(states), drift)
+    full, rest = divmod(n_steps, cfg.record_stride)
+    chunks = [cfg.record_stride] * full + ([rest] if rest else [])
+    states, drift = _propagate(gens, rho0, [(dt, n) for n in chunks], tol)
+    times = np.cumsum([0] + chunks) * dt
+    return Trajectory(times, np.concatenate([rho0[None], states[:, 0]]), drift)
 
 
 @dataclass(frozen=True)
 class ProbeModel:
     """Everything needed to evolve a probe at a given signal offset.
 
-    The jump set is built once from the offset-free Hamiltonian; the offset
-    enters only through the coherent term, so the dissipative channels stay
-    fixed while the signal is scanned.
+    The jump set and the generator are built once from the offset-free
+    Hamiltonian; the offset enters only through the coherent term, so the
+    dissipative channels stay fixed while the signal is scanned and the
+    generator at offset ``delta`` is ``generator + delta * K_g``.
     """
 
     h: HermitianOperator
@@ -163,19 +175,25 @@ class ProbeModel:
     rho0: np.ndarray
     code: Optional[CodeSpace] = None
     gap_tol: Optional[float] = None
-    _lset_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.h.dim
 
-    @property
+    @cached_property
     def lset(self) -> LindbladSet:
-        if not self._lset_cache:
-            self._lset_cache.append(
-                jump_operators(self.h, self.couplings, gap_tol=self.gap_tol)
-            )
-        return self._lset_cache[0]
+        return jump_operators(self.h, self.couplings, gap_tol=self.gap_tol)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """Offset-free generator on row-major flattened densities."""
+        return superoperator(self.h, self.lset, self.spectrum)
+
+    def generators(self, offsets: Sequence[float]) -> np.ndarray:
+        """Stacked ``generator + delta K_g``, ``K_g = -i (g (x) I - I (x) g^T)`` row-major."""
+        g, eye = self.g.entries, np.eye(self.dim)
+        k_g = -1j * (np.kron(g, eye) - np.kron(eye, g.T))
+        return self.generator + np.asarray(offsets, dtype=float)[:, None, None] * k_g
 
     def hamiltonian(self, delta_omega: float) -> HermitianOperator:
         return HermitianOperator(self.h.entries + delta_omega * self.g.entries)
@@ -214,6 +232,8 @@ class ProbeModel:
         }
         if self.code is not None:
             out["code"] = self.code.to_json_dict()
+        if self.gap_tol is not None:
+            out["gap_tol"] = self.gap_tol
         return out
 
     @classmethod
@@ -239,6 +259,7 @@ class ProbeModel:
             spectrum=spectrum,
             rho0=rho0,
             code=code,
+            gap_tol=float(obj["gap_tol"]) if obj.get("gap_tol") is not None else None,
         )
 
 
@@ -279,6 +300,20 @@ class QfiEstimate:
     spread: float
 
 
+def _default_delta(model: ProbeModel) -> float:
+    gnorm = float(np.abs(np.linalg.eigvalsh(model.g.entries)).max())
+    return 1e-4 / max(gnorm, 1e-12)
+
+
+def _final_states(
+    model: ProbeModel, offsets: Sequence[float], t: float,
+    cfg: Optional[SimConfig], tol: Tolerances,
+) -> np.ndarray:
+    """States at time ``t``, one per offset, from one batched run."""
+    run = SimConfig(t_final=t, dt=cfg.dt if cfg is not None else None)
+    return _grid_states(model, offsets, [t], run, tol)[0]
+
+
 def qfi_numeric(
     model: ProbeModel,
     t: float,
@@ -289,26 +324,18 @@ def qfi_numeric(
     """Fisher information from the fidelity of states at offset +-delta.
 
     Uses ``(1 - F)/(2 delta)^2`` with one Richardson step over delta halving;
-    the two estimates disagreeing by more than 5% flags the value unreliable
-    (offset too large or fidelity at the noise floor).
+    the two estimates disagreeing by more than ``tol.qfi_disagreement``
+    flags the value unreliable (offset too large or fidelity at the noise
+    floor).
     """
-    if delta is None:
-        gnorm = float(np.abs(np.linalg.eigvalsh(model.g.entries)).max())
-        delta = 1e-4 / max(gnorm, 1e-12)
-    base = cfg if cfg is not None else SimConfig(t_final=t)
-    run = SimConfig(t_final=t, dt=base.dt, delta_omega=base.delta_omega,
-                    record_stride=10 ** 9)
-
-    def estimate(d: float) -> float:
-        plus = model.evolve(+d, run, tol=tol).final
-        minus = model.evolve(-d, run, tol=tol).final
-        return (1.0 - fidelity(plus, minus)) / (2.0 * d) ** 2
-
-    coarse = estimate(delta)
-    fine = estimate(delta / 2.0)
+    delta = delta if delta is not None else _default_delta(model)
+    offsets = (delta, -delta, delta / 2.0, -delta / 2.0)
+    plus, minus, half_plus, half_minus = _final_states(model, offsets, t, cfg, tol)
+    coarse = (1.0 - fidelity(plus, minus)) / (2.0 * delta) ** 2
+    fine = (1.0 - fidelity(half_plus, half_minus)) / delta ** 2
     value = (4.0 * fine - coarse) / 3.0
     spread = abs(fine - coarse) / max(abs(value), 1e-300)
-    return QfiEstimate(value, spread <= 0.05, spread)
+    return QfiEstimate(value, spread <= tol.qfi_disagreement, spread)
 
 
 def qfi_sld(
@@ -324,29 +351,17 @@ def qfi_sld(
     formula; unlike the fidelity route this stays accurate when the states
     are nearly orthogonal or the fidelity deficit underflows.
     """
-    if delta is None:
-        gnorm = float(np.abs(np.linalg.eigvalsh(model.g.entries)).max())
-        delta = 1e-4 / max(gnorm, 1e-12)
-    base = cfg if cfg is not None else SimConfig(t_final=t)
-    run = SimConfig(t_final=t, dt=base.dt, delta_omega=base.delta_omega,
-                    record_stride=10 ** 9)
-    plus = model.evolve(+delta, run, tol=tol).final
-    minus = model.evolve(-delta, run, tol=tol).final
-    center = model.evolve(0.0, run, tol=tol).final
-    drho = (plus - minus) / (2.0 * delta)
-    return _sld_value(center, drho)
+    delta = delta if delta is not None else _default_delta(model)
+    center, plus, minus = _final_states(model, (0.0, delta, -delta), t, cfg, tol)
+    return _sld_value(center, (plus - minus) / (2.0 * delta))
 
 
 def _sld_value(rho: np.ndarray, drho: np.ndarray, floor: float = 1e-12) -> float:
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     d = vecs.conj().T @ drho @ vecs
-    total = 0.0
-    for j in range(len(vals)):
-        for k in range(len(vals)):
-            w = vals[j] + vals[k]
-            if w > floor:
-                total += 2.0 * abs(d[j, k]) ** 2 / w
-    return total / 4.0
+    w = vals[:, None] + vals[None, :]
+    keep = w > floor
+    return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / w[keep])) / 4.0
 
 
 def crlb(qfi: float, k: int) -> float:
@@ -388,36 +403,29 @@ class ScalingRecord:
 
 
 def _grid_states(
-    model: ProbeModel,
-    delta_omega: float,
-    tgrid: Sequence[float],
-    cfg: Optional[SimConfig],
-    tol: Tolerances,
-) -> List[np.ndarray]:
-    """States at every grid time from one continuous integration."""
-    sop = superoperator(model.hamiltonian(delta_omega), model.lset, model.spectrum, tol=tol)
-    dt0 = (
-        cfg.dt
-        if cfg is not None and cfg.dt is not None
-        else _default_dt(model.hamiltonian(delta_omega), model.lset, model.spectrum)
-    )
-    gen_norm = float(np.linalg.norm(sop, 2))
-    if dt0 * gen_norm >= tol.stability:
-        raise ValidationError("dt violates the stability guard")
-    vec = model.rho0.reshape(-1).astype(complex)
-    dim = model.dim
-    out = []
+    model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
+    cfg: Optional[SimConfig], tol: Tolerances,
+) -> np.ndarray:
+    """States at every grid time and offset from one continuous batched run.
+
+    Shape ``(len(tgrid), len(offsets), d, d)``.  Each grid interval takes
+    the fewest equal steps no longer than dt; a defaulted dt is the smallest
+    of the offsets' defaults, so every offset takes the same steps.
+    """
+    gens = model.generators(offsets)
+    dt = cfg.dt if cfg is not None and cfg.dt is not None else min(
+        _default_dt(model.hamiltonian(d), model.lset, model.spectrum) for d in offsets)
+    _check_stability(gens, dt, tol)
+    legs = []
     t_prev = 0.0
     for t in tgrid:
         span = t - t_prev
         if span < 0:
             raise ValidationError("time grid must be nondecreasing")
-        if span > 0:
-            n = max(1, int(math.ceil(span / dt0 - 1e-12)))
-            vec, _ = _rk4_run(sop, vec, span / n, n)
+        n = max(1, int(math.ceil(span / dt - 1e-12))) if span > 0 else 0
+        legs.append((span / max(n, 1), n))
         t_prev = t
-        out.append(vec.reshape(dim, dim).copy())
-    return out
+    return _propagate(gens, model.rho0, legs, tol)[0]
 
 
 def scaling_sweep(
@@ -430,39 +438,30 @@ def scaling_sweep(
 ) -> List[ScalingRecord]:
     """Fisher information of both probes across a common time grid.
 
-    Each probe integrates three trajectories (offset 0 and +-delta) once
+    Each probe integrates its three offsets (0 and +-delta) together once
     across the whole grid; per-time Fisher values use the spectral estimator,
     coherence tracks the protected probe's code-basis off-diagonal.
     """
     tgrid = [float(t) for t in tgrid]
     if any(t <= 0 for t in tgrid):
         raise ValidationError("sweep times must be positive")
-    records = []
-    per_model = {}
-    for name, model in (("p", protected), ("u", unprotected)):
-        gnorm = float(np.abs(np.linalg.eigvalsh(model.g.entries)).max())
-        d = delta if delta is not None else 1e-4 / max(gnorm, 1e-12)
-        center = _grid_states(model, 0.0, tgrid, cfg, tol)
-        plus = _grid_states(model, +d, tgrid, cfg, tol)
-        minus = _grid_states(model, -d, tgrid, cfg, tol)
-        qfis = [
-            _sld_value(c, (p - m) / (2.0 * d))
-            for c, p, m in zip(center, plus, minus)
-        ]
-        per_model[name] = (qfis, center)
-    qp, center_p = per_model["p"]
-    qu, _ = per_model["u"]
-    for i, t in enumerate(tgrid):
-        records.append(
-            ScalingRecord(
-                t=t,
-                qfi_protected=qp[i],
-                qfi_unprotected=qu[i],
-                coherence=protected.coherence(center_p[i]),
-                crlb=crlb(qp[i], 1) if qp[i] > 0 else math.inf,
-            )
+    per_model = []
+    for model in (protected, unprotected):
+        d = delta if delta is not None else _default_delta(model)
+        states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
+        qfis = [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states]
+        per_model.append((qfis, states[:, 0]))
+    (qp, center_p), (qu, _) = per_model
+    return [
+        ScalingRecord(
+            t=t,
+            qfi_protected=qp[i],
+            qfi_unprotected=qu[i],
+            coherence=protected.coherence(center_p[i]),
+            crlb=crlb(qp[i], 1) if qp[i] > 0 else math.inf,
         )
-    return records
+        for i, t in enumerate(tgrid)
+    ]
 
 
 def loglog_slope(ts: Sequence[float], vals: Sequence[float]) -> float:

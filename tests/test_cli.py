@@ -315,6 +315,15 @@ class TestSweep:
                              "--tgrid", "1:2", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
 
+    def test_jobs_flag_is_gone(self, capsys, tmp_path):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["sweep", "--protected", str(model_path),
+                      "--unprotected", str(model_path), "--tgrid", "1:2:2",
+                      "--jobs", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestTimeGrid:
     def test_linear(self):
