@@ -26,7 +26,7 @@ from . import __version__
 from .codespace import CodeSpace, check_conditions, code_from_optimizer, no_go_search
 from .criteria import condition_by_name
 from .errors import NumericalError, ValidationError
-from .jsonio import load_json, operator_from_json
+from .jsonio import dump_json, json_text, load_json, operator_from_json
 from .operators import HermitianOperator
 from .sdp import SdpProblem, solve_primal
 from .simulate import ProbeModel, ScalingRecord, SimConfig, scaling_sweep
@@ -116,19 +116,14 @@ def _emit_json(payload: dict, out: Optional[str], manifest: RunManifest) -> None
     if out is None:
         payload = dict(payload)
         payload["manifest"] = manifest.to_json_dict()
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(payload))
     else:
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        dump_json(payload, out)
         _write_sidecar(out, manifest)
 
 
 def _write_sidecar(out: str, manifest: RunManifest) -> None:
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    dump_json(manifest.to_json_dict(), out + ".manifest.json")
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -292,9 +287,7 @@ def _cmd_nv_demo(args: argparse.Namespace) -> int:
         um = unprotected_model(gamma=args.gamma)
         for name, model in (("protected_model", pm), ("unprotected_model", um)):
             path = os.path.join(args.emit_models, name + ".json")
-            with open(path, "w") as fh:
-                json.dump(model.to_json_dict(), fh, indent=2)
-                fh.write("\n")
+            dump_json(model.to_json_dict(), path)
             _write_sidecar(path, _manifest("nv-demo", args, seed, t0))
         if not (args.table or args.regime):
             return EXIT_OK

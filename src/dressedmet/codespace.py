@@ -336,11 +336,14 @@ def two_level_dressing(
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal frame via QR, with a sign-fixed diagonal."""
-    q, r = np.linalg.qr(v)
-    signs = np.sign(np.diag(r).real)
-    signs[signs == 0] = 1.0
-    return q * signs
+    """Q factor, with positive R diagonal, of a d x 2 frame by Gram-Schmidt."""
+    r00 = np.linalg.norm(v[:, 0])
+    q0 = v[:, 0] / (r00 or 1.0)
+    w = v[:, 1] - q0 * np.vdot(q0, v[:, 1])
+    r11 = np.linalg.norm(w)
+    if not (r00 > 0.0 and r11 > TOL.span_drop * np.linalg.norm(v[:, 1])):
+        raise NumericalError("cannot retract a rank-deficient frame")
+    return np.stack([q0, w / r11], axis=1)
 
 
 def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -354,13 +357,20 @@ def stiefel_minimize(
     max_iter: int = 400,
     gtol: float = 1e-13,
 ) -> Tuple[float, np.ndarray]:
-    """Projected gradient descent with QR retraction and Armijo backtracking.
+    """Projected gradient descent on d x 2 frames with Armijo backtracking.
 
     ``fn`` returns the objective and its conjugate-coordinate gradient; the
     descent direction is the gradient projected onto the tangent space of the
-    orthonormal-frame constraint.
+    orthonormal-frame constraint.  The descent stops at the first of: the
+    tangent norm below ``gtol``; the rounding floor, where every step the
+    backtracking would try asks for a decrease of at most
+    ``16 eps max(1, |f|)``, which floating point cannot confirm; or
+    ``max_iter`` accepted steps.
     """
-    v = _retract(np.asarray(v0, dtype=complex))
+    v = np.asarray(v0, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise ValidationError(f"expected a d x 2 frame, got shape {v.shape}")
+    v = _retract(v)
     f, grad = fn(v)
     step = 0.5
     for _ in range(max_iter):
@@ -368,11 +378,15 @@ def stiefel_minimize(
         gn2 = float(np.real(np.sum(gt.conj() * gt)))
         if gn2 < gtol * gtol:
             break
+        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
         moved = False
         for _ in range(50):
+            want = 0.5 * step * gn2
+            if want <= floor:
+                break
             cand = _retract(v - step * gt)
             f_new, grad_new = fn(cand)
-            if f_new <= f - 0.25 * step * 2.0 * gn2:
+            if f_new <= f - want:
                 v, f, grad = cand, f_new, grad_new
                 step = min(step * 1.3, 8.0)
                 moved = True
@@ -388,21 +402,21 @@ def _pair_penalty_terms(mats: Sequence[np.ndarray]):
 
     penalty = sum over couplings of (diagonal mismatch)^2 + 2 |cross element|^2;
     zero exactly when every coupling acts as a multiple of identity plus a
-    detuning-free block on the pair.
+    detuning-free block on the pair.  The couplings are stacked into one
+    (k*d, d) array, so an evaluation is one matmul for all of them.
     """
+    stack = np.asarray(mats, dtype=complex)
 
     def fn(v: np.ndarray) -> Tuple[float, np.ndarray]:
-        f = 0.0
-        grad = np.zeros_like(v)
-        for a in mats:
-            av = a @ v
-            block = v.conj().T @ av
-            z = (block[0, 0] - block[1, 1]).real
-            g01 = block[0, 1]
-            f += z * z + 2.0 * abs(g01) ** 2
-            k = np.array([[z, g01], [np.conj(g01), -z]], dtype=complex)
-            grad += 2.0 * (av @ k)
-        return f, grad
+        d = v.shape[0]
+        av = (stack.reshape(-1, d) @ v).reshape(-1, d, 2)
+        block = v.conj().T @ av
+        z = (block[:, 0, 0] - block[:, 1, 1]).real
+        g01 = block[:, 0, 1]
+        k = np.empty_like(block)
+        k[:, 0, 0], k[:, 0, 1], k[:, 1, 0], k[:, 1, 1] = z, g01, g01.conj(), -z
+        f = float(z @ z + 2.0 * np.vdot(g01, g01).real)
+        return f, 2.0 * (av @ k).sum(axis=0)
 
     return fn
 
@@ -446,29 +460,27 @@ def _quadratic_search_terms(
     pair products, minus ``weight`` times the signal, so the search is pulled
     toward correctable pairs that still see the generator.
     """
-    error_set = list(mats) + [a.conj().T @ b for a in mats for b in mats]
+    d = gmat.shape[0]
+    error_set = np.array(
+        list(mats) + [a.conj().T @ b for a in mats for b in mats], dtype=complex
+    ).reshape(-1, d, d)
+    # each matrix above its adjoint: one matmul gives M v and M^H v for all
+    stack = np.stack([error_set, error_set.conj().transpose(0, 2, 1)], axis=1)
+    stack = stack.reshape(-1, d)
+    signs = np.array([-1.0, 1.0])
 
     def fn(v: np.ndarray) -> Tuple[float, np.ndarray]:
-        f = 0.0
-        grad = np.zeros_like(v)
-        for m in error_set:
-            mv = m @ v
-            mhv = m.conj().T @ v
-            block = v.conj().T @ mv
-            z = block[0, 0] - block[1, 1]
-            b01, b10 = block[0, 1], block[1, 0]
-            f += 0.5 * abs(z) ** 2 + abs(b01) ** 2 + abs(b10) ** 2
-            p = np.array(
-                [[0.5 * np.conj(z), np.conj(b10)], [np.conj(b01), -0.5 * np.conj(z)]],
-                dtype=complex,
-            )
-            grad += mv @ p + mhv @ p.conj().T
+        w = (stack @ v).reshape(-1, 2, d, 2)
+        block = v.conj().T @ w[:, 0]
+        # deviation D of each block from its best multiple of identity:
+        # f = sum |D|_F^2, gradient = sum M v D^H + M^H v D
+        mean = 0.5 * (block[:, 0, 0] + block[:, 1, 1])
+        dev = block - mean[:, None, None] * np.eye(2)
+        f = float(np.vdot(dev, dev).real)
+        grad = (w[:, 0] @ dev.conj().transpose(0, 2, 1) + w[:, 1] @ dev).sum(axis=0)
         gv = gmat @ v
-        gblock = v.conj().T @ gv
-        signal = (gblock[1, 1] - gblock[0, 0]).real
-        f -= weight * signal
-        grad -= weight * (gv @ np.diag([-1.0, 1.0]))
-        return f, grad
+        signal = np.vdot(v[:, 1], gv[:, 1]).real - np.vdot(v[:, 0], gv[:, 0]).real
+        return f - weight * signal, grad - weight * (gv * signs)
 
     return fn
 

@@ -65,7 +65,16 @@ def load_json(path) -> Any:
         return json.load(fh)
 
 
+def json_text(obj: Any) -> str:
+    """Standard JSON text (indent 2, final newline); non-finite floats raise."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"refusing to write non-standard JSON: {exc}") from None
+
+
 def dump_json(obj: Any, path) -> None:
+    """Write ``obj`` to ``path``; serialized first, so a refusal writes nothing."""
+    text = json_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -57,37 +57,40 @@ class BathSpectrum:
     n_couplings: int
     lamb_coeffs: Optional[Callable[[float], np.ndarray]] = None
     descriptor: Optional[dict] = None
-    _cache: Dict[float, np.ndarray] = field(default_factory=dict, repr=False)
+    _cache: Dict[float, tuple] = field(default_factory=dict, repr=False)
 
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
-        """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``."""
+        """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``.
+
+        The cache keeps the Hermitian matrix with its smallest eigenvalue and
+        norm, so every call, cached or not, applies its own ``tol.psd``.
+        """
         nu = float(nu)
         cached = self._cache.get(nu)
-        if cached is not None:
-            return cached
-        k = self.n_couplings
-        if not _regime_mask(self.regime, nu):
-            mat = np.zeros((k, k))
-        else:
-            mat = np.atleast_2d(np.asarray(self.gamma(nu), dtype=complex))
-            if mat.shape == (1, 1) and k > 1:
-                mat = mat[0, 0] * np.eye(k, dtype=complex)
-            if mat.shape != (k, k):
-                raise ValidationError(
-                    f"rate matrix at nu={nu} has shape {mat.shape}, "
-                    f"expected ({k}, {k})"
-                )
-            if frobenius(mat - mat.conj().T) > TOL.hermiticity * max(
-                1.0, frobenius(mat)
-            ):
-                raise ValidationError(f"rate matrix at nu={nu} is not Hermitian")
-            mat = 0.5 * (mat + mat.conj().T)
-            low = float(np.linalg.eigvalsh(mat).min())
-            if low < -tol.psd * max(1.0, frobenius(mat)):
-                raise ValidationError(
-                    f"rate matrix at nu={nu} has negative eigenvalue {low}"
-                )
-        self._cache[nu] = mat
+        if cached is None:
+            k = self.n_couplings
+            if not _regime_mask(self.regime, nu):
+                cached = (np.zeros((k, k)), 0.0, 1.0)
+            else:
+                mat = np.atleast_2d(np.asarray(self.gamma(nu), dtype=complex))
+                if mat.shape == (1, 1) and k > 1:
+                    mat = mat[0, 0] * np.eye(k, dtype=complex)
+                if mat.shape != (k, k):
+                    raise ValidationError(
+                        f"rate matrix at nu={nu} has shape {mat.shape}, "
+                        f"expected ({k}, {k})"
+                    )
+                if frobenius(mat - mat.conj().T) > TOL.hermiticity * max(
+                    1.0, frobenius(mat)
+                ):
+                    raise ValidationError(f"rate matrix at nu={nu} is not Hermitian")
+                mat = 0.5 * (mat + mat.conj().T)
+                low = float(np.linalg.eigvalsh(mat).min())
+                cached = (mat, low, max(1.0, frobenius(mat)))
+            self._cache[nu] = cached
+        mat, low, scale = cached
+        if low < -tol.psd * scale:
+            raise ValidationError(f"rate matrix at nu={nu} has negative eigenvalue {low}")
         return mat
 
     def lamb(self, nu: float) -> Optional[np.ndarray]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -380,11 +380,3 @@ def eigh_fixed(m) -> tuple[np.ndarray, np.ndarray]:
         i = j + 1
     return vals[order].copy(), vecs[:, order]
 
-
-def projector_onto(states: Sequence) -> np.ndarray:
-    """Projector onto the span of the given (orthonormal) state vectors."""
-    vs = [as_vector(s) for s in states]
-    p = np.zeros((vs[0].shape[0], vs[0].shape[0]), dtype=complex)
-    for v in vs:
-        p += np.outer(v, v.conj())
-    return p

@@ -33,6 +33,8 @@ from dressedmet.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    RunManifest,
+    _emit_json,
     _parse_tgrid,
     dispatch,
 )
@@ -84,6 +86,15 @@ def _pyproject_string(table, key):
         if current == table and entry and entry.group(1) == key:
             return entry.group(2)
     raise KeyError(f"{key} not found under [{table}] in {PYPROJECT}")
+
+
+def _child_env():
+    """Environment in which a child imports the same package as this process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(dressedmet.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    return env
 
 
 class TestCheck:
@@ -243,6 +254,15 @@ class TestManifest:
         h2 = json.loads((tmp_path / "r.json.manifest.json").read_text())["config_hash"]
         assert h1 != h2
 
+    def test_non_finite_payload_writes_nothing(self, capsys, tmp_path):
+        # JSON has no infinity; the payload is refused before any output
+        manifest = RunManifest("check", "0" * 16, 0, dressedmet.__version__, 0.0)
+        for out in (str(tmp_path / "r.json"), None):
+            with pytest.raises(ValidationError):
+                _emit_json({"value": math.inf}, out, manifest)
+        assert not list(tmp_path.iterdir())
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def test_trajectory_csv(self, capsys, tmp_path):
@@ -398,14 +418,16 @@ class TestExitDiscipline:
             code = (f"import sys; from {module} import {attr.split('.')[0]}; "
                     f"sys.exit({attr}())")
             argv = [sys.executable, "-c", code, "--version"]
-        # The child imports the same package as this process, whatever the cwd.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(dressedmet.__file__).resolve().parents[1]),
-                          env.get("PYTHONPATH")]))
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
         assert proc.stdout.strip() == dressedmet.__version__
         assert proc.stdout.strip() == _pyproject_string("project", "version")
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = subprocess.run([sys.executable, "-m", "dressedmet", "--version"],
+                              capture_output=True, text=True, env=_child_env(),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == dressedmet.__version__

@@ -29,6 +29,7 @@ from dressedmet.lindblad import (
     superoperator,
 )
 from dressedmet.operators import HermitianOperator, spin_matrices
+from dressedmet.tolerances import Tolerances
 
 from conftest import random_density, random_hermitian
 
@@ -163,6 +164,15 @@ class TestBathSpectrum:
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: bad, 2)
         with pytest.raises(ValidationError):
             spec.rate(1.0)
+
+    def test_each_call_applies_its_own_psd_tolerance(self):
+        # a loose first call must not let the cached matrix past a stricter one
+        slightly_bad = np.diag([1.0, -1e-9])
+        spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: slightly_bad, 2)
+        np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
+        with pytest.raises(ValidationError):
+            spec.rate(1.0)
+        np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
 
     def test_rejects_shape_mismatch(self):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(3), 2)

@@ -15,13 +15,12 @@ from dressedmet.operators import (
     orthonormal_span,
     positive_negative_split,
     project_decompose,
-    projector_onto,
     spin_matrices,
     tensor,
 )
 from dressedmet.rand import stream
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian
 
 SX1, SY1, SZ1 = spin_matrices(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -186,13 +185,3 @@ class TestEighFixed:
         m = random_hermitian(rng, 6)
         vals, vecs = eigh_fixed(m)
         assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - m) < 1e-12
-
-
-def test_projector_onto_idempotent(rng):
-    states = [random_state(rng, 4)]
-    v2 = random_state(rng, 4)
-    v2 = v2 - states[0] * (states[0].conj() @ v2)
-    states.append(v2 / np.linalg.norm(v2))
-    p = projector_onto([StateVector(s) for s in states])
-    assert np.linalg.norm(p @ p - p) < 1e-12
-    assert np.trace(p).real == pytest.approx(2.0)
