@@ -19,13 +19,11 @@ from .operators import (
     ScalarField,
     StateVector,
     eigh_fixed,
-    hs_inner,
     lift,
     orthonormal_span,
     positive_negative_split,
     project_decompose,
     spin_matrices,
-    tensor,
 )
 from .criteria import (
     Criterion,

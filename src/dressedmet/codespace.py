@@ -14,21 +14,18 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import quadratic_generators
+from .criteria import error_set, quadratic_span_condition
 from .errors import NumericalError, ValidationError
 from .lindblad import LindbladSet, jump_operators
 from .operators import (
     HermitianOperator,
-    ScalarField,
     StateVector,
     as_matrix,
     as_vector,
     eigh_fixed,
     frobenius,
     lift,
-    orthonormal_span,
     positive_negative_split,
-    project_decompose,
 )
 from .rand import stream
 from .tolerances import TOL, Tolerances
@@ -193,14 +190,11 @@ def _lift_to_code(op, code: CodeSpace) -> np.ndarray:
     )
 
 
-def _code_block(m: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    return frame.conj().T @ m @ frame
-
-
-def _kl_deviation(block: np.ndarray) -> float:
-    """Frobenius distance of a 2x2 block from the nearest multiple of I."""
-    c = 0.5 * np.trace(block)
-    return float(np.linalg.norm(block - c * np.eye(2)))
+def _kl_worst(blocks: np.ndarray) -> float:
+    """Largest Frobenius distance of stacked 2x2 blocks from their best multiple of I."""
+    mean = 0.5 * (blocks[:, 0, 0] + blocks[:, 1, 1])
+    dev = blocks - mean[:, None, None] * np.eye(2)
+    return float(np.linalg.norm(dev, axis=(1, 2)).max(initial=0.0))
 
 
 def verify_knill_laflamme(
@@ -215,13 +209,8 @@ def verify_knill_laflamme(
     deviation is negligible.
     """
     frame = code.frame
-    mats = [_lift_to_code(l, code) for l in lindblads]
-    worst = 0.0
-    for m in mats:
-        worst = max(worst, _kl_deviation(_code_block(m, frame)))
-    for a in mats:
-        for b in mats:
-            worst = max(worst, _kl_deviation(_code_block(a.conj().T @ b, frame)))
+    errs = error_set([_lift_to_code(l, code) for l in lindblads], code.total_dim)
+    worst = _kl_worst(frame.conj().T @ errs @ frame)
     return worst <= tol.kl, worst
 
 
@@ -230,7 +219,6 @@ def check_conditions(
     g,
     couplings: Sequence,
     eigencontext: Optional[Sequence[StateVector]] = None,
-    tol: Tolerances = TOL,
 ) -> ConditionReport:
     """Evaluate all protection conditions of a code against the couplings.
 
@@ -243,37 +231,31 @@ def check_conditions(
     frame = code.frame
     gm = _lift_to_code(g, code)
     mats = [_lift_to_code(a, code) for a in couplings]
-
-    dephasing = 0.0
-    relaxation = 0.0
-    for a in mats:
-        block = _code_block(a, frame)
-        dephasing = max(dephasing, abs(block[0, 0] - block[1, 1]))
-        relaxation = max(relaxation, abs(block[0, 1]))
+    errs = error_set(mats, code.total_dim)
+    blocks = frame.conj().T @ errs @ frame
+    single = blocks[: len(mats)]
+    dephasing = np.abs(single[:, 0, 0] - single[:, 1, 1]).max(initial=0.0)
+    relaxation = np.abs(single[:, 0, 1]).max(initial=0.0)
 
     excitation: Optional[float] = None
     if eigencontext is not None:
-        excitation = 0.0
-        for state in eigencontext:
-            v = as_vector(state)
-            if v.shape[0] != code.total_dim:
-                raise ValidationError("eigencontext state dimension mismatch")
-            for a in mats:
-                row = v.conj() @ a @ frame
-                excitation = max(excitation, float(np.abs(row).max()))
+        vecs = [as_vector(state) for state in eigencontext]
+        if any(v.shape[0] != code.total_dim for v in vecs):
+            raise ValidationError("eigencontext state dimension mismatch")
+        rows = np.array(vecs).reshape(-1, code.total_dim).conj() @ errs[: len(mats)] @ frame
+        excitation = float(np.abs(rows).max(initial=0.0))
 
-    _, kl_violation = verify_knill_laflamme(code, mats, tol=tol)
-    gblock = _code_block(gm, frame)
+    gblock = frame.conj().T @ gm @ frame
     signal = float((gblock[1, 1] - gblock[0, 0]).real)
     return ConditionReport(
-        float(dephasing), float(relaxation), excitation, kl_violation, signal
+        float(dephasing), float(relaxation), excitation, _kl_worst(blocks), signal
     )
 
 
 def effective_generator(code: CodeSpace, g) -> EffectiveGenerator:
     """Diagonal generator data on the code: gap and superposition variance."""
-    gm = _lift_to_code(g, code)
-    block = _code_block(gm, code.frame)
+    frame = code.frame
+    block = frame.conj().T @ _lift_to_code(g, code) @ frame
     g00 = float(block[0, 0].real)
     g11 = float(block[1, 1].real)
     delta = g11 - g00
@@ -286,7 +268,6 @@ def control_hamiltonian(
     lambda0: float = 0.0,
     lambda1: float = 1.0,
     complement: float = 10.0,
-    tol: Tolerances = TOL,
 ) -> HermitianOperator:
     """Static control making the code states exact, separated eigenstates.
 
@@ -326,7 +307,7 @@ def two_level_dressing(
     rest = np.eye(code.total_dim) - code.projector
     h_c = HermitianOperator(nu0 * rest)
     mats = [HermitianOperator(_lift_to_code(a, code)) for a in couplings]
-    lset = jump_operators(h_c, mats, gap_tol=1e-9 * nu0, tol=tol)
+    lset = jump_operators(h_c, mats, tol=tol)
     return h_c, lset
 
 
@@ -461,11 +442,9 @@ def _quadratic_search_terms(
     toward correctable pairs that still see the generator.
     """
     d = gmat.shape[0]
-    error_set = np.array(
-        list(mats) + [a.conj().T @ b for a in mats for b in mats], dtype=complex
-    ).reshape(-1, d, d)
+    errs = error_set(mats, d)
     # each matrix above its adjoint: one matmul gives M v and M^H v for all
-    stack = np.stack([error_set, error_set.conj().transpose(0, 2, 1)], axis=1)
+    stack = np.stack([errs, errs.conj().transpose(0, 2, 1)], axis=1)
     stack = stack.reshape(-1, d)
     signs = np.array([-1.0, 1.0])
 
@@ -539,17 +518,10 @@ def correctable_code(
     disjoint ancilla supports passes every Knill-Laflamme block check by
     construction.  Returns None when the generator lies in the span.
     """
-    gm = as_matrix(g)
-    dim = gm.shape[0]
-    span = orthonormal_span(
-        quadratic_generators([as_matrix(a) for a in couplings], dim),
-        ScalarField.COMPLEX,
-        tol=tol,
-    )
-    _, perp = project_decompose(gm, span, tol=tol)
-    if frobenius(perp.entries) <= tol.membership:
+    report = quadratic_span_condition(g, couplings, tol=tol)
+    if not report.verdict:
         return None
-    rho1, rho0, _ = positive_negative_split(perp.entries, tol=tol)
+    rho1, rho0, _ = positive_negative_split(report.g_perp, tol=tol)
     return purify_pair(rho0, rho1, tol=tol)
 
 

@@ -4,6 +4,13 @@ Each criterion asks whether the signal generator G escapes an operator span
 built from the noise couplings; sensitivity beyond the standard quantum limit
 survives the corresponding noise class exactly when it does.
 
+This module is the one owner of the noise spans and of the quadratic error
+set: :func:`error_set` builds ``[A_alpha] + [A_alpha^dag A_beta]`` as one
+stacked array for the span criteria here, the Knill-Laflamme checks and the
+code search in :mod:`.codespace`; the constructive bound in :mod:`.sdp` and
+the code construction in :mod:`.codespace` take their orthogonal remainder
+``g_perp`` from the criterion reports, so no other module builds a span.
+
 * :func:`linear_span_condition` - real span of the identity and the Hermitian
   couplings.  Escaping it is what dephasing-plus-relaxation protection (with a
   noiseless ancilla available) requires.
@@ -22,19 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import (
-    OperatorSpan,
-    ScalarField,
-    as_matrix,
-    frobenius,
-    orthonormal_span,
-    project_decompose,
-)
+from .operators import ScalarField, as_matrix, frobenius, orthonormal_span, project_decompose
 from .tolerances import TOL, Tolerances
 
 __all__ = [
@@ -78,31 +77,33 @@ class CriterionReport:
         }
 
 
-def _report(g, span: OperatorSpan, criterion: Criterion, tol: Tolerances) -> CriterionReport:
-    _, perp = project_decompose(g, span, tol=tol)
+def _span_report(
+    criterion: Criterion, field: ScalarField, generators, g, ops, tol: Tolerances
+) -> CriterionReport:
+    """Span ``generators(ops, d)`` and report how far ``g`` escapes it."""
+    gm = as_matrix(g)
+    mats = [as_matrix(a) for a in ops]
+    if any(m.shape != gm.shape for m in mats):
+        raise ValidationError("generator and noise operators must share one dimension")
+    span = orthonormal_span(generators(mats, gm.shape[0]), field, tol=tol)
+    _, perp = project_decompose(gm, span, tol=tol)
     residual = frobenius(perp.entries)
-    verdict = residual > tol.membership
     lo = tol.membership / tol.marginal_factor
     hi = tol.membership * tol.marginal_factor
-    marginal = lo <= residual <= hi
     return CriterionReport(
         criterion=criterion,
-        verdict=verdict,
+        verdict=residual > tol.membership,
         residual_norm=residual,
         span_dim=span.size,
-        marginal=marginal,
+        marginal=lo <= residual <= hi,
         g_perp=perp.entries,
         tolerance=tol.membership,
     )
 
 
-def _check_dims(g, ops: Iterable) -> tuple[np.ndarray, list[np.ndarray]]:
-    gm = as_matrix(g)
-    mats = [as_matrix(a) for a in ops]
-    for m in mats:
-        if m.shape != gm.shape:
-            raise ValidationError("generator and couplings must share one dimension")
-    return gm, mats
+def linear_generators(couplings, dim: int) -> list[np.ndarray]:
+    """Identity and the couplings."""
+    return [np.eye(dim, dtype=complex)] + [as_matrix(a) for a in couplings]
 
 
 def linear_span_condition(g, couplings, *, tol: Tolerances = TOL) -> CriterionReport:
@@ -112,20 +113,29 @@ def linear_span_condition(g, couplings, *, tol: Tolerances = TOL) -> CriterionRe
     under dephasing and relaxation by the Hermitian couplings ``couplings``
     (allowing a noiseless ancilla); false means none exists.
     """
-    gm, mats = _check_dims(g, couplings)
-    dim = gm.shape[0]
-    span = orthonormal_span(
-        [np.eye(dim, dtype=complex)] + mats, ScalarField.REAL, tol=tol
+    return _span_report(
+        Criterion.LINEAR_REAL, ScalarField.REAL, linear_generators, g, couplings, tol
     )
-    return _report(gm, span, Criterion.LINEAR_REAL, tol)
 
 
-def quadratic_generators(couplings, dim: int) -> list[np.ndarray]:
-    """Identity, couplings, and all ordered pairwise products."""
-    mats = [as_matrix(a) for a in couplings]
-    gens = [np.eye(dim, dtype=complex)] + list(mats)
-    gens += [a @ b for a in mats for b in mats]
-    return gens
+def error_set(ops, dim: int) -> np.ndarray:
+    """``[A_alpha] + [A_alpha^dag A_beta]`` stacked as one ``(k + k^2, d, d)`` array.
+
+    Pair ``(alpha, beta)`` sits at ``k + alpha k + beta``; an empty ``ops``
+    gives a ``(0, d, d)`` array.
+    """
+    a = np.array([as_matrix(m) for m in ops], dtype=complex).reshape(-1, dim, dim)
+    pairs = np.matmul(a.conj().transpose(0, 2, 1)[:, None], a[None])
+    return np.concatenate([a, pairs.reshape(-1, dim, dim)])
+
+
+def quadratic_generators(couplings, dim: int) -> np.ndarray:
+    """Identity, couplings, and all ordered pairwise products.
+
+    The products are ``A_alpha^dag A_beta``, which equal ``A_alpha A_beta``
+    for the Hermitian couplings the criteria take.
+    """
+    return np.concatenate([np.eye(dim, dtype=complex)[None], error_set(couplings, dim)])
 
 
 def quadratic_span_condition(g, couplings, *, tol: Tolerances = TOL) -> CriterionReport:
@@ -135,20 +145,18 @@ def quadratic_span_condition(g, couplings, *, tol: Tolerances = TOL) -> Criterio
     arbitrary bath temperature (every transition channel open); false means
     the signal is unrecoverable in that regime.
     """
-    gm, mats = _check_dims(g, couplings)
-    span = orthonormal_span(
-        quadratic_generators(mats, gm.shape[0]), ScalarField.COMPLEX, tol=tol
+    return _span_report(
+        Criterion.QUADRATIC_COMPLEX, ScalarField.COMPLEX, quadratic_generators, g, couplings, tol
     )
-    return _report(gm, span, Criterion.QUADRATIC_COMPLEX, tol)
 
 
-def hnls_generators(lindblads, dim: int) -> list[np.ndarray]:
+def hnls_generators(lindblads, dim: int) -> np.ndarray:
+    """Identity, each jump operator, its adjoint, and all ``L_i^dag L_j``."""
     mats = [as_matrix(l) for l in lindblads]
-    gens = [np.eye(dim, dtype=complex)]
-    gens += mats
-    gens += [m.conj().T for m in mats]
-    gens += [a.conj().T @ b for a in mats for b in mats]
-    return gens
+    errs = error_set(mats, dim)
+    k = len(mats)
+    adjoints = errs[:k].conj().transpose(0, 2, 1)
+    return np.concatenate([np.eye(dim, dtype=complex)[None], errs[:k], adjoints, errs[k:]])
 
 
 def hnls_condition(g, lindblads, *, tol: Tolerances = TOL) -> CriterionReport:
@@ -158,15 +166,7 @@ def hnls_condition(g, lindblads, *, tol: Tolerances = TOL) -> CriterionReport:
     standard correctability criterion stated directly on a Lindblad set
     rather than on the physical couplings.
     """
-    gm = as_matrix(g)
-    mats = [as_matrix(l) for l in lindblads]
-    for m in mats:
-        if m.shape != gm.shape:
-            raise ValidationError("generator and Lindblad operators must share one dimension")
-    span = orthonormal_span(
-        hnls_generators(mats, gm.shape[0]), ScalarField.COMPLEX, tol=tol
-    )
-    return _report(gm, span, Criterion.HNLS, tol)
+    return _span_report(Criterion.HNLS, ScalarField.COMPLEX, hnls_generators, g, lindblads, tol)
 
 
 def condition_by_name(name: str, g, ops, *, tol: Tolerances = TOL) -> CriterionReport:

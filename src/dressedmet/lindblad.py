@@ -224,9 +224,7 @@ class LindbladSet:
         return worst
 
 
-def eigendecompose_grouped(
-    h: HermitianOperator, gap_tol: float, tol: Tolerances = TOL
-) -> List[Tuple[float, np.ndarray]]:
+def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[float, np.ndarray]]:
     """Cluster the spectrum of ``h`` and return (energy, projector) per group.
 
     Adjacent eigenvalues closer than ``gap_tol`` merge (single linkage); the
@@ -284,10 +282,11 @@ def jump_operators(
 ) -> LindbladSet:
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
-    ``gap_tol`` defaults to 1e-9 times the operator norm of ``h`` (floored
-    for the zero Hamiltonian).  Frequencies whose blocks all vanish are
-    dropped; the surviving set satisfies the completeness and adjoint-pairing
-    checks to 1e-10 by construction of the symmetric binning.
+    ``gap_tol`` defaults to ``tol.gap_rel`` times the operator norm of ``h``,
+    floored at ``tol.gap_abs`` for the zero Hamiltonian.  Frequencies whose
+    blocks all vanish are dropped; the surviving set satisfies the
+    completeness and adjoint-pairing checks to 1e-10 by construction of the
+    symmetric binning.
     """
     dim = h.dim
     mats = [as_matrix(a) for a in couplings]
@@ -298,8 +297,8 @@ def jump_operators(
             raise ValidationError("couplings must be Hermitian")
     if gap_tol is None:
         hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
-        gap_tol = max(1e-9 * hnorm, 1e-12)
-    groups = eigendecompose_grouped(h, gap_tol, tol=tol)
+        gap_tol = max(tol.gap_rel * hnorm, tol.gap_abs)
+    groups = eigendecompose_grouped(h, gap_tol)
     raw_gaps = [ep - e for e, _ in groups for ep, _ in groups]
     binned = _bin_gaps(raw_gaps, gap_tol)
 

@@ -32,9 +32,7 @@ __all__ = [
     "as_matrix",
     "dagger",
     "frobenius",
-    "tensor",
     "lift",
-    "hs_inner",
     "orthonormal_span",
     "project_decompose",
     "positive_negative_split",
@@ -62,7 +60,7 @@ def as_matrix(op) -> np.ndarray:
 
 
 def _hermiticity_error(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,25 +155,26 @@ class OperatorSpan:
 
     ``field`` records the scalars the span is closed under: REAL spans hold
     Hermitian elements with real coefficients, COMPLEX spans are ordinary
-    subspaces of d x d complex matrices.
+    subspaces of d x d complex matrices.  ``basis`` is one read-only
+    ``(n, d, d)`` array; ``n`` may be 0.
     """
 
     dim: int
     field: ScalarField
-    basis: tuple
+    basis: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(np.asarray(b, dtype=complex) for b in self.basis)
-        for b in mats:
-            if b.shape != (self.dim, self.dim):
-                raise ValidationError("span basis has inconsistent dimensions")
-            if self.field is ScalarField.REAL and _hermiticity_error(b) > 1e-9:
-                raise ValidationError("a real-field span requires Hermitian basis elements")
-        for i, a in enumerate(mats):
-            for b in mats[i:]:
-                want = 1.0 if b is a else 0.0
-                if abs(np.trace(dagger(a) @ b) - want) > TOL.orthonormality:
-                    raise ValidationError("span basis is not orthonormal")
+        n, d = len(self.basis), self.dim
+        try:
+            flat = np.array(self.basis, dtype=complex).reshape(n, d * d)
+        except ValueError:
+            raise ValidationError("span basis has inconsistent dimensions") from None
+        mats = flat.reshape(n, d, d)
+        if self.field is ScalarField.REAL and _hermiticity_error(mats) > 1e-9:
+            raise ValidationError("a real-field span requires Hermitian basis elements")
+        if n and np.abs(flat.conj() @ flat.T - np.eye(n)).max() > TOL.orthonormality:
+            raise ValidationError("span basis is not orthonormal")
+        mats.setflags(write=False)
         object.__setattr__(self, "basis", mats)
 
     @property
@@ -187,18 +186,10 @@ class OperatorSpan:
         x = as_matrix(m)
         if x.shape != (self.dim, self.dim):
             raise ValidationError("dimension mismatch in span projection")
-        out = np.zeros_like(x)
-        for b in self.basis:
-            c = np.trace(dagger(b) @ x)
-            if self.field is ScalarField.REAL:
-                c = c.real
-            out = out + c * b
-        return out
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(as_matrix(a), as_matrix(b))
+        c = np.einsum("kij,ij->k", self.basis.conj(), x)
+        if self.field is ScalarField.REAL:
+            c = c.real
+        return np.tensordot(c, self.basis, axes=1)
 
 
 def lift(op, ancilla_dim: int) -> np.ndarray:
@@ -209,25 +200,6 @@ def lift(op, ancilla_dim: int) -> np.ndarray:
     return np.kron(m, np.eye(ancilla_dim, dtype=complex))
 
 
-def hs_inner(a, b, *, tol: Tolerances = TOL) -> float:
-    """Hilbert-Schmidt pairing tr(a b) of two Hermitian operators.
-
-    The trace is real for Hermitian inputs; the imaginary part is asserted
-    below tolerance and dropped.
-    """
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValidationError("hs_inner requires operators of equal dimension")
-    scale = max(1.0, float(np.max(np.abs(ma))) * float(np.max(np.abs(mb))) * ma.shape[0])
-    for m in (ma, mb):
-        if _hermiticity_error(m) > TOL.hermiticity * max(1.0, float(np.max(np.abs(m)))):
-            raise ValidationError("hs_inner expects Hermitian inputs")
-    val = np.trace(ma @ mb)
-    if abs(val.imag) > tol.hermiticity * scale:
-        raise ValidationError(f"tr(ab) has a non-negligible imaginary part ({val.imag:.3e})")
-    return float(val.real)
-
-
 def orthonormal_span(
     generators: Iterable,
     field: ScalarField = ScalarField.COMPLEX,
@@ -236,35 +208,40 @@ def orthonormal_span(
 ) -> OperatorSpan:
     """Orthonormalize a generator list into an :class:`OperatorSpan`.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; generators whose
-    residual after projection falls below ``tol.span_drop`` (relative to their
-    own norm) are dropped as linearly dependent.
+    Gram-Schmidt with one re-orthogonalization pass, each pass projecting
+    against the whole basis at once; generators whose residual after
+    projection falls below ``tol.span_drop`` (relative to their own norm) are
+    dropped as linearly dependent.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
         raise ValidationError("orthonormal_span requires at least one generator")
     dim = mats[0].shape[0]
-    basis: list[np.ndarray] = []
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValidationError("span generators have inconsistent dimensions")
-        if field is ScalarField.REAL and _hermiticity_error(m) > 1e-9 * max(1.0, float(np.max(np.abs(m)))):
+    if any(m.shape != (dim, dim) for m in mats):
+        raise ValidationError("span generators have inconsistent dimensions")
+    stack = np.array(mats)
+    if field is ScalarField.REAL:
+        err = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        if np.any(err > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
             raise ValidationError("field=REAL requires Hermitian generators")
-        nrm = frobenius(m)
+    flat = stack.reshape(len(stack), dim * dim)
+    basis = np.empty_like(flat)
+    n = 0
+    for m, nrm in zip(flat, np.linalg.norm(flat, axis=1)):
         if nrm < tol.span_drop:
             continue
         w = m / nrm
         for _ in range(2):
-            for b in basis:
-                c = np.trace(dagger(b) @ w)
-                if field is ScalarField.REAL:
-                    c = c.real
-                w = w - c * b
-        r = frobenius(w)
+            c = basis[:n].conj() @ w
+            if field is ScalarField.REAL:
+                c = c.real
+            w = w - c @ basis[:n]
+        r = float(np.linalg.norm(w))
         if r < tol.span_drop:
             continue
-        basis.append(w / r)
-    return OperatorSpan(dim=dim, field=field, basis=tuple(basis))
+        basis[n] = w / r
+        n += 1
+    return OperatorSpan(dim=dim, field=field, basis=basis[:n].reshape(n, dim, dim))
 
 
 def project_decompose(g, span: OperatorSpan, *, tol: Tolerances = TOL):

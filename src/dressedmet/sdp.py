@@ -25,17 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .criteria import linear_span_condition
 from .errors import NumericalError, ValidationError
-from .operators import (
-    HermitianOperator,
-    as_matrix,
-    dagger,
-    frobenius,
-    orthonormal_span,
-    project_decompose,
-    positive_negative_split,
-    ScalarField,
-)
+from .operators import HermitianOperator, as_matrix, dagger, positive_negative_split
 from .tolerances import TOL, Tolerances
 
 __all__ = [
@@ -136,16 +128,9 @@ def constructive_bound(g, couplings, *, tol: Tolerances = TOL) -> ConstructiveBo
     ``2 tr(P^2) / tr|P|``.  Returns value 0 with empty states when G sits
     inside the span (zero signal available).
     """
-    gm = as_matrix(g)
-    dim = gm.shape[0]
-    span = orthonormal_span(
-        [np.eye(dim, dtype=complex)] + [as_matrix(a) for a in couplings],
-        ScalarField.REAL,
-        tol=tol,
-    )
-    _, perp = project_decompose(gm, span, tol=tol)
-    p = perp.entries
-    if frobenius(p) <= tol.membership:
+    report = linear_span_condition(g, couplings, tol=tol)
+    p = report.g_perp
+    if not report.verdict:
         return ConstructiveBound(0.0, None, None, p, 0.0)
     rho1, rho0, weight = positive_negative_split(p, tol=tol)
     trace_norm = 2.0 * weight

@@ -14,6 +14,7 @@ fidelities underflow) are scaled to match it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,14 +33,12 @@ from .tolerances import TOL, Tolerances
 class SimConfig:
     """Fixed-step integration parameters.
 
-    ``dt`` of None picks 1e-3 over the generator scale at evolve time.
-    ``delta_omega`` is the signal offset used by finite-difference estimates;
+    ``dt`` of None picks 1e-3 over the generator scale at evolve time;
     ``record_stride`` thins the stored trajectory.
     """
 
     t_final: float
     dt: Optional[float] = None
-    delta_omega: float = 1e-4
     record_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -52,10 +51,12 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimConfig":
+        unknown = sorted(set(obj) - {"t_final", "dt", "record_stride"})
+        if unknown:
+            raise ValidationError(f"unknown simulation config keys: {unknown}")
         return cls(
             t_final=float(obj["t_final"]),
             dt=float(obj["dt"]) if obj.get("dt") is not None else None,
-            delta_omega=float(obj.get("delta_omega", 1e-4)),
             record_stride=int(obj.get("record_stride", 1)),
         )
 
@@ -71,9 +72,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _default_dt(h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum) -> float:
+def _default_dt(
+    h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
+) -> float:
     hnorm = float(np.abs(np.linalg.eigvalsh(h_s.entries)).max())
-    total_rate = sum(float(np.trace(spectrum.rate(nu)).real) for nu in lset.transitions)
+    total_rate = sum(
+        float(np.trace(spectrum.rate(nu, tol=tol)).real) for nu in lset.transitions
+    )
     return 1e-3 / max(hnorm, total_rate, 1e-3)
 
 
@@ -147,7 +152,7 @@ def evolve(
     """Integrate the master equation from ``rho0`` over ``cfg.t_final``."""
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
-    dt = cfg.dt if cfg.dt is not None else _default_dt(h_s, lset, spectrum)
+    dt = cfg.dt if cfg.dt is not None else _default_dt(h_s, lset, spectrum, tol)
     _check_stability(gens, dt, tol)
     n_steps = max(1, int(math.ceil(cfg.t_final / dt - 1e-12)))
     dt = cfg.t_final / n_steps
@@ -156,6 +161,10 @@ def evolve(
     states, drift = _propagate(gens, rho0, [(dt, n) for n in chunks], tol)
     times = np.cumsum([0] + chunks) * dt
     return Trajectory(times, np.concatenate([rho0[None], states[:, 0]]), drift)
+
+
+# a rate PSD check that never fires, for generators checked per call instead
+_UNCHECKED_RATES = dataclasses.replace(TOL, psd=math.inf)
 
 
 @dataclass(frozen=True)
@@ -186,11 +195,17 @@ class ProbeModel:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        """Offset-free generator on row-major flattened densities."""
-        return superoperator(self.h, self.lset, self.spectrum)
+        """Offset-free generator on row-major flattened densities.
 
-    def generators(self, offsets: Sequence[float]) -> np.ndarray:
+        Assembled without the rates' PSD check, which :meth:`generators`
+        applies with each caller's ``tol.psd``.
+        """
+        return superoperator(self.h, self.lset, self.spectrum, tol=_UNCHECKED_RATES)
+
+    def generators(self, offsets: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
         """Stacked ``generator + delta K_g``, ``K_g = -i (g (x) I - I (x) g^T)`` row-major."""
+        for nu in self.lset.transitions:
+            self.spectrum.rate(nu, tol=tol)
         g, eye = self.g.entries, np.eye(self.dim)
         k_g = -1j * (np.kron(g, eye) - np.kron(eye, g.T))
         return self.generator + np.asarray(offsets, dtype=float)[:, None, None] * k_g
@@ -412,9 +427,9 @@ def _grid_states(
     the fewest equal steps no longer than dt; a defaulted dt is the smallest
     of the offsets' defaults, so every offset takes the same steps.
     """
-    gens = model.generators(offsets)
+    gens = model.generators(offsets, tol)
     dt = cfg.dt if cfg is not None and cfg.dt is not None else min(
-        _default_dt(model.hamiltonian(d), model.lset, model.spectrum) for d in offsets)
+        _default_dt(model.hamiltonian(d), model.lset, model.spectrum, tol) for d in offsets)
     _check_stability(gens, dt, tol)
     legs = []
     t_prev = 0.0
@@ -503,16 +518,16 @@ def perturbation_leakage(
 ) -> LeakageReport:
     """First-order eigenvector mixing under ``h0 + delta_omega g``.
 
-    Requires a nondegenerate spectrum.  Verifies its own prediction against
-    exact diagonalization at the offset and two halvings, fitting the error
-    order; callers decide how much leakage is tolerable.
+    Requires a spectrum nondegenerate at ``gap_tol``, which defaults to
+    the grouping tolerance of :func:`jump_operators`.  Verifies its own
+    prediction against exact diagonalization at the offset and two halvings,
+    fitting the error order; callers decide how much leakage is tolerable.
     """
     if delta_omega <= 0:
         raise ValidationError("delta_omega must be positive")
     vals, vecs = eigh_fixed(h0.entries)
-    hnorm = max(float(np.abs(vals).max()), 1e-12)
     if gap_tol is None:
-        gap_tol = 1e-9 * hnorm
+        gap_tol = max(tol.gap_rel * float(np.abs(vals).max()), tol.gap_abs)
     if len(vals) > 1 and np.diff(vals).min() < gap_tol:
         raise ValidationError("spectrum is degenerate at the grouping tolerance")
 

@@ -29,8 +29,6 @@ class Tolerances:
     traceless: float = 1e-10
     # relative eigenvalue cut separating supports in a positive/negative split
     rank: float = 1e-10
-    # eigenvalue magnitude below which a density-matrix eigenvalue is treated as 0
-    density_floor: float = 1e-12
     # max Knill-Laflamme deviation for a code to count as protected
     kl: float = 1e-8
     # PSD check slack for bath-rate matrices

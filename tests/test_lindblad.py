@@ -78,6 +78,14 @@ class TestJumpOperators:
         assert len(lset.frequencies) == 2
         assert lset.frequencies[1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_default_grouping_reads_the_gap_tolerances(self):
+        # levels 1e-6 apart stay apart at gap_rel 1e-9 and merge at 1e-5
+        h = HermitianOperator(np.diag([0.0, 1.0, 1.0 + 1e-6]).astype(complex))
+        coupling = [HermitianOperator(np.ones((3, 3), dtype=complex))]
+        assert len(jump_operators(h, coupling).frequencies) == 7
+        merged = jump_operators(h, coupling, tol=Tolerances(gap_rel=1e-5))
+        assert len(merged.frequencies) == 3
+
     def test_completeness_and_adjoint_pairing_random(self, rng):
         for _ in range(100):
             h, couplings = random_generator_instance(rng)

@@ -10,15 +10,12 @@ from dressedmet.operators import (
     ScalarField,
     StateVector,
     eigh_fixed,
-    hs_inner,
     lift,
     orthonormal_span,
     positive_negative_split,
     project_decompose,
     spin_matrices,
-    tensor,
 )
-from dressedmet.rand import stream
 
 from conftest import random_hermitian
 
@@ -58,19 +55,10 @@ class TestStateVector:
 
 
 def test_tensor_and_lift_shapes():
-    t = tensor(PAULI_X, np.eye(3))
-    assert t.shape == (6, 6)
     lifted = lift(PAULI_Z, 3)
     assert lifted.shape == (6, 6)
     # lifting acts trivially on the ancilla factor
     assert np.allclose(lifted, np.kron(PAULI_Z, np.eye(3)))
-
-
-def test_hs_inner_matches_trace():
-    rng = stream(11)
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    assert hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b).real)
 
 
 class TestOrthonormalSpan:

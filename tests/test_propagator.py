@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressedmet.errors import NumericalError
+from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, superoperator
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.operators import HermitianOperator
@@ -26,6 +26,7 @@ from dressedmet.simulate import (
     _grid_states,
     evolve,
     qfi_numeric,
+    qfi_sld,
     scaling_sweep,
 )
 from dressedmet.tolerances import TOL, Tolerances
@@ -229,6 +230,30 @@ class TestTolerances:
         lenient = qfi_numeric(model, 3.0, delta=0.5, tol=Tolerances(qfi_disagreement=1.0))
         assert lenient.reliable
         assert lenient.value == est.value and lenient.spread == est.spread
+
+    def slightly_indefinite(self, low):
+        rates = np.diag([0.4, low])
+        spectrum = BathSpectrum(Regime.FULL_THERMAL, lambda nu: rates, 2)
+        couplings = (HermitianOperator(PAULI_Z), HermitianOperator(PAULI_X))
+        return ProbeModel(h=HermitianOperator(PAULI_X), g=HermitianOperator(0.5 * PAULI_Z),
+                          couplings=couplings, spectrum=spectrum, rho0=GROUND.copy())
+
+    def test_loose_psd_tolerance_admits_slightly_negative_rates(self):
+        model = self.slightly_indefinite(-1e-9)
+        with pytest.raises(ValidationError):
+            qfi_numeric(model, 0.2)
+        loose = Tolerances(psd=1e-6)
+        for cfg in (None, SimConfig(t_final=0.2, dt=0.01)):
+            assert qfi_numeric(model, 0.2, cfg=cfg, tol=loose).value > 0.0
+
+    def test_strict_psd_tolerance_rejects_a_cached_generator(self):
+        model = self.slightly_indefinite(-5e-11)
+        assert qfi_sld(model, 0.2) > 0.0
+        strict = Tolerances(psd=1e-12)
+        with pytest.raises(ValidationError):
+            superoperator(model.h, model.lset, model.spectrum, tol=strict)
+        with pytest.raises(ValidationError):
+            qfi_sld(model, 0.2, tol=strict)
 
 
 # ---------------------------------------------------------------------------

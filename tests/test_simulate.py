@@ -44,6 +44,7 @@ from dressedmet.simulate import (
     qfi_sld,
     scaling_sweep,
 )
+from dressedmet.tolerances import Tolerances
 
 from conftest import random_density
 
@@ -103,15 +104,19 @@ class TestSimConfig:
 
     def test_json_round_trip(self):
         cfg = SimConfig.from_json_dict(
-            {"t_final": 2.0, "dt": 0.01, "delta_omega": 1e-3, "record_stride": 4}
+            {"t_final": 2.0, "dt": 0.01, "record_stride": 4}
         )
-        assert cfg == SimConfig(t_final=2.0, dt=0.01, delta_omega=1e-3, record_stride=4)
+        assert cfg == SimConfig(t_final=2.0, dt=0.01, record_stride=4)
 
     def test_json_defaults(self):
         cfg = SimConfig.from_json_dict({"t_final": 1.0})
         assert cfg.dt is None
-        assert cfg.delta_omega == 1e-4
         assert cfg.record_stride == 1
+
+    def test_json_rejects_unknown_keys(self):
+        # a key nothing reads is an error, not a silently ignored knob
+        with pytest.raises(ValidationError, match="delta_omega"):
+            SimConfig.from_json_dict({"t_final": 1.0, "delta_omega": 1e-3})
 
 
 class TestEvolve:
@@ -372,6 +377,14 @@ class TestPerturbationLeakage:
             perturbation_leakage(
                 HermitianOperator(np.eye(2, dtype=complex)),
                 HermitianOperator(PAULI_X), 1e-2)
+
+    def test_default_gap_reads_the_gap_tolerances(self):
+        h0 = HermitianOperator(np.diag([0.0, 1.0, 1.0 + 1e-6]).astype(complex))
+        g = HermitianOperator(np.array(
+            [[0.0, 0.3, 0.1], [0.3, 0.0, 0.5], [0.1, 0.5, 0.0]], dtype=complex))
+        perturbation_leakage(h0, g, 1e-9)
+        with pytest.raises(ValidationError, match="degenerate"):
+            perturbation_leakage(h0, g, 1e-9, tol=Tolerances(gap_rel=1e-5))
 
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValidationError):
