@@ -9,6 +9,7 @@ and runs the no-protected-pair feasibility search on bare system spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -197,6 +198,20 @@ def _kl_worst(blocks: np.ndarray) -> float:
     return float(np.linalg.norm(dev, axis=(1, 2)).max(initial=0.0))
 
 
+def _code_blocks(frame: np.ndarray, mats: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Code blocks of the error set ``[A_alpha] + [A_alpha^dag A_beta]``, frame first.
+
+    ``W_alpha = A_alpha V`` is formed once, and the blocks are ``V^dag W_alpha``
+    and ``W_alpha^dag W_beta`` in :func:`.criteria.error_set` order: k
+    D x D x 2 products in place of k^2 D x D ones.  Returns the stacked
+    ``(k + k^2, 2, 2)`` blocks and ``W``.
+    """
+    dim = frame.shape[0]
+    w = np.array(mats, dtype=complex).reshape(-1, dim, dim) @ frame
+    pairs = w.conj().transpose(0, 2, 1)[:, None] @ w[None]
+    return np.concatenate([frame.conj().T @ w, pairs.reshape(-1, 2, 2)]), w
+
+
 def verify_knill_laflamme(
     code: CodeSpace,
     lindblads: Sequence[np.ndarray],
@@ -208,9 +223,8 @@ def verify_knill_laflamme(
     constant; the code is correctable for the given error set when that
     deviation is negligible.
     """
-    frame = code.frame
-    errs = error_set([_lift_to_code(l, code) for l in lindblads], code.total_dim)
-    worst = _kl_worst(frame.conj().T @ errs @ frame)
+    blocks, _ = _code_blocks(code.frame, [_lift_to_code(l, code) for l in lindblads])
+    worst = _kl_worst(blocks)
     return worst <= tol.kl, worst
 
 
@@ -231,8 +245,7 @@ def check_conditions(
     frame = code.frame
     gm = _lift_to_code(g, code)
     mats = [_lift_to_code(a, code) for a in couplings]
-    errs = error_set(mats, code.total_dim)
-    blocks = frame.conj().T @ errs @ frame
+    blocks, w = _code_blocks(frame, mats)
     single = blocks[: len(mats)]
     dephasing = np.abs(single[:, 0, 0] - single[:, 1, 1]).max(initial=0.0)
     relaxation = np.abs(single[:, 0, 1]).max(initial=0.0)
@@ -242,7 +255,7 @@ def check_conditions(
         vecs = [as_vector(state) for state in eigencontext]
         if any(v.shape[0] != code.total_dim for v in vecs):
             raise ValidationError("eigencontext state dimension mismatch")
-        rows = np.array(vecs).reshape(-1, code.total_dim).conj() @ errs[: len(mats)] @ frame
+        rows = np.array(vecs).reshape(-1, code.total_dim).conj() @ w
         excitation = float(np.abs(rows).max(initial=0.0))
 
     gblock = frame.conj().T @ gm @ frame
@@ -481,8 +494,10 @@ def code_search(
     """Search for a correctable pair with maximal signal on a given space.
 
     Operators must already live on the search space (lift beforehand for an
-    ancilla-assisted search).  Returns the restart whose final iterate has
-    the largest signal among those with the smallest penalty scale.
+    ancilla-assisted search).  Restarts whose penalty is at most 1e-9 beat
+    the rest; among equals, a larger ``|signal|`` wins only beyond a relative
+    difference of 1e-9, and the smaller penalty breaks the remaining ties,
+    so signals that agree to rounding never decide the pick.
     """
     gmat = as_matrix(g)
     mats = [as_matrix(a) for a in couplings]
@@ -496,14 +511,20 @@ def code_search(
         pen = penalty_fn(v)[0]
         gblock = v.conj().T @ gmat @ v
         signal = float((gblock[1, 1] - gblock[0, 0]).real)
-        key = (pen > 1e-9, -abs(signal))
-        if best is None or key < best[0]:
-            best = (key, pen, v)
-    _, pen, v = best
-    gblock = v.conj().T @ gmat @ v
-    signal = float((gblock[1, 1] - gblock[0, 0]).real)
+        if best is None or _better_restart(pen, signal, best[0], best[1]):
+            best = (pen, signal, v)
+    pen, signal, v = best
     code = CodeSpace(StateVector(v[:, 0]), StateVector(v[:, 1]), dim, 1)
     return CodeSearchResult(code, float(pen), signal)
+
+
+def _better_restart(pen: float, signal: float, best_pen: float, best_signal: float) -> bool:
+    """Whether a restart's (penalty, signal) beats the best so far in :func:`code_search`."""
+    if (pen <= 1e-9) != (best_pen <= 1e-9):
+        return pen <= 1e-9
+    if not math.isclose(abs(signal), abs(best_signal), rel_tol=1e-9):
+        return abs(signal) > abs(best_signal)
+    return pen < best_pen
 
 
 def correctable_code(

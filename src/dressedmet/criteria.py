@@ -33,7 +33,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .operators import ScalarField, as_matrix, frobenius, orthonormal_span, project_decompose
+from .operators import (
+    ScalarField,
+    as_matrix,
+    frobenius,
+    orthonormal_span,
+    project_decompose,
+    require_hermitian,
+)
 from .tolerances import TOL, Tolerances
 
 __all__ = [
@@ -133,9 +140,12 @@ def quadratic_generators(couplings, dim: int) -> np.ndarray:
     """Identity, couplings, and all ordered pairwise products.
 
     The products are ``A_alpha^dag A_beta``, which equal ``A_alpha A_beta``
-    for the Hermitian couplings the criteria take.
+    only for Hermitian couplings, so other couplings raise
+    :class:`ValidationError`, as they do for :func:`linear_generators`' span.
     """
-    return np.concatenate([np.eye(dim, dtype=complex)[None], error_set(couplings, dim)])
+    errs = error_set(couplings, dim)
+    require_hermitian(errs[: len(couplings)], "the quadratic span requires Hermitian couplings")
+    return np.concatenate([np.eye(dim, dtype=complex)[None], errs])
 
 
 def quadratic_span_condition(g, couplings, *, tol: Tolerances = TOL) -> CriterionReport:
@@ -143,7 +153,8 @@ def quadratic_span_condition(g, couplings, *, tol: Tolerances = TOL) -> Criterio
 
     True means an error-corrected sensing code with nonzero signal survives
     arbitrary bath temperature (every transition channel open); false means
-    the signal is unrecoverable in that regime.
+    the signal is unrecoverable in that regime.  The couplings must be
+    Hermitian, as for :func:`linear_span_condition`.
     """
     return _span_report(
         Criterion.QUADRATIC_COMPLEX, ScalarField.COMPLEX, quadratic_generators, g, couplings, tol

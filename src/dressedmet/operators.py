@@ -36,6 +36,7 @@ __all__ = [
     "orthonormal_span",
     "project_decompose",
     "positive_negative_split",
+    "require_hermitian",
     "spin_matrices",
     "eigh_fixed",
 ]
@@ -200,6 +201,16 @@ def lift(op, ancilla_dim: int) -> np.ndarray:
     return np.kron(m, np.eye(ancilla_dim, dtype=complex))
 
 
+def require_hermitian(stack: np.ndarray, message: str) -> None:
+    """Raise ``ValidationError(message)`` unless each matrix of an ``(n, d, d)`` stack is Hermitian.
+
+    Entrywise, to 1e-9 of the matrix's largest entry (or of 1 if larger).
+    """
+    err = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    if np.any(err > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))):
+        raise ValidationError(message)
+
+
 def orthonormal_span(
     generators: Iterable,
     field: ScalarField = ScalarField.COMPLEX,
@@ -221,9 +232,7 @@ def orthonormal_span(
         raise ValidationError("span generators have inconsistent dimensions")
     stack = np.array(mats)
     if field is ScalarField.REAL:
-        err = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        if np.any(err > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
-            raise ValidationError("field=REAL requires Hermitian generators")
+        require_hermitian(stack, "field=REAL requires Hermitian generators")
     flat = stack.reshape(len(stack), dim * dim)
     basis = np.empty_like(flat)
     n = 0

@@ -12,16 +12,20 @@ independent computations bracket it:
   (a lower bound, tight at the optimum's support structure);
 * :func:`solve_primal` - a self-contained log-det barrier interior-point
   method (a certified lower bound up to the duality measure);
-* :func:`solve_dual` - Polyak-style subgradient descent on the dual objective
-  ``2 min_c ||G - sum_k c_k C_k||_op`` (an upper bound for every ``c``).
+* :func:`solve_dual` - the dual objective ``2 min_c ||G - sum_k c_k C_k||_op``
+  (an upper bound for every ``c``), minimized as the eigenvalue problem
+  ``min t`` subject to ``-tI <= G - sum_k c_k C_k <= tI`` by Newton steps on
+  its own log-det barrier in the ``k + 2`` variables ``(c, t)``.
 
 The dual solver deliberately shares no machinery with the interior-point
-method so the two sides of the sandwich fail independently.
+method so the two sides of the sandwich fail independently: it works in its
+own variables and basis, and its value is always re-read from one
+eigendecomposition at the coefficients it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -139,130 +143,8 @@ def constructive_bound(g, couplings, *, tol: Tolerances = TOL) -> ConstructiveBo
 
 
 # ---------------------------------------------------------------------------
-# dual: subgradient descent on c -> 2 ||g - sum_k c_k C_k||_op
+# dual: Newton log-det barrier on (c, t) for min t s.t. -tI <= M(c) <= tI
 # ---------------------------------------------------------------------------
-
-def _dual_objective(c: np.ndarray, g: np.ndarray, cons: Sequence[np.ndarray]):
-    m = g - sum(ck * Ck for ck, Ck in zip(c, cons))
-    vals, vecs = np.linalg.eigh(m)
-    f = 2.0 * float(np.abs(vals).max())
-    return f, vals, vecs
-
-
-def _min_norm_point(points: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Min-norm point of the convex hull of the rows (Wolfe's algorithm).
-
-    Plain Frank-Wolfe converges too slowly here: the directions feed a line
-    search whose descent guarantee needs the hull optimality inequality
-    ``<p, x> >= <x, x>`` to hold tightly for every row ``p``.  Wolfe's corral
-    scheme reaches that exactly in finitely many minor cycles, and the systems
-    involved stay tiny (rows = near-active eigenvalue branches).
-    """
-    norms = np.einsum("ij,ij->i", points, points)
-    scale2 = float(norms.max())
-    if scale2 <= 0.0:
-        return points[0] * 0.0
-    corral = [int(np.argmin(norms))]
-    w = np.array([1.0])
-    x = points[corral[0]].copy()
-    for _ in range(16 * len(points) + 64):
-        scores = points @ x
-        j = int(np.argmin(scores))
-        if scores[j] >= float(x @ x) - tol * scale2 or j in corral:
-            break
-        corral.append(j)
-        w = np.append(w, 0.0)
-        while True:
-            p = points[corral]
-            k = len(corral)
-            # affine min-norm point over the corral via its KKT system
-            a = np.zeros((k + 1, k + 1))
-            a[:k, :k] = p @ p.T
-            a[:k, k] = 1.0
-            a[k, :k] = 1.0
-            b = np.zeros(k + 1)
-            b[k] = 1.0
-            v = np.linalg.lstsq(a, b, rcond=None)[0][:k]
-            if np.all(v > 1e-12):
-                w, x = v, v @ p
-                break
-            diff = w - v
-            mask = diff > 1e-15
-            if not np.any(mask):
-                w, x = v, v @ p
-                break
-            theta = min(1.0, float(np.min(w[mask] / diff[mask])))
-            w = (1.0 - theta) * w + theta * v
-            keep = w > 1e-12
-            if keep.all():
-                keep[int(np.argmin(w))] = False
-            corral = [ci for ci, kf in zip(corral, keep) if kf]
-            w = w[keep]
-            total = w.sum()
-            if total <= 0.0 or not corral:
-                return x
-            w = w / total
-            x = w @ points[corral]
-    return x
-
-
-def _steepest_subgradient(
-    vals: np.ndarray,
-    vecs: np.ndarray,
-    cons: Sequence[np.ndarray],
-    f: float,
-    window: float,
-) -> np.ndarray:
-    """Minimum-norm element of the near-active subdifferential.
-
-    Eigenvalues with ``2|lam| >= f - window`` mark the near-active branches of
-    the objective.  The subdifferential there is generated by arbitrary density
-    matrices on the near-top and near-bottom eigenspaces, so when those spaces
-    are (near) degenerate the per-eigenvector subgradients alone miss the
-    coherent directions; a fully corrective Frank-Wolfe loop fixes that by
-    asking an exact linear oracle (extreme eigenvector of the direction matrix
-    projected onto each eigenspace) for better rank-one vertices until none
-    improves the current min-norm point.
-    """
-    thresh = f - window
-    plus = [i for i, lam in enumerate(vals) if lam >= 0 and 2.0 * lam >= thresh]
-    minus = [i for i, lam in enumerate(vals) if lam < 0 and -2.0 * lam >= thresh]
-    vp = vecs[:, plus] if plus else None
-    vm = vecs[:, minus] if minus else None
-
-    def vertex(w: np.ndarray, sign: float) -> np.ndarray:
-        return np.array(
-            [-2.0 * sign * float((w.conj() @ (Ck @ w)).real) for Ck in cons]
-        )
-
-    stack = np.stack(
-        [vertex(vecs[:, i], 1.0) for i in plus]
-        + [vertex(vecs[:, i], -1.0) for i in minus]
-    )
-    d = _min_norm_point(stack)
-    for _ in range(12):
-        dmat = sum(dk * Ck for dk, Ck in zip(d, cons))
-        best = None
-        if vp is not None:
-            sub = vp.conj().T @ dmat @ vp
-            w = vp @ np.linalg.eigh(sub)[1][:, -1]
-            cand = vertex(w, 1.0)
-            score = float(cand @ d)
-            if best is None or score < best[0]:
-                best = (score, cand)
-        if vm is not None:
-            sub = vm.conj().T @ dmat @ vm
-            w = vm @ np.linalg.eigh(sub)[1][:, 0]
-            cand = vertex(w, -1.0)
-            score = float(cand @ d)
-            if best is None or score < best[0]:
-                best = (score, cand)
-        nrm2 = float(d @ d)
-        if best is None or best[0] >= nrm2 - 1e-15 * max(1.0, nrm2):
-            break
-        stack = np.vstack([stack, best[1]])
-        d = _min_norm_point(stack)
-    return d
 
 
 def solve_dual(
@@ -273,110 +155,114 @@ def solve_dual(
     max_iter: int = 20000,
     cert_tol: float = 1e-6,
 ) -> DualSolution:
-    """Minimize the dual objective by line-searched subgradient descent.
+    """Minimize the dual objective ``2 ||g - sum c_k C_k||_op`` by a barrier method.
 
-    Every iterate yields a valid upper bound ``2 ||g - sum c_k C_k||_op``; the
-    method is monotone, so the last iterate is also the best.  The descent
-    direction is the min-norm element of the eps-active subdifferential, where
-    the window ``eps`` adapts to the progress actually made: a step that gains
-    less than ``eps / 4`` halves the window (branches further apart than the
-    gain do not belong in the tradeoff), a strong step grows it back.  Each
-    step starts from a capped Polyak length and backtracks, then extends, until
-    the objective drops.  Stops once the value reaches ``target`` (a known
-    lower bound, e.g. a primal value) within ``tol``, once the window is at
-    tolerance scale with a vanishing direction (zero in the eps-active
-    subdifferential puts the value within ``eps`` of optimal), once no
-    representable step improves, or at ``max_iter``.  ``certified`` records
-    evidence of optimality: the best value landed within ``cert_tol`` of
-    ``target`` (both relative to the operator scale of ``g``), or descent
-    stalled only at tolerance scale.
+    With ``g`` scaled to unit operator norm and ``M(c) = g - sum_j c_j B_j``
+    over an orthonormal Hermitian basis ``B_j`` of the constraint span, the
+    solver follows the central path of ``min t`` subject to
+    ``-tI <= M(c) <= tI``: Newton steps on
+    ``t - mu (log det(tI - M) + log det(tI + M))`` over the ``k + 2``
+    variables ``(c, t)``, each from one eigendecomposition of ``M``, with an
+    Armijo backtrack that reads a step leaving the interior as ``+inf``.
+    ``mu`` starts at 0.1 and shrinks 5x once the Newton decrement is at
+    ``1e-3 mu`` scale, until the duality measure ``2 d mu`` is below 1e-11.
+    Generators inside the span stop at their least-squares projection.
+
+    Whatever the iterate, the value is one ``eigvalsh`` of
+    ``g - sum c_k C_k`` at the returned coefficients, mapped back onto
+    ``problem.constraints``, so it is a valid upper bound by weak duality.
+    ``iterations`` counts Newton steps, capped by ``max_iter``.
+    ``certified`` records evidence of optimality.  Given ``target`` (a known
+    lower bound, e.g. a primal value), it means the value landed within
+    ``max(10 tol, cert_tol)`` of it on either side, relative to the operator
+    scale of ``g``: a target above the value beyond that window is no lower
+    bound at all.  Without ``target`` it means the central path was followed
+    to its end.
     """
     g = problem.g
-    cons = problem.constraints
+    cons = np.array(problem.constraints)
+    dim = problem.dim
     scale = float(np.linalg.norm(np.linalg.eigvalsh(g), np.inf))
     if scale == 0.0:
         return DualSolution(0.0, np.zeros(len(cons)), 0, True)
     gn = g / scale
-    tgt = None if target is None else max(0.0, target / scale)
     tol_n = max(tol / scale, 1e-15)
 
-    # warm start: Frobenius least-squares projection onto the constraint span
-    # (exact optimum whenever g lies in the span), then the identity shift that
-    # centers the residual spectrum, which is optimal along that direction
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in cons] for a in cons])
-    rhs = np.array([np.trace(a.conj().T @ gn).real for a in cons])
-    c = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    vals = np.linalg.eigvalsh(gn - sum(ck * mk for ck, mk in zip(c, cons)))
-    c[0] += 0.5 * (vals[-1] + vals[0])
+    # orthonormal basis of span_R{C_k} in real coordinates; dropping the
+    # dependent directions keeps the Newton system nonsingular, and the
+    # rows' SVD maps basis coefficients y back by the least-squares
+    # solution x = U S^-1 y of sum x_k C_k = sum y_j B_j
+    flat = cons.reshape(len(cons), -1)
+    u, s, vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    to_cons = u[:, keep] / s[keep]
+    n = dim * dim
+    flat_basis = vt[keep, :n] + 1j * vt[keep, n:]
+    basis = flat_basis.reshape(-1, dim, dim)
 
-    f, vals, vecs = _dual_objective(c, gn, cons)
-    f_best, c_best = f, c.copy()
-    it = 0
-    certified = False
-    eps = 0.25 * f_best
-    eps_floor = max(tol_n, 1e-15)
-    eps_cert = max(10.0 * tol_n, 1e-14)
+    def value(y):
+        coeffs = to_cons @ y
+        m = gn - np.tensordot(coeffs, cons, axes=1)
+        return 2.0 * float(np.abs(np.linalg.eigvalsh(m)).max()), coeffs
 
-    def descend(f_cur, d, nrm, t0):
-        """Backtrack along -d to the first improving step, then extend it."""
-        t = t0
-        hit = None
-        while t * nrm > 1e-17:
-            trial = _dual_objective(c - t * d, gn, cons)
-            if trial[0] < f_cur - 1e-16:
-                hit = (t, trial)
-                break
-            t *= 0.5
-        if hit is None:
-            return None
-        t, (f_t, va, ve) = hit
-        for _ in range(8):
-            trial = _dual_objective(c - 2.0 * t * d, gn, cons)
-            if trial[0] >= f_t - 1e-16:
-                break
-            t *= 2.0
-            f_t, va, ve = trial
-        return c - t * d, f_t, va, ve
+    def result(y, steps, done):
+        f, coeffs = value(y)
+        if target is not None:
+            done = abs(f - max(0.0, target / scale)) <= max(10 * tol_n, cert_tol)
+        return DualSolution(f * scale, coeffs * scale, steps, bool(done))
 
-    for it in range(1, max_iter + 1):
-        if tgt is not None and f - tgt <= tol_n:
-            certified = True
-            break
-        d = _steepest_subgradient(vals, vecs, cons, f, eps)
-        nrm2 = float(d @ d)
-        if nrm2 < 1e-24:
-            # zero in the eps-active subdifferential: f is within eps of the
-            # optimum, which certifies at tolerance scale and otherwise only
-            # says the window is too wide to resolve a direction
-            if eps <= eps_cert:
-                certified = True
+    # the least-squares projection onto the span is optimal when g lies in it
+    y = vt[keep, :n] @ gn.real.ravel() + vt[keep, n:] @ gn.imag.ravel()
+    if value(y)[0] <= tol_n:
+        return result(y, 0, True)
+
+    def spectrum(yy, tt):
+        """Eigenpairs of M(yy) and log det(tI - M) + log det(tI + M), -inf outside."""
+        lam, vecs = np.linalg.eigh(gn - (yy @ flat_basis).reshape(dim, dim))
+        if tt <= np.abs(lam).max():
+            return -np.inf, lam, vecs
+        return float(np.log(tt - lam).sum() + np.log(tt + lam).sum()), lam, vecs
+
+    # ||g||_op = 1 puts the start strictly inside the feasible cone
+    y = np.zeros(len(basis))
+    t = 1.5 + 1e-3
+    mu = 0.1
+    logdet, lam, vecs = spectrum(y, t)
+    for steps in range(1, max_iter + 1):
+        # gradient and negated Hessian of the log-det term, in M's eigenbasis
+        wa, wb = 1.0 / (t - lam), 1.0 / (t + lam)
+        yb = vecs.conj().T @ basis @ vecs
+        diag = np.einsum("jaa->ja", yb).real
+        yf = yb.reshape(len(basis), -1)
+        hess = np.empty((len(basis) + 1, len(basis) + 1))
+        hess[:-1, :-1] = ((yf * (wa[:, None] * wa + wb[:, None] * wb).ravel()) @ yf.conj().T).real
+        hess[:-1, -1] = hess[-1, :-1] = diag @ (wa * wa - wb * wb)
+        hess[-1, -1] = float((wa * wa + wb * wb).sum())
+        dlog = np.append(diag @ (wa - wb), (wa + wb).sum())
+        while True:
+            grad = -mu * dlog
+            grad[-1] += 1.0
+            step = -np.linalg.solve(mu * hess, grad)
+            slope = float(grad @ step)
+            if -slope / 2.0 > 1e-3 * mu:
                 break
-            eps = max(0.5 * eps, eps_floor)
-            continue
-        nrm = float(np.sqrt(nrm2))
-        lead = max(eps, 10 * tol_n, 0.0 if tgt is None else f - tgt)
-        # Polyak length capped at an O(1) move: the optimum lives at O(1) in
-        # normalized coordinates and the extension phase can grow back
-        t0 = min(lead / nrm2, 2.0 / nrm)
-        moved = descend(f, d, nrm, t0)
-        if moved is None:
-            if eps <= eps_floor:
-                # no representable improving step along the tightest direction;
-                # a stall is not a certificate, so stop without one and let the
-                # final target comparison judge the Polyak mode
+            if 2 * dim * mu < 1e-11:
+                return result(y, steps, True)
+            mu /= 5.0
+        phi = t - mu * logdet
+        alpha = 1.0
+        while alpha > 1e-12:
+            trial = spectrum(y + alpha * step[:-1], t + alpha * step[-1])
+            if t + alpha * step[-1] - mu * trial[0] <= phi + 0.25 * alpha * slope:
                 break
-            eps = max(0.5 * eps, eps_floor)
-            continue
-        gain = f - moved[1]
-        c, f, vals, vecs = moved
-        f_best, c_best = f, c.copy()
-        if gain < 0.25 * eps:
-            eps = max(0.5 * eps, eps_floor)
+            alpha *= 0.5
         else:
-            eps = min(2.0 * eps, 0.5 * f_best)
-    if tgt is not None and f_best - tgt <= max(10 * tol_n, cert_tol):
-        certified = True
-    return DualSolution(f_best * scale, c_best * scale, it, certified)
+            # no representable decrease along the Newton direction: the
+            # centering has hit the rounding floor before the path's end
+            return result(y, steps, False)
+        y, t = y + alpha * step[:-1], t + alpha * step[-1]
+        logdet, lam, vecs = trial
+    return result(y, max_iter, False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +359,12 @@ def solve_primal(problem: SdpProblem, tol: float = TOL.sdp) -> SdpSolution:
     gvec = _coords(gn, basis)
     tau = _coords(np.eye(dim, dtype=complex), basis)
 
-    # orthonormal basis for the row space of the equality constraints
+    # orthonormal basis for the row space of the equality constraints; an
+    # unpivoted QR would drop the direction of a later constraint along the
+    # arbitrary column it makes up for a dependent one, so use the SVD
     rows = np.stack([_coords(c, basis) for c in cons])
-    q, r = np.linalg.qr(rows.T)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(rows))))
-    a_eq = q.T[keep]
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    a_eq = vt[sv > 1e-12 * max(1.0, float(np.max(np.abs(rows))))]
 
     # strictly feasible warm start
     if bound.weight > 1e-12:

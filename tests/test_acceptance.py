@@ -7,7 +7,7 @@ budget and prints a single summary line even when the suite runs quietly:
    certifies value 1 with gap < 1e-6, and the optimizer lies in the span of
    the |0> and dressed-pair projectors (overlap > 1 - 1e-6).  Under 1 s.
 2. Sandwich certification: on 30 random instances the constructive lower
-   bound, the barrier primal, and the independent subgradient dual hold
+   bound, the barrier primal, and the independent Newton barrier dual hold
    their ordering with gap < 1e-6.  Under 30 s.
 3. Verdict table: (dephasing yes / relaxation-bare no / relaxation-ancilla
    yes / thermal no) with machine witnesses: protected-code conditions,

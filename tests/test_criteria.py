@@ -87,6 +87,16 @@ class TestQuadraticCondition:
         gens = quadratic_generators([SX, SY, SZ], 3)
         assert len(gens) == 1 + 3 + 9
 
+    def test_non_hermitian_couplings_rejected(self):
+        # the shift's AA and A^dag A differ, so no quadratic span is defined
+        from dressedmet.codespace import correctable_code
+
+        shift = np.diag([1.0, 1.0], k=1)
+        g = np.diag([1.0, 0.0, -1.0])
+        for check in (linear_span_condition, quadratic_span_condition, correctable_code):
+            with pytest.raises(ValidationError, match="Hermitian"):
+                check(g, [shift])
+
     def test_quadratic_implies_linear_failure(self, rng):
         # escaping the bigger span implies escaping the smaller one
         for k in range(20):

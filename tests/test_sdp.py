@@ -1,4 +1,4 @@
-"""Signal optimization: constructive bound, primal interior point, dual descent.
+"""Signal optimization: constructive bound, primal interior point, barrier dual.
 
 Frozen oracle values (direct arithmetic on eigenvalues):
 - Spin-1 instance G = S_z^2, couplings {S_x, S_y, S_z}: orthogonal part has
@@ -95,6 +95,15 @@ class TestSolveDual:
         problem = SdpProblem.from_couplings(PAULI_Z, [PAULI_Z])
         dual = solve_dual(problem)
         assert dual.value == pytest.approx(0.0, abs=1e-8)
+        assert dual.iterations == 0
+
+    def test_target_off_the_value_is_not_certified(self):
+        # the spin-1 dual value is 1: a target well below or above it is no
+        # evidence of optimality
+        problem = SdpProblem.from_couplings(SZSQ, [SX, SY, SZ])
+        assert solve_dual(problem, target=1.0).certified
+        assert not solve_dual(problem, target=0.5).certified
+        assert not solve_dual(problem, target=1.5).certified
 
     def test_collective_optimum_beats_constructive(self):
         problem = SdpProblem.from_couplings(COLLECTIVE, [])
@@ -175,6 +184,20 @@ class TestSolvePrimal:
         small = solve_primal(SdpProblem.from_couplings(g, cons))
         big = solve_primal(SdpProblem.from_couplings(g, cons + [extra]))
         assert big.primal_value <= small.primal_value + 1e-7
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dependent_coupling_before_an_independent_one(self, seed):
+        # a repeated coupling ahead of an independent one must neither drop
+        # the later constraint nor make the barrier singular
+        rng = stream(5, seed)
+        g, a, b = (random_hermitian(rng, 3) for _ in range(3))
+        reference = solve_primal(SdpProblem.from_couplings(g, [a, b]))
+        for couplings in ([a, a, b], [a, 2 * a, b]):
+            sol = solve_primal(SdpProblem.from_couplings(g, couplings))
+            for c in couplings:
+                assert abs(np.trace(c @ sol.g_tilde.entries)) < 1e-8
+            assert sol.primal_value == pytest.approx(reference.primal_value, abs=1e-9)
+            assert sol.certified
 
     def test_thirty_instance_sandwich(self):
         start = time.monotonic()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dressedmet.codespace import (
     CodeSpace,
+    _code_blocks,
     correctable_code,
     purify_pair,
     verify_knill_laflamme,
@@ -235,6 +236,18 @@ def test_knill_laflamme_matches_reference(seed, sys_dim, anc_dim, k, hermitian):
     ref = reference_kl_deviation(code.frame, [lift(m, anc_dim) for m in mats])
     assert abs(worst - ref) <= 1e-13 * max(1.0, ref)
     assert ok == (ref <= TOL.kl)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_first_blocks_match_the_error_set(seed):
+    rng = stream(950 + seed)
+    code = random_code(rng, 3 + seed % 4, 1 + seed % 2)
+    mats = [random_matrix(rng, code.total_dim, bool(seed % 2)) for _ in range(seed % 4)]
+    frame = code.frame
+    blocks, _ = _code_blocks(frame, mats)
+    want = frame.conj().T @ error_set(mats, code.total_dim) @ frame
+    assert blocks.shape == want.shape
+    np.testing.assert_allclose(blocks, want, rtol=0.0, atol=1e-12)
 
 
 def test_knill_laflamme_on_purified_codes():

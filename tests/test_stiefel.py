@@ -23,7 +23,7 @@ from dressedmet.codespace import (
 )
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import NO_GO_FLOOR, nv_couplings, rotated_couplings
-from dressedmet.operators import as_matrix
+from dressedmet.operators import as_matrix, spin_matrices
 from dressedmet.rand import stream
 
 from conftest import random_hermitian
@@ -267,6 +267,19 @@ class TestSearches:
         pen, signal = loop_code_search(g, couplings, dim, restarts=3, seed=seed)
         assert res.kl_penalty == pytest.approx(pen, rel=1e-10, abs=1e-13)
         assert res.signal == pytest.approx(signal, rel=1e-10, abs=1e-13)
+
+    def test_code_search_ignores_rounding_in_signals(self):
+        # every restart stops at max_iter with |signal| 1 to an ulp; the
+        # pick must be the smallest penalty, not the last bit of the signal
+        sx, _, sz = spin_matrices(2)
+        g = sz @ sz
+        res = code_search(g, [sx, sz], 3, restarts=8, seed=5)
+        fn = _quadratic_search_terms(g, [sx, sz], 0.1)
+        penalty = _quadratic_search_terms(g, [sx, sz], 0.0)
+        pens = [penalty(stiefel_minimize(fn, random_frame(stream(5, r), 3))[1])[0]
+                for r in range(8)]
+        assert res.signal == pytest.approx(1.0, abs=1e-12)
+        assert res.kl_penalty == min(pens) < 2.5000002
 
     def test_converged_no_go_restart_stops_at_rounding_floor(self):
         mats = [as_matrix(a) for a in nv_couplings()]
