@@ -5,8 +5,8 @@ as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
 built once per generator and dt, with one stacked matmul per step advancing
 all signal offsets of an estimate.  ``Trajectory.trace_drift`` is the largest
 per-step trace error of ``M v`` before renormalization; past
-``tol.trace_drift`` the run aborts.  Recorded states are checked for
-positivity.  Fisher information follows the convention
+``tol.trace_drift`` the run aborts.  All records are checked for positivity
+in one stack.  Fisher information follows the convention
 ``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity finite
 differences, and a symmetric-logarithmic-derivative estimator used where
 fidelities underflow) are scaled to match it.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,11 +87,13 @@ def _check_stability(gens: np.ndarray, dt: float, tol: Tolerances) -> None:
         raise ValidationError(f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard")
 
 
-def _check_state(rho: np.ndarray, tol: Tolerances) -> None:
-    herm = 0.5 * (rho + np.swapaxes(rho, -2, -1).conj())
-    low = float(np.linalg.eigvalsh(herm).min())
-    if low < tol.positivity_floor:
-        raise NumericalError(f"state lost positivity: min eigenvalue {low:.3e}")
+def _check_states(records: np.ndarray, tol: Tolerances) -> None:
+    """Positivity of ``(records, offsets, d, d)``; reports the first failing record's minimum."""
+    herm = 0.5 * (records + np.swapaxes(records, -2, -1).conj())
+    low = np.linalg.eigvalsh(herm).min(axis=(-2, -1))
+    bad = np.flatnonzero(low < tol.positivity_floor)
+    if bad.size:
+        raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 
 
 def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
@@ -116,14 +117,14 @@ def _propagate(
     rho0 = as_matrix(rho0)
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ValidationError("initial state must have unit trace")
-    _check_state(rho0, tol)
+    _check_states(rho0[None, None], tol)
     dim = rho0.shape[0]
     trace_row = np.eye(dim).reshape(-1)
     vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
+    records = np.empty((len(legs), len(gens), dim, dim), dtype=complex)
     steppers = {}
-    out = []
     drift = 0.0
-    for dt, n_steps in legs:
+    for i, (dt, n_steps) in enumerate(legs):
         if n_steps and dt not in steppers:
             steppers[dt] = _step_increment(gens, dt)
         step = steppers.get(dt)
@@ -132,13 +133,14 @@ def _propagate(
             tr = (vecs @ trace_row).real
             err = max([abs(x - 1.0) for x in tr.tolist()])
             if err > tol.trace_drift:
+                # a record that already lost positivity failed first
+                _check_states(records[:i], tol)
                 raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
             drift = max(drift, err)
             vecs = vecs / tr[:, None]
-        rhos = vecs.reshape(-1, dim, dim)
-        _check_state(rhos, tol)
-        out.append(rhos)
-    return np.array(out), drift
+        records[i] = vecs.reshape(-1, dim, dim)
+    _check_states(records, tol)
+    return records, drift
 
 
 def evolve(
@@ -171,10 +173,10 @@ _UNCHECKED_RATES = dataclasses.replace(TOL, psd=math.inf)
 class ProbeModel:
     """Everything needed to evolve a probe at a given signal offset.
 
-    The jump set and the generator are built once from the offset-free
-    Hamiltonian; the offset enters only through the coherent term, so the
-    dissipative channels stay fixed while the signal is scanned and the
-    generator at offset ``delta`` is ``generator + delta * K_g``.
+    The jump set and the generator are built once per gap tolerance from the
+    offset-free Hamiltonian; the offset enters only through the coherent
+    term, so the dissipative channels stay fixed while the signal is scanned
+    and the generator at offset ``delta`` is ``generator + delta * K_g``.
     """
 
     h: HermitianOperator
@@ -189,34 +191,43 @@ class ProbeModel:
     def dim(self) -> int:
         return self.h.dim
 
-    @cached_property
-    def lset(self) -> LindbladSet:
-        return jump_operators(self.h, self.couplings, gap_tol=self.gap_tol)
+    def _memo(self, name: str, tol: Tolerances, build):
+        """``build()`` once per model and per tolerance that ``jump_operators`` reads."""
+        built = self.__dict__.setdefault("_built", {})
+        gap = self.gap_tol if self.gap_tol is not None else (tol.gap_rel, tol.gap_abs)
+        key = (name, gap, tol.hermiticity)
+        return built[key] if key in built else built.setdefault(key, build())
 
-    @cached_property
-    def generator(self) -> np.ndarray:
+    def jump_set(self, tol: Tolerances = TOL) -> LindbladSet:
+        return self._memo("lset", tol, lambda: jump_operators(
+            self.h, self.couplings, gap_tol=self.gap_tol, tol=tol))
+
+    def base_generator(self, tol: Tolerances = TOL) -> np.ndarray:
         """Offset-free generator on row-major flattened densities.
 
         Assembled without the rates' PSD check, which :meth:`generators`
         applies with each caller's ``tol.psd``.
         """
-        return superoperator(self.h, self.lset, self.spectrum, tol=_UNCHECKED_RATES)
+        return self._memo("generator", tol, lambda: superoperator(
+            self.h, self.jump_set(tol), self.spectrum, tol=_UNCHECKED_RATES))
+
+    lset = property(jump_set)
+    generator = property(base_generator)
 
     def generators(self, offsets: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
         """Stacked ``generator + delta K_g``, ``K_g = -i (g (x) I - I (x) g^T)`` row-major."""
-        for nu in self.lset.transitions:
+        for nu in self.jump_set(tol).transitions:
             self.spectrum.rate(nu, tol=tol)
         g, eye = self.g.entries, np.eye(self.dim)
         k_g = -1j * (np.kron(g, eye) - np.kron(eye, g.T))
-        return self.generator + np.asarray(offsets, dtype=float)[:, None, None] * k_g
+        return self.base_generator(tol) + np.asarray(offsets, dtype=float)[:, None, None] * k_g
 
     def hamiltonian(self, delta_omega: float) -> HermitianOperator:
         return HermitianOperator(self.h.entries + delta_omega * self.g.entries)
 
     def evolve(self, delta_omega: float, cfg: SimConfig, tol: Tolerances = TOL) -> Trajectory:
-        return evolve(
-            self.rho0, self.hamiltonian(delta_omega), self.lset, self.spectrum, cfg, tol=tol
-        )
+        lset = self.jump_set(tol)
+        return evolve(self.rho0, self.hamiltonian(delta_omega), lset, self.spectrum, cfg, tol=tol)
 
     def coherence_frame(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.code is not None:
@@ -227,9 +238,13 @@ class ProbeModel:
         e1[1] = 1.0
         return e0, e1
 
-    def coherence(self, rho: np.ndarray) -> float:
+    def coherences(self, rhos: np.ndarray) -> np.ndarray:
+        """``|a^dag rho b|`` in the coherence frame ``(a, b)`` over a stack of states."""
         a, b = self.coherence_frame()
-        return float(abs(a.conj() @ rho @ b))
+        return np.abs(a.conj() @ rhos @ b)
+
+    def coherence(self, rho: np.ndarray) -> float:
+        return float(self.coherences(np.asarray(rho)[None])[0])
 
     def to_json_dict(self) -> dict:
         from .jsonio import operator_to_json
@@ -427,9 +442,9 @@ def _grid_states(
     the fewest equal steps no longer than dt; a defaulted dt is the smallest
     of the offsets' defaults, so every offset takes the same steps.
     """
-    gens = model.generators(offsets, tol)
+    gens, lset = model.generators(offsets, tol), model.jump_set(tol)
     dt = cfg.dt if cfg is not None and cfg.dt is not None else min(
-        _default_dt(model.hamiltonian(d), model.lset, model.spectrum, tol) for d in offsets)
+        _default_dt(model.hamiltonian(d), lset, model.spectrum, tol) for d in offsets)
     _check_stability(gens, dt, tol)
     legs = []
     t_prev = 0.0
@@ -472,10 +487,10 @@ def scaling_sweep(
             t=t,
             qfi_protected=qp[i],
             qfi_unprotected=qu[i],
-            coherence=protected.coherence(center_p[i]),
+            coherence=float(coh),
             crlb=crlb(qp[i], 1) if qp[i] > 0 else math.inf,
         )
-        for i, t in enumerate(tgrid)
+        for i, (t, coh) in enumerate(zip(tgrid, protected.coherences(center_p)))
     ]
 
 

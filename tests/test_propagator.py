@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedmet.errors import NumericalError, ValidationError
-from dressedmet.lindblad import BathSpectrum, Regime, superoperator
+from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.operators import HermitianOperator
 from dressedmet.simulate import (
@@ -254,6 +254,31 @@ class TestTolerances:
             superoperator(model.h, model.lset, model.spectrum, tol=strict)
         with pytest.raises(ValidationError):
             qfi_sld(model, 0.2, tol=strict)
+
+    def test_jump_set_follows_the_gap_tolerances(self):
+        h = HermitianOperator(np.diag([0.0, 1.0, 1.0 + 1e-6]).astype(complex))
+        couplings = (HermitianOperator(np.ones((3, 3), dtype=complex)),)
+        spectrum = BathSpectrum.flat(0.3, 1, regime=Regime.FULL_THERMAL)
+        rho0 = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+        model = ProbeModel(h=h, g=HermitianOperator(np.diag([0.0, 1.0, -1.0]).astype(complex)),
+                           couplings=couplings, spectrum=spectrum, rho0=rho0)
+        loose = Tolerances(gap_rel=1e-5)
+        lset = jump_operators(h, couplings, tol=loose)
+        assert len(lset.frequencies) == 3 and len(model.lset.frequencies) == 7
+        assert model.jump_set(loose).frequencies == lset.frequencies
+        assert model.jump_set(Tolerances(gap_rel=1e-5)) is model.jump_set(loose)
+        np.testing.assert_array_equal(
+            model.generators([0.0], tol=loose)[0], superoperator(h, lset, spectrum))
+        cfg = SimConfig(t_final=0.2, dt=0.01)
+        np.testing.assert_array_equal(model.evolve(0.0, cfg, tol=loose).states,
+                                      evolve(rho0, h, lset, spectrum, cfg).states)
+        # a model whose fixed gap_tol is the loose tolerance's gap matches throughout
+        pinned = dataclasses.replace(model, gap_tol=1e-5 * (1.0 + 1e-6))
+        assert pinned.lset.frequencies == lset.frequencies
+        assert qfi_sld(model, 0.2, cfg, tol=loose) == qfi_sld(pinned, 0.2, cfg)
+        assert qfi_sld(model, 0.2, cfg) != qfi_sld(pinned, 0.2, cfg)
+        assert scaling_sweep(model, model, [0.1, 0.2], cfg, tol=loose) == scaling_sweep(
+            pinned, pinned, [0.1, 0.2], cfg)
 
 
 # ---------------------------------------------------------------------------
