@@ -181,7 +181,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     g = _load_hermitian(args.generator)
     couplings = [_load_hermitian(p) for p in args.couplings]
     problem = SdpProblem.from_couplings(g, couplings)
-    solution = solve_primal(problem, tol=args.tol)
+    solution = solve_primal(problem)
     _emit_json(
         solution.to_json_dict(), args.out,
         _manifest("optimize", args, _resolve_seed(args), t0),
@@ -335,7 +335,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="solve the code-design optimization")
     p.add_argument("--generator", required=True)
     p.add_argument("--couplings", nargs="*", default=[], metavar="FILE")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_optimize)
 

@@ -37,6 +37,8 @@ def operator_from_json(data: dict) -> np.ndarray:
         raise ValidationError(
             f"operator JSON shape mismatch: dim={dim}, re{re.shape}, im{im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("operator JSON has non-finite entries")
     return re + 1j * im
 
 
@@ -57,6 +59,8 @@ def state_from_json(data: dict) -> StateVector:
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
     if re.shape != (dim,) or im.shape != (dim,):
         raise ValidationError("state JSON shape mismatch")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("state JSON has non-finite entries")
     return StateVector(re + 1j * im)
 
 

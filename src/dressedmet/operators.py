@@ -15,6 +15,7 @@ stable run to run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -79,8 +80,11 @@ class HermitianOperator:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
+        size = float(np.max(np.abs(m)))
+        if not math.isfinite(size):
+            raise ValidationError("operator entries must be finite")
         err = _hermiticity_error(m)
-        if err > TOL.hermiticity * max(1.0, float(np.max(np.abs(m)))):
+        if err > TOL.hermiticity * max(1.0, size):
             raise ValidationError(f"matrix is not Hermitian (deviation {err:.3e})")
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
@@ -112,6 +116,8 @@ class StateVector:
         if v.size < 1:
             raise ValidationError("state vector must have dimension >= 1")
         nrm = float(np.linalg.norm(v))
+        if not math.isfinite(nrm):
+            raise ValidationError("state amplitudes must be finite")
         if abs(nrm - 1.0) > TOL.state_norm:
             raise ValidationError(f"state vector is not normalized (|norm-1| = {abs(nrm - 1.0):.3e})")
         v.setflags(write=False)

@@ -4,26 +4,33 @@ The primal semidefinite program maximizes ``tr(G Gt)`` over Hermitian ``Gt``
 subject to ``tr(Gt) = 0``, ``tr(A_k Gt) = 0`` for every coupling, and a trace
 norm bound ``tr|Gt| <= 2`` expressed through an auxiliary matrix ``X`` with
 ``-X <= Gt <= X`` (in the PSD order) and ``tr(X) <= 2``.  Its optimum equals
-the largest signal gap achievable by a protected code pair, and three
-independent computations bracket it:
+the largest signal gap achievable by a protected code pair.  Its dual is
+``2 min_c ||G - sum_k c_k C_k||_op``, the eigenvalue problem ``min t``
+subject to ``-tI <= G - sum_k c_k C_k <= tI``.  One barrier method brackets
+the optimum from both sides, and a closed form gives a third bound:
 
+* :func:`solve_dual` follows the central path of the eigenvalue problem by
+  Newton steps on its log-det barrier in the ``k + 2`` variables ``(c, t)``.
+  The center carries the primal multipliers ``Z+- = mu (tI -+ M)^-1``, and
+  at the stop ``Z+ - Z-``, linearized along the last Newton step, projected
+  off the constraint span and scaled to trace norm 2, is the primal ``Gt``;
+* :func:`solve_primal` reports that ``Gt`` with ``X = |Gt|`` next to the dual
+  value and certifies the pair when the two agree;
 * :func:`constructive_bound` - the closed-form feasible value
   ``2 tr(P^2) / tr|P|`` from the span-orthogonal component ``P`` of ``G``
-  (a lower bound, tight at the optimum's support structure);
-* :func:`solve_primal` - a self-contained log-det barrier interior-point
-  method (a certified lower bound up to the duality measure);
-* :func:`solve_dual` - the dual objective ``2 min_c ||G - sum_k c_k C_k||_op``
-  (an upper bound for every ``c``), minimized as the eigenvalue problem
-  ``min t`` subject to ``-tI <= G - sum_k c_k C_k <= tI`` by Newton steps on
-  its own log-det barrier in the ``k + 2`` variables ``(c, t)``.
+  (a lower bound, tight at the optimum's support structure).
 
-The dual solver deliberately shares no machinery with the interior-point
-method so the two sides of the sandwich fail independently: it works in its
-own variables and basis, and its value is always re-read from one
-eigendecomposition at the coefficients it returns.
+Both sides of the sandwich come off one path, yet each carries its own
+witness, valid whatever the iterate.  ``Gt`` is orthogonal to every
+constraint and has trace norm 2 by construction, checked to rounding, and
+``X = |Gt|`` certifies that norm exactly, so ``tr(G Gt)`` is a lower bound.
+The dual value is one ``eigvalsh`` of ``G - sum_k c_k C_k`` at the returned
+coefficients, an upper bound by weak duality.  A poor iterate can therefore
+only widen the gap; it cannot certify a wrong value.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,11 +66,13 @@ class SdpProblem:
             raise ValidationError("constraint list must at least contain the identity")
         if not np.allclose(mats[0], np.eye(gm.shape[0]), atol=1e-12):
             raise ValidationError("the first constraint must be the identity matrix")
-        for m in mats:
+        for name, m in [("generator", gm)] + [("constraints", m) for m in mats]:
             if m.shape != gm.shape:
                 raise ValidationError("constraints must match the generator dimension")
+            if not np.isfinite(m).all():
+                raise ValidationError(f"{name} must have finite entries")
             if np.max(np.abs(m - dagger(m))) > 1e-10 * max(1.0, np.max(np.abs(m))):
-                raise ValidationError("constraints must be Hermitian")
+                raise ValidationError(f"{name} must be Hermitian")
         object.__setattr__(self, "g", gm)
         object.__setattr__(self, "constraints", mats)
 
@@ -88,10 +97,20 @@ class ConstructiveBound:
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
+    """Dual value and coefficients, plus what the barrier path read off.
+
+    ``g_tilde`` is the feasible primal point read off the last center (zero
+    when ``g`` is zero or inside the span) and ``duality_measure`` is
+    ``2 d mu`` there, in the units of ``g``.  Solvers that follow no central
+    path leave both at their defaults.
+    """
+
     value: float
     coeffs: np.ndarray
     iterations: int
     certified: bool
+    g_tilde: Optional[np.ndarray] = None
+    duality_measure: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +166,12 @@ def constructive_bound(g, couplings, *, tol: Tolerances = TOL) -> ConstructiveBo
 # ---------------------------------------------------------------------------
 
 
-def solve_dual(
-    problem: SdpProblem,
-    tol: float = 1e-8,
-    *,
-    target: Optional[float] = None,
-    max_iter: int = 20000,
-    cert_tol: float = 1e-6,
-) -> DualSolution:
+# Newton steps after which the path is abandoned uncertified; a safeguard
+# only, the path ends within a hundred steps on the instances tried
+_MAX_STEPS = 20000
+
+
+def solve_dual(problem: SdpProblem) -> DualSolution:
     """Minimize the dual objective ``2 ||g - sum c_k C_k||_op`` by a barrier method.
 
     With ``g`` scaled to unit operator norm and ``M(c) = g - sum_j c_j B_j``
@@ -166,27 +183,32 @@ def solve_dual(
     Armijo backtrack that reads a step leaving the interior as ``+inf``.
     ``mu`` starts at 0.1 and shrinks 5x once the Newton decrement is at
     ``1e-3 mu`` scale, until the duality measure ``2 d mu`` is below 1e-11.
-    Generators inside the span stop at their least-squares projection.
+    Generators inside the span, to 1e-12 of their own scale, stop at their
+    least-squares projection.
 
     Whatever the iterate, the value is one ``eigvalsh`` of
     ``g - sum c_k C_k`` at the returned coefficients, mapped back onto
     ``problem.constraints``, so it is a valid upper bound by weak duality.
-    ``iterations`` counts Newton steps, capped by ``max_iter``.
-    ``certified`` records evidence of optimality.  Given ``target`` (a known
-    lower bound, e.g. a primal value), it means the value landed within
-    ``max(10 tol, cert_tol)`` of it on either side, relative to the operator
-    scale of ``g``: a target above the value beyond that window is no lower
-    bound at all.  Without ``target`` it means the central path was followed
-    to its end.
+    ``iterations`` counts Newton steps, capped by ``_MAX_STEPS``, and
+    ``certified`` means the central path was followed to its end.
+
+    Where the path stops, the primal point ``g_tilde`` is read off its last
+    center ``(y, t, mu)``: the barrier's multipliers ``Z+- = mu S+-^-1`` of
+    ``S+- = tI -+ M``, linearized along the Newton step ``(dy, dt)`` just
+    computed there, are ``mu (S^-1 - S^-1 dS S^-1)`` with
+    ``dS+- = dt I -+ dM``; ``W = Z+ - Z-`` projected off the ``B_j`` and
+    scaled to ``tr|W| = 2`` is feasible to rounding (Boyd & Vandenberghe,
+    *Convex Optimization*, ch. 11; Vandenberghe & Boyd, SIAM Review 1996).
+    Without the step term the center alone left relative gaps up to 2e-3.
     """
     g = problem.g
     cons = np.array(problem.constraints)
     dim = problem.dim
+    zero = np.zeros((dim, dim), dtype=complex)
     scale = float(np.linalg.norm(np.linalg.eigvalsh(g), np.inf))
     if scale == 0.0:
-        return DualSolution(0.0, np.zeros(len(cons)), 0, True)
+        return DualSolution(0.0, np.zeros(len(cons)), 0, True, zero)
     gn = g / scale
-    tol_n = max(tol / scale, 1e-15)
 
     # orthonormal basis of span_R{C_k} in real coordinates; dropping the
     # dependent directions keeps the Newton system nonsingular, and the
@@ -205,15 +227,16 @@ def solve_dual(
         m = gn - np.tensordot(coeffs, cons, axes=1)
         return 2.0 * float(np.abs(np.linalg.eigvalsh(m)).max()), coeffs
 
-    def result(y, steps, done):
+    def result(y, steps, done, g_tilde=zero, mu=0.0):
         f, coeffs = value(y)
-        if target is not None:
-            done = abs(f - max(0.0, target / scale)) <= max(10 * tol_n, cert_tol)
-        return DualSolution(f * scale, coeffs * scale, steps, bool(done))
+        return DualSolution(f * scale, coeffs * scale, steps, bool(done), g_tilde,
+                            2 * dim * mu * scale)
 
-    # the least-squares projection onto the span is optimal when g lies in it
+    # the least-squares projection onto the span is optimal when g lies in
+    # it, to the rounding at which dependent constraint directions drop; the
+    # test is relative, so that a small g keeps its primal point
     y = vt[keep, :n] @ gn.real.ravel() + vt[keep, n:] @ gn.imag.ravel()
-    if value(y)[0] <= tol_n:
+    if value(y)[0] <= 1e-12:
         return result(y, 0, True)
 
     def spectrum(yy, tt):
@@ -223,12 +246,22 @@ def solve_dual(
             return -np.inf, lam, vecs
         return float(np.log(tt - lam).sum() + np.log(tt + lam).sum()), lam, vecs
 
+    def primal(wa, wb, vecs, yb, step):
+        """Gt from W = Z+ - Z- along ``step``, formed in M's eigenbasis; mu cancels."""
+        dm = -np.tensordot(step[:-1], yb, axes=1)
+        w = (np.outer(wa, wa) + np.outer(wb, wb)) * dm
+        w[np.diag_indices(dim)] += wa - wb - step[-1] * (wa * wa - wb * wb)
+        w = vecs @ w @ vecs.conj().T
+        w = (w + w.conj().T) / 2.0
+        w -= np.tensordot((flat_basis.conj() @ w.ravel()).real, basis, axes=1)
+        return 2.0 * w / np.abs(np.linalg.eigvalsh(w)).sum()
+
     # ||g||_op = 1 puts the start strictly inside the feasible cone
     y = np.zeros(len(basis))
     t = 1.5 + 1e-3
     mu = 0.1
     logdet, lam, vecs = spectrum(y, t)
-    for steps in range(1, max_iter + 1):
+    for steps in itertools.count(1):
         # gradient and negated Hessian of the log-det term, in M's eigenbasis
         wa, wb = 1.0 / (t - lam), 1.0 / (t + lam)
         yb = vecs.conj().T @ basis @ vecs
@@ -247,8 +280,10 @@ def solve_dual(
             if -slope / 2.0 > 1e-3 * mu:
                 break
             if 2 * dim * mu < 1e-11:
-                return result(y, steps, True)
+                return result(y, steps, True, primal(wa, wb, vecs, yb, step), mu)
             mu /= 5.0
+        if steps >= _MAX_STEPS:
+            return result(y, steps, False, primal(wa, wb, vecs, yb, step), mu)
         phi = t - mu * logdet
         alpha = 1.0
         while alpha > 1e-12:
@@ -259,240 +294,57 @@ def solve_dual(
         else:
             # no representable decrease along the Newton direction: the
             # centering has hit the rounding floor before the path's end
-            return result(y, steps, False)
+            return result(y, steps, False, primal(wa, wb, vecs, yb, step), mu)
         y, t = y + alpha * step[:-1], t + alpha * step[-1]
         logdet, lam, vecs = trial
-    return result(y, max_iter, False)
 
 
-# ---------------------------------------------------------------------------
-# primal: equality-constrained Newton on the log-det barrier
-# ---------------------------------------------------------------------------
+def _certifies(upper: float, lower: float, scale: float) -> bool:
+    """Whether an upper and a lower bound close the sandwich on the optimum.
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _herm_basis(dim: int) -> np.ndarray:
-    """Stack of d^2 orthonormal Hermitian matrices (real coordinates for Herm(d))."""
-    cached = _BASIS_CACHE.get(dim)
-    if cached is not None:
-        return cached
-    mats = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = r
-            e[j, i] = r
-            mats.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1j * r
-            e[j, i] = -1j * r
-            mats.append(e)
-    stack = np.stack(mats)
-    stack.setflags(write=False)
-    _BASIS_CACHE[dim] = stack
-    return stack
-
-
-def _coords(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,ji->k", basis, m).real
-
-
-def _mat(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kij->ij", u, basis)
-
-
-def _logdet_pd(s: np.ndarray) -> float:
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(np.diag(chol).real)))
-
-
-def _barrier_hessian(inv_s: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """K_ij = tr(s^-1 B_i s^-1 B_j) for the Hermitian coordinate basis."""
-    w = inv_s[None, :, :] @ basis
-    return np.einsum("iab,jba->ij", w, w).real
-
-
-def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest t with s + t*ds still PSD (inf if unbounded)."""
-    chol = np.linalg.cholesky(s)
-    y = np.linalg.solve(chol, ds)
-    m = np.linalg.solve(chol, y.conj().T).conj().T
-    m = (m + m.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
-
-
-def solve_primal(problem: SdpProblem, tol: float = TOL.sdp) -> SdpSolution:
-    """Interior-point solve of the primal SDP plus the independent dual bound.
-
-    Newton steps on the log-det barrier with backtracking line search; the
-    barrier parameter starts at 1 and shrinks geometrically by 5x until the
-    duality measure ``mu * (2 dim + 1)`` drops below ``tol``.  The iterate is
-    warm-started at the constructive-bound states.  The returned solution
-    carries the independently computed dual value and their gap.
+    They must agree within ``1e-6 * scale``, with ``scale`` the operator norm
+    of ``g``, on either side: a lower bound above the upper one beyond that
+    window is no lower bound at all.  The window is relative only, so it
+    means the same at every scale of ``g``.  A negative lower value counts as
+    0, the value of ``Gt = 0``.
     """
-    g = problem.g
-    cons = problem.constraints
-    dim = problem.dim
-    n = dim * dim
-    basis = _herm_basis(dim)
+    return abs(upper - max(0.0, lower)) <= 1e-6 * scale
 
-    scale = float(np.linalg.norm(np.linalg.eigvalsh(g), np.inf))
-    couplings = [np.asarray(c) for c in cons[1:]]
-    bound = constructive_bound(g, couplings)
 
-    if scale == 0.0:
-        gt = HermitianOperator(np.zeros((dim, dim), dtype=complex))
-        x = HermitianOperator(np.eye(dim, dtype=complex) / dim)
-        return SdpSolution(0.0, gt, x, 0.0, np.zeros(len(cons)), 0.0, 0, 0, 0.0, True)
+def solve_primal(problem: SdpProblem) -> SdpSolution:
+    """The primal point read off the dual's central path, with its certificates.
 
-    gn = g / scale
-    gvec = _coords(gn, basis)
-    tau = _coords(np.eye(dim, dtype=complex), basis)
+    Runs :func:`solve_dual` once, checks the ``Gt`` it read off for
+    feasibility to rounding (orthogonal to every constraint, trace norm 2
+    unless it is zero), forms ``X = |Gt|`` and reports the primal value
+    ``tr(G Gt)`` next to the dual value.  ``certified`` means the two pass
+    :func:`_certifies`.  ``iterations`` and ``dual_iterations`` both count
+    the path's Newton steps, and ``duality_measure`` is its ``2 d mu`` at the
+    stop, in the units of ``G``.
+    """
+    dual = solve_dual(problem)
+    cons = np.array(problem.constraints)
+    overlap = np.abs(np.einsum("kab,ba->k", cons, dual.g_tilde))
+    if not (overlap <= 1e-12 * np.linalg.norm(cons, axis=(1, 2))).all():
+        raise NumericalError(f"primal read-off leaves a constraint overlap of {overlap.max():.3e}")
+    g_tilde = HermitianOperator(dual.g_tilde).entries
+    vals, vecs = np.linalg.eigh(g_tilde)
+    norm = float(np.abs(vals).sum())
+    if norm and abs(norm - 2.0) > 1e-12:
+        raise NumericalError(f"primal read-off has trace norm {norm!r}, not 2")
+    x = (vecs * np.abs(vals)) @ vecs.conj().T
 
-    # orthonormal basis for the row space of the equality constraints; an
-    # unpivoted QR would drop the direction of a later constraint along the
-    # arbitrary column it makes up for a dependent one, so use the SVD
-    rows = np.stack([_coords(c, basis) for c in cons])
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    a_eq = vt[sv > 1e-12 * max(1.0, float(np.max(np.abs(rows))))]
-
-    # strictly feasible warm start
-    if bound.weight > 1e-12:
-        shrink = 0.8
-        g0 = shrink * (bound.rho1 - bound.rho0)
-        eps = (2.0 - 2.0 * shrink) / (2.0 * dim)
-        x0 = shrink * (bound.rho1 + bound.rho0) + eps * np.eye(dim)
-    else:
-        g0 = np.zeros((dim, dim), dtype=complex)
-        x0 = np.eye(dim, dtype=complex) / dim
-    u = _coords(g0, basis)
-    u -= a_eq.T @ (a_eq @ u)
-    v = _coords(x0, basis)
-
-    nu = 2 * dim + 1  # total barrier degree
-    mu = 1.0
-    newton_steps = 0
-    n_eq = a_eq.shape[0]
-
-    def barrier_value(uu, vv, m):
-        s_plus = _mat(vv + uu, basis)
-        s_minus = _mat(vv - uu, basis)
-        s3 = 2.0 - float(tau @ vv)
-        if s3 <= 0:
-            return np.inf
-        ld_p = _logdet_pd(s_plus)
-        ld_m = _logdet_pd(s_minus)
-        if not np.isfinite(ld_p) or not np.isfinite(ld_m):
-            return np.inf
-        return -float(gvec @ uu) - m * (ld_p + ld_m + np.log(s3))
-
-    while True:
-        stalls = 0
-        for _ in range(80):
-            s_plus = _mat(v + u, basis)
-            s_minus = _mat(v - u, basis)
-            s3 = 2.0 - float(tau @ v)
-            inv_p = np.linalg.inv(s_plus)
-            inv_m = np.linalg.inv(s_minus)
-            cp = _coords((inv_p + dagger(inv_p)) / 2, basis)
-            cm = _coords((inv_m + dagger(inv_m)) / 2, basis)
-            grad_u = -gvec - mu * (cp - cm)
-            grad_v = -mu * (cp + cm) + mu * tau / s3
-            k_p = _barrier_hessian(inv_p, basis)
-            k_m = _barrier_hessian(inv_m, basis)
-            h_uu = mu * (k_p + k_m)
-            h_uv = mu * (k_p - k_m)
-            h_vv = mu * (k_p + k_m) + mu * np.outer(tau, tau) / (s3 * s3)
-
-            kkt = np.zeros((2 * n + n_eq, 2 * n + n_eq))
-            kkt[:n, :n] = h_uu
-            kkt[:n, n : 2 * n] = h_uv
-            kkt[n : 2 * n, :n] = h_uv.T
-            kkt[n : 2 * n, n : 2 * n] = h_vv
-            kkt[:n, 2 * n :] = a_eq.T
-            kkt[2 * n :, :n] = a_eq
-            rhs = np.concatenate([-grad_u, -grad_v, np.zeros(n_eq)])
-            # near a degenerate optimum the barrier Hessian spans ~1e18 in
-            # scale and LU sees an exactly singular system; restrict the
-            # step to the numerically determined subspace in that case and
-            # let the decrement test decide whether centering is done
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=1e-13)[0]
-            if not np.all(np.isfinite(sol)):
-                sol = np.linalg.lstsq(kkt, rhs, rcond=1e-13)[0]
-            du, dv = sol[:n], sol[n : 2 * n]
-            newton_steps += 1
-
-            decrement2 = -(grad_u @ du + grad_v @ dv)
-            if decrement2 / 2.0 <= max(1e-14, 1e-3 * mu):
-                break
-
-            d_plus = _mat(dv + du, basis)
-            d_minus = _mat(dv - du, basis)
-            alpha = min(1.0, 0.99 * _max_step(s_plus, d_plus), 0.99 * _max_step(s_minus, d_minus))
-            ds3 = -float(tau @ dv)
-            if ds3 < 0:
-                alpha = min(alpha, 0.99 * s3 / (-ds3))
-            f0 = barrier_value(u, v, mu)
-            slope = grad_u @ du + grad_v @ dv
-            ok = False
-            for _ in range(60):
-                f_trial = barrier_value(u + alpha * du, v + alpha * dv, mu)
-                if f_trial <= f0 + 0.25 * alpha * slope:
-                    ok = True
-                    break
-                alpha *= 0.5
-            if not ok:
-                raise NumericalError(
-                    f"interior-point line search failed at mu={mu:.3e} "
-                    f"(decrement^2={decrement2:.3e}); problem may be ill-conditioned"
-                )
-            u = u + alpha * du
-            v = v + alpha * dv
-            # on degenerate problems the decrement bottoms out at its
-            # rounding floor while the barrier is already minimized to float
-            # resolution; two consecutive unmeasurable improvements mean
-            # further centering cannot move the iterate
-            if f0 - f_trial <= 1e-14 * max(1.0, abs(f0)):
-                stalls += 1
-                if stalls >= 2:
-                    break
-            else:
-                stalls = 0
-        else:
-            raise NumericalError(f"Newton centering did not converge at mu={mu:.3e}")
-
-        if mu * nu < tol:
-            break
-        mu /= 5.0
-
-    g_tilde = _mat(u, basis)
-    x_mat = _mat(v, basis)
-    primal_value = float(np.trace(g @ g_tilde).real)
-
-    dual = solve_dual(problem, tol=min(tol * 0.1, 1e-9), target=primal_value)
-    gap = dual.value - primal_value
+    scale = float(np.linalg.norm(np.linalg.eigvalsh(problem.g), np.inf))
+    primal_value = float(np.trace(problem.g @ g_tilde).real)
     return SdpSolution(
         primal_value=primal_value,
         g_tilde=HermitianOperator(g_tilde),
-        x_certificate=HermitianOperator(x_mat),
+        x_certificate=HermitianOperator(x),
         dual_value=dual.value,
         dual_coeffs=dual.coeffs,
-        gap=gap,
-        iterations=newton_steps,
+        gap=dual.value - primal_value,
+        iterations=dual.iterations,
         dual_iterations=dual.iterations,
-        duality_measure=mu * nu * scale,
-        certified=bool(dual.certified),
+        duality_measure=dual.duality_measure,
+        certified=_certifies(dual.value, primal_value, scale),
     )

@@ -43,8 +43,6 @@ class Tolerances:
     positivity_floor: float = -1e-6
     # dt * ||generator|| must stay below this for the fixed-step integrator
     stability: float = 0.1
-    # duality-measure target for the interior-point solver
-    sdp: float = 1e-8
     # relative Richardson disagreement above which a QFI estimate is unreliable
     qfi_disagreement: float = 0.05
 

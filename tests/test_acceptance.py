@@ -3,12 +3,12 @@
 Each test exercises a full workflow at its contract tolerance and time
 budget and prints a single summary line even when the suite runs quietly:
 
-1. Axial design optimum: the interior-point solve on (S_z^2, spin triple)
+1. Axial design optimum: the certified solve on (S_z^2, spin triple)
    certifies value 1 with gap < 1e-6, and the optimizer lies in the span of
    the |0> and dressed-pair projectors (overlap > 1 - 1e-6).  Under 1 s.
 2. Sandwich certification: on 30 random instances the constructive lower
-   bound, the barrier primal, and the independent Newton barrier dual hold
-   their ordering with gap < 1e-6.  Under 30 s.
+   bound, the feasible primal read off the barrier dual's central path, and
+   that dual's value hold their ordering with gap < 1e-6.  Under 30 s.
 3. Verdict table: (dephasing yes / relaxation-bare no / relaxation-ancilla
    yes / thermal no) with machine witnesses: protected-code conditions,
    a 200-restart search floor at the pinned regression value, and an

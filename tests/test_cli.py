@@ -183,6 +183,21 @@ class TestDesignChain:
         assert rc == EXIT_OK
         assert json.loads(out)["signal"] is None
 
+    def test_non_finite_generator_is_usage_error(self, capsys, tmp_path):
+        # a NaN entry used to pass as Hermitian and get certified value 0
+        gen = tmp_path / "nan.json"
+        gen.write_text(json.dumps({"dim": 2, "re": [[float("nan"), 0.0], [0.0, -1.0]]}))
+        sol_path = tmp_path / "sol.json"
+        rc, out = run(capsys, ["optimize", "--generator", str(gen), "--out", str(sol_path)])
+        assert rc == EXIT_USAGE
+        assert out == "" and not sol_path.exists()
+
+    def test_tol_flag_is_gone(self, capsys, ops):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["optimize", "--generator", ops["szsq"], "--couplings", ops["sz"],
+                      "--tol", "1e-8"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_build_code_needs_witness_field(self, capsys, tmp_path):
         bad = tmp_path / "notasolution.json"
         bad.write_text(json.dumps({"primal_value": 1.0}))

@@ -3,10 +3,11 @@
 ``_reference_dual.solve_dual`` is the subgradient descent as it stood before
 the barrier.  Both return an upper bound ``2 ||G - sum c_k C_k||_op`` on the
 primal optimum, so on every instance the barrier's value must sit no higher
-than the reference's (to rounding), no lower than the barrier primal's value
-(to its duality measure), and be reproduced by one ``eigvalsh`` at the
-returned coefficients.  The instances cover d in 2..6, k in 0..4, couplings
-that depend linearly on earlier constraints, and generators inside the span.
+than the reference's (to rounding), no lower than the primal value that
+``solve_primal`` reads off the path (weak duality, to rounding), and be
+reproduced by one ``eigvalsh`` at the returned coefficients.  The instances
+cover d in 2..6, k in 0..4, couplings that depend linearly on earlier
+constraints, and generators inside the span.
 """
 
 import time

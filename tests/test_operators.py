@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dressedmet.errors import ValidationError
+from dressedmet.jsonio import operator_from_json, state_from_json
 from dressedmet.operators import (
     HermitianOperator,
     OperatorSpan,
@@ -43,6 +44,13 @@ class TestHermitianOperator:
         op = HermitianOperator(m)
         assert np.allclose(op.entries, op.entries.conj().T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # a NaN deviation compares false, so the Hermiticity test alone
+        # would let it through
+        with pytest.raises(ValidationError, match="finite"):
+            HermitianOperator([[bad, 0.0], [0.0, -1.0]])
+
 
 class TestStateVector:
     def test_accepts_normalized(self):
@@ -52,6 +60,26 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             StateVector([1.0, 1.0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            StateVector([np.nan, 1.0])
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_operator_json_rejects_non_finite(self, field):
+        data = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        data[field][0][1] = data[field][1][0] = float("nan")
+        with pytest.raises(ValidationError, match="non-finite"):
+            operator_from_json(data)
+
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_state_json_rejects_non_finite(self, field):
+        data = {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}
+        data[field][1] = float("inf")
+        with pytest.raises(ValidationError, match="non-finite"):
+            state_from_json(data)
 
 
 def test_tensor_and_lift_shapes():

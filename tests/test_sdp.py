@@ -1,4 +1,4 @@
-"""Signal optimization: constructive bound, primal interior point, barrier dual.
+"""Signal optimization: constructive bound, barrier dual, primal read off its path.
 
 Frozen oracle values (direct arithmetic on eigenvalues):
 - Spin-1 instance G = S_z^2, couplings {S_x, S_y, S_z}: orthogonal part has
@@ -16,11 +16,13 @@ import time
 import numpy as np
 import pytest
 
+from dressedmet.codespace import code_from_optimizer
 from dressedmet.errors import ValidationError
 from dressedmet.operators import spin_matrices
 from dressedmet.rand import stream
 from dressedmet.sdp import (
     SdpProblem,
+    _certifies,
     constructive_bound,
     solve_dual,
     solve_primal,
@@ -101,9 +103,22 @@ class TestSolveDual:
         # the spin-1 dual value is 1: a target well below or above it is no
         # evidence of optimality
         problem = SdpProblem.from_couplings(SZSQ, [SX, SY, SZ])
-        assert solve_dual(problem, target=1.0).certified
-        assert not solve_dual(problem, target=0.5).certified
-        assert not solve_dual(problem, target=1.5).certified
+        value = solve_dual(problem).value
+        assert _certifies(value, 1.0, 1.0)
+        assert not _certifies(value, 0.5, 1.0)
+        assert not _certifies(value, 1.5, 1.0)
+
+    def test_certification_window_is_relative(self):
+        # at ||G|| = 1e-3 a gap of 5e-9 is a relative 5e-6, outside the
+        # 1e-6 window, however small it is in absolute terms
+        scale = 1e-3
+        problem = SdpProblem.from_couplings(scale * SZSQ, [SX, SY, SZ])
+        value = solve_dual(problem).value
+        assert value == pytest.approx(scale, rel=1e-9)
+        assert _certifies(value, value - 5e-10, scale)
+        assert not _certifies(value, value - 5e-9, scale)
+        assert not _certifies(value, value + 5e-9, scale)
+        assert solve_primal(problem).certified
 
     def test_collective_optimum_beats_constructive(self):
         problem = SdpProblem.from_couplings(COLLECTIVE, [])
@@ -153,8 +168,8 @@ class TestSolvePrimal:
 
     def test_degenerate_single_coupling_instance(self):
         # optimum exactly at the constructive bound with a rank-deficient
-        # optimizer; the barrier Hessian is numerically singular at the
-        # final centering round and the solver must still certify
+        # optimizer; the read-off must still certify, with X = |Gt| on the
+        # dressed pair's support
         problem = SdpProblem.from_couplings(SZSQ, [SZ])
         sol = solve_primal(problem)
         assert sol.primal_value == pytest.approx(1.0, abs=1e-6)
@@ -176,6 +191,16 @@ class TestSolvePrimal:
         assert scaled.dual_value == pytest.approx(7.5 * base.dual_value, rel=1e-6)
         # the optimizer itself is scale-free
         assert np.linalg.norm(scaled.g_tilde.entries - base.g_tilde.entries) < 1e-4
+
+    def test_small_generator_is_not_in_the_span(self):
+        # the in-span shortcut is relative to the scale of g, so a generator
+        # at 1e-9 keeps the optimizer and the code that unit scale gives
+        base = solve_primal(SdpProblem.from_couplings(SZSQ, [SZ]))
+        small = solve_primal(SdpProblem.from_couplings(1e-9 * SZSQ, [SZ]))
+        assert small.primal_value == pytest.approx(1e-9 * base.primal_value, rel=1e-9)
+        assert small.dual_value == pytest.approx(1e-9 * base.dual_value, rel=1e-9)
+        assert np.linalg.norm(small.g_tilde.entries - base.g_tilde.entries) < 1e-9
+        code_from_optimizer(small.g_tilde)
 
     def test_extra_constraint_never_helps(self, rng):
         g = random_hermitian(rng, 4)
@@ -221,3 +246,20 @@ class TestSolvePrimal:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             SdpProblem.from_couplings(PAULI_Z, [SX])
+
+
+class TestProblemValidation:
+    # both solvers take an SdpProblem, so neither sees a g it rejects; a
+    # non-Hermitian g once got the dual value 4e-16 certified
+    @pytest.mark.parametrize("g, match", [
+        (np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+         "generator must be Hermitian"),
+        (np.diag([np.nan, 0.0, -1.0]), "generator must have finite entries"),
+    ])
+    def test_generator_is_validated(self, g, match):
+        with pytest.raises(ValidationError, match=match):
+            SdpProblem.from_couplings(g, [SZ])
+
+    def test_constraints_must_be_finite(self):
+        with pytest.raises(ValidationError, match="constraints must have finite entries"):
+            SdpProblem.from_couplings(SZSQ, [np.diag([np.inf, 0.0, 0.0])])
