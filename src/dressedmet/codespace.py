@@ -160,7 +160,7 @@ def purify_pair(
         order = np.argsort(vals)[::-1]
         for slot, k in enumerate(order):
             anc_index = side * rank + slot
-            psi += np.sqrt(vals[k]) * np.kron(vecs[:, k], _basis(anc_dim, anc_index))
+            psi += np.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(anc_dim)[anc_index])
         states.append(StateVector(psi / np.linalg.norm(psi)))
 
     code = CodeSpace(states[0], states[1], sys_dim, anc_dim)
@@ -170,12 +170,6 @@ def purify_pair(
         if frobenius(reduced - m) > tol.decomposition * max(1.0, frobenius(m)):
             raise NumericalError("purification does not reproduce its marginal")
     return code
-
-
-def _basis(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[index] = 1.0
-    return e
 
 
 def _lift_to_code(op, code: CodeSpace) -> np.ndarray:

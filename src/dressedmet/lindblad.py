@@ -59,53 +59,61 @@ class BathSpectrum:
     descriptor: Optional[dict] = None
     _cache: Dict[float, tuple] = field(default_factory=dict, repr=False)
 
+    def _coefficients(self, what: str, fn: Callable, nu: float) -> Tuple[np.ndarray, float]:
+        """``fn(nu)`` as a finite ``k x k`` matrix, ``(1, 1)`` broadcast to ``gamma I``.
+
+        Returns its Hermitian part and the relative norm of the part dropped.
+        """
+        k = self.n_couplings
+        mat = np.atleast_2d(np.asarray(fn(nu), dtype=complex))
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"{what} matrix at nu={nu} has non-finite entries")
+        if mat.shape == (1, 1) and k > 1:
+            mat = mat[0, 0] * np.eye(k, dtype=complex)
+        if mat.shape != (k, k):
+            raise ValidationError(
+                f"{what} matrix at nu={nu} has shape {mat.shape}, expected ({k}, {k})"
+            )
+        skew = frobenius(mat - mat.conj().T) / max(1.0, frobenius(mat))
+        return 0.5 * (mat + mat.conj().T), skew
+
+    @staticmethod
+    def _require_hermitian(what: str, nu: float, skew: float, tol: Tolerances) -> None:
+        if skew > tol.hermiticity:
+            raise ValidationError(f"{what} matrix at nu={nu} is not Hermitian")
+
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
         """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``.
 
-        The cache keeps the Hermitian matrix with its smallest eigenvalue and
-        norm, so every call, cached or not, applies its own ``tol.psd``.
+        The cache keeps the Hermitian matrix with its smallest eigenvalue, norm
+        and Hermiticity deviation, so every call, cached or not, applies its
+        own ``tol.psd`` and ``tol.hermiticity``.
         """
         nu = float(nu)
         cached = self._cache.get(nu)
         if cached is None:
             k = self.n_couplings
             if not _regime_mask(self.regime, nu):
-                cached = (np.zeros((k, k)), 0.0, 1.0)
+                cached = (np.zeros((k, k)), 0.0, 1.0, 0.0)
             else:
-                mat = np.atleast_2d(np.asarray(self.gamma(nu), dtype=complex))
-                if mat.shape == (1, 1) and k > 1:
-                    mat = mat[0, 0] * np.eye(k, dtype=complex)
-                if mat.shape != (k, k):
-                    raise ValidationError(
-                        f"rate matrix at nu={nu} has shape {mat.shape}, "
-                        f"expected ({k}, {k})"
-                    )
-                if frobenius(mat - mat.conj().T) > TOL.hermiticity * max(
-                    1.0, frobenius(mat)
-                ):
-                    raise ValidationError(f"rate matrix at nu={nu} is not Hermitian")
-                mat = 0.5 * (mat + mat.conj().T)
+                mat, skew = self._coefficients("rate", self.gamma, nu)
                 low = float(np.linalg.eigvalsh(mat).min())
-                cached = (mat, low, max(1.0, frobenius(mat)))
+                cached = (mat, low, max(1.0, frobenius(mat)), skew)
             self._cache[nu] = cached
-        mat, low, scale = cached
+        mat, low, scale, skew = cached
+        self._require_hermitian("rate", nu, skew, tol)
         if low < -tol.psd * scale:
             raise ValidationError(f"rate matrix at nu={nu} has negative eigenvalue {low}")
         return mat
 
-    def lamb(self, nu: float) -> Optional[np.ndarray]:
+    def lamb(self, nu: float, tol: Tolerances = TOL) -> Optional[np.ndarray]:
         """Hermitian shift-coefficient matrix at ``nu``, or None if unset."""
         if self.lamb_coeffs is None:
             return None
-        k = self.n_couplings
-        mat = np.atleast_2d(np.asarray(self.lamb_coeffs(float(nu)), dtype=complex))
-        if mat.shape == (1, 1) and k > 1:
-            mat = mat[0, 0] * np.eye(k, dtype=complex)
-        if mat.shape != (k, k):
-            raise ValidationError(
-                f"shift matrix at nu={nu} has shape {mat.shape}, expected ({k}, {k})"
-            )
-        return 0.5 * (mat + mat.conj().T)
+        nu = float(nu)
+        mat, skew = self._coefficients("shift", self.lamb_coeffs, nu)
+        self._require_hermitian("shift", nu, skew, tol)
+        return mat
 
     # -- built-in spectral shapes -------------------------------------------
 
@@ -188,40 +196,55 @@ def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
     return builder(gamma_cfg, n_couplings, regime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSet:
-    """Map from binned transition frequency to one jump operator per coupling.
+    """Jump operators stacked by binned transition frequency.
 
+    ``blocks[i, a]`` is ``L_a(frequencies[i])``: one read-only ``(n, k, d, d)``
+    array over the ``n`` ascending frequencies and ``k`` couplings.
     Frequencies come in exact +/- pairs and the blocks satisfy
     ``L_a(nu)^dag = L_a(-nu)`` as well as ``sum_nu L_a(nu) = A_a``.
     """
 
-    transitions: Dict[float, List[np.ndarray]]
-    n_couplings: int
+    frequencies: Tuple[float, ...]
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        blocks = np.array(self.blocks, dtype=complex)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
-    def frequencies(self) -> Tuple[float, ...]:
-        return tuple(sorted(self.transitions))
+    def n_couplings(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[-1]
 
     def adjoint_defect(self) -> float:
         """Worst deviation from the +/- frequency adjoint pairing."""
-        worst = 0.0
-        for nu, blocks in self.transitions.items():
-            partner = self.transitions.get(-nu)
-            if partner is None:
-                worst = max(worst, max(frobenius(b) for b in blocks))
-                continue
-            for b, p in zip(blocks, partner):
-                worst = max(worst, frobenius(b.conj().T - p))
-        return worst
+        freqs = np.array(self.frequencies)
+        partner = np.minimum(np.searchsorted(freqs, -freqs), max(len(freqs) - 1, 0))
+        paired = (freqs[partner] == -freqs)[:, None, None, None]
+        adjoint = np.swapaxes(self.blocks, -2, -1).conj()
+        defect = np.where(paired, adjoint - self.blocks[partner], self.blocks)
+        return float(np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0))
 
     def completeness_defect(self, couplings: Sequence[np.ndarray]) -> float:
         """Worst deviation of the frequency sum from the original coupling."""
-        worst = 0.0
-        for alpha, a in enumerate(couplings):
-            total = sum(blocks[alpha] for blocks in self.transitions.values())
-            worst = max(worst, frobenius(total - as_matrix(a)))
-        return worst
+        mats = np.array([as_matrix(a) for a in couplings], dtype=complex)
+        total = self.blocks.sum(axis=0) - mats.reshape(self.blocks.shape[1:])
+        return float(np.linalg.norm(total, axis=(-2, -1)).max(initial=0.0))
+
+
+def _linkage(vals: np.ndarray, gap_tol: float) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each single-linkage cluster of ascending ``vals``.
+
+    Adjacent values closer than ``gap_tol`` share a cluster.
+    """
+    cuts = (np.flatnonzero(np.diff(vals) >= gap_tol) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [len(vals)]))
 
 
 def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[float, np.ndarray]]:
@@ -235,43 +258,32 @@ def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[f
         raise ValidationError("gap_tol must be positive")
     vals, vecs = np.linalg.eigh(h.entries)
     groups: List[Tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i < len(vals) and vals[i] - vals[i - 1] < gap_tol:
-            continue
-        cluster = vals[start:i]
+    for lo, hi in _linkage(vals, gap_tol):
+        cluster = vals[lo:hi]
         if cluster[-1] - cluster[0] > 10.0 * gap_tol:
             raise NumericalError(
                 f"eigenvalue cluster spans {cluster[-1] - cluster[0]:.3e}, "
                 f"over 10x the grouping tolerance {gap_tol:.3e}"
             )
-        block = vecs[:, start:i]
+        block = vecs[:, lo:hi]
         groups.append((float(cluster.mean()), block @ block.conj().T))
-        start = i
     return groups
 
 
-def _bin_gaps(gaps: Sequence[float], gap_tol: float) -> Callable[[float], float]:
-    """Map raw non-negative gaps onto merged representatives.
+def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Send each gap to the signed mean of its magnitude's cluster.
 
-    Clusters by single linkage at ``gap_tol`` and returns a lookup that sends
-    any registered gap to its cluster mean; binning on magnitudes keeps the
-    +/- frequency pairing exact.
+    Clusters the distinct magnitudes by single linkage at ``gap_tol``;
+    binning on magnitudes keeps the +/- frequency pairing exact, and a
+    cluster centered within ``gap_tol`` of zero bins to exactly 0.
     """
-    uniq = sorted(set(abs(g) for g in gaps))
-    rep: Dict[float, float] = {}
-    start = 0
-    for i in range(1, len(uniq) + 1):
-        if i < len(uniq) and uniq[i] - uniq[i - 1] < gap_tol:
-            continue
-        cluster = uniq[start:i]
-        center = float(np.mean(cluster))
-        if abs(center) < gap_tol:
-            center = 0.0
-        for g in cluster:
-            rep[g] = center
-        start = i
-    return lambda g: rep[abs(g)] * (1.0 if g >= 0 else -1.0)
+    mags = np.array(sorted(set(np.abs(gaps).ravel().tolist())))
+    centers = np.empty_like(mags)
+    for lo, hi in _linkage(mags, gap_tol):
+        centers[lo:hi] = np.mean(mags[lo:hi])
+    centers[np.abs(centers) < gap_tol] = 0.0
+    # adding 0.0 turns the -0.0 of a negative gap binned to zero into 0.0
+    return np.where(gaps >= 0, 1.0, -1.0) * centers[np.searchsorted(mags, np.abs(gaps))] + 0.0
 
 
 def jump_operators(
@@ -283,10 +295,11 @@ def jump_operators(
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
     ``gap_tol`` defaults to ``tol.gap_rel`` times the operator norm of ``h``,
-    floored at ``tol.gap_abs`` for the zero Hamiltonian.  Frequencies whose
-    blocks all vanish are dropped; the surviving set satisfies the
-    completeness and adjoint-pairing checks to 1e-10 by construction of the
-    symmetric binning.
+    floored at ``tol.gap_abs`` for the zero Hamiltonian.  The blocks
+    ``P_e A_a P_f`` of every eigenspace pair are summed into their binned
+    frequency ``E_f - E_e``.  Frequencies whose blocks all vanish are
+    dropped; the surviving set satisfies the completeness and
+    adjoint-pairing checks to 1e-10 by construction of the symmetric binning.
     """
     dim = h.dim
     mats = [as_matrix(a) for a in couplings]
@@ -299,32 +312,41 @@ def jump_operators(
         hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
         gap_tol = max(tol.gap_rel * hnorm, tol.gap_abs)
     groups = eigendecompose_grouped(h, gap_tol)
-    raw_gaps = [ep - e for e, _ in groups for ep, _ in groups]
-    binned = _bin_gaps(raw_gaps, gap_tol)
+    energies = np.array([e for e, _ in groups])
+    projs = np.array([p for _, p in groups])
+    stack = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+
+    # pair (e, f) in row-major order, e the source eigenspace
+    nu = _bin_gaps(energies[None, :] - energies[:, None], gap_tol).reshape(-1)
+    freqs = np.array(sorted(set(nu.tolist())))
+    index = np.searchsorted(freqs, nu)
+    pieces = (projs[:, None] @ stack[None])[:, None] @ projs[None, :, None]
+    # bincount adds in pair order, entry by entry on the real and imaginary parts
+    parts = pieces.reshape(len(nu), -1).view(float)
+    slots = index[:, None] * parts.shape[1] + np.arange(parts.shape[1])
+    sums = np.bincount(slots.ravel(), parts.ravel(), minlength=len(freqs) * parts.shape[1])
+    blocks = sums.view(complex).reshape((len(freqs),) + stack.shape)
 
     scale = max([1.0] + [frobenius(a) for a in mats])
-    transitions: Dict[float, List[np.ndarray]] = {}
-    for e, p in groups:
-        for ep, pp in groups:
-            nu = binned(ep - e)
-            blocks = transitions.setdefault(
-                nu, [np.zeros((dim, dim), dtype=complex) for _ in mats]
-            )
-            for alpha, a in enumerate(mats):
-                blocks[alpha] += p @ a @ pp
-    drop = [
-        nu
-        for nu, blocks in transitions.items()
-        if all(frobenius(b) <= 1e-13 * scale for b in blocks)
-    ]
-    for nu in drop:
-        del transitions[nu]
-    lset = LindbladSet(transitions, len(mats))
+    keep = (np.linalg.norm(blocks, axis=(-2, -1)) > 1e-13 * scale).any(axis=1)
+    lset = LindbladSet(tuple(freqs[keep].tolist()), blocks[keep])
     if lset.adjoint_defect() > 1e-10 * scale:
         raise NumericalError("jump-operator adjoint pairing failed")
     if lset.completeness_defect(mats) > 1e-10 * scale:
         raise NumericalError("jump-operator frequency sum failed")
     return lset
+
+
+def _weigh(lset: LindbladSet, spectrum: BathSpectrum, coeffs: Callable[[float], np.ndarray]):
+    """Jumps ``L``, weighted jumps ``J_a = sum_b c_ab(nu) L_b`` stacked over
+    (nu, a), and ``sum L_a^dag J_a``."""
+    if lset.n_couplings != spectrum.n_couplings:
+        raise ValidationError("spectrum and jump set disagree on coupling count")
+    n, k, d = len(lset.frequencies), lset.n_couplings, lset.dim
+    c = np.array([coeffs(nu) for nu in lset.frequencies], dtype=complex).reshape(n, k, k)
+    jumps = lset.blocks.reshape(-1, d, d)
+    weighted = np.einsum("nab,nbij->naij", c, lset.blocks).reshape(-1, d, d)
+    return jumps, weighted, np.einsum("xji,xjk->ik", jumps.conj(), weighted)
 
 
 def dissipator(
@@ -340,42 +362,22 @@ def dissipator(
     Hermiticity-preserving by construction.
     """
     rho = as_matrix(rho)
-    if lset.n_couplings != spectrum.n_couplings:
-        raise ValidationError("spectrum and jump set disagree on coupling count")
-    out = np.zeros_like(rho)
-    for nu, blocks in lset.transitions.items():
-        g = spectrum.rate(nu, tol=tol)
-        for a in range(len(blocks)):
-            la = blocks[a]
-            for b in range(len(blocks)):
-                w = g[a, b]
-                if w == 0:
-                    continue
-                lb = blocks[b]
-                anti = la.conj().T @ lb
-                out += w * (lb @ rho @ la.conj().T - 0.5 * (anti @ rho + rho @ anti))
-    return out
+    jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
+    feed = (weighted @ rho @ np.swapaxes(jumps, -2, -1).conj()).sum(axis=0)
+    return feed - 0.5 * (k @ rho + rho @ k)
 
 
-def lamb_shift(lset: LindbladSet, spectrum: BathSpectrum) -> HermitianOperator:
+def lamb_shift(
+    lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances = TOL
+) -> HermitianOperator:
     """Bath-induced Hamiltonian correction ``sum S_ab(nu) L_a^dag L_b``.
 
     Zero when the spectrum carries no shift coefficients.  Block structure of
     ``L^dag L`` makes the result commute with the system Hamiltonian.
     """
-    dim = next(iter(lset.transitions.values()))[0].shape[0] if lset.transitions else 0
-    if spectrum.lamb_coeffs is None or dim == 0:
-        d = dim if dim else 1
-        return HermitianOperator(np.zeros((d, d), dtype=complex))
-    out = np.zeros((dim, dim), dtype=complex)
-    for nu, blocks in lset.transitions.items():
-        s = spectrum.lamb(nu)
-        for a in range(len(blocks)):
-            for b in range(len(blocks)):
-                if s[a, b] == 0:
-                    continue
-                out += s[a, b] * (blocks[a].conj().T @ blocks[b])
-    return HermitianOperator(out)
+    if spectrum.lamb_coeffs is None:
+        return HermitianOperator(np.zeros((lset.dim, lset.dim), dtype=complex))
+    return HermitianOperator(_weigh(lset, spectrum, lambda nu: spectrum.lamb(nu, tol=tol))[2])
 
 
 def gksl_rhs(
@@ -387,8 +389,14 @@ def gksl_rhs(
 ) -> np.ndarray:
     """Full generator: commutator with ``h_s`` plus shift, plus dissipator."""
     rho = as_matrix(rho)
-    h = h_s.entries + lamb_shift(lset, spectrum).entries
+    h = h_s.entries + lamb_shift(lset, spectrum, tol=tol).entries
     return -1j * (h @ rho - rho @ h) + dissipator(rho, lset, spectrum, tol=tol)
+
+
+def commutator_superoperator(h: np.ndarray) -> np.ndarray:
+    """``-i[h, .]`` on row-major flattened densities: ``-i(h (x) I - I (x) h^T)``."""
+    eye = np.eye(len(h))
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 def superoperator(
@@ -399,14 +407,14 @@ def superoperator(
 ) -> np.ndarray:
     """Dense matrix of the generator acting on row-major flattened densities.
 
-    Built by applying the right-hand side to matrix units; integration then
-    reduces to a linear ODE on the d^2 vector.
+    Closed form from ``vec(A rho B) = (A (x) B^T) vec(rho)``:
+    ``-i[h, .] + sum J_a (x) conj(L_a) - (K (x) I + I (x) K^T)/2`` with
+    ``J_a = sum_b gamma_ab L_b`` and ``K = sum L_a^dag J_a``; integration
+    then reduces to a linear ODE on the d^2 vector.
     """
     dim = h_s.dim
-    cols = np.empty((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim * dim):
-        unit.flat[j] = 1.0
-        cols[:, j] = gksl_rhs(unit, h_s, lset, spectrum, tol=tol).reshape(-1)
-        unit.flat[j] = 0.0
-    return cols
+    jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
+    eye = np.eye(dim)
+    feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
+    h = h_s.entries + lamb_shift(lset, spectrum, tol=tol).entries
+    return commutator_superoperator(h) + feed - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))

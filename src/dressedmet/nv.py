@@ -297,7 +297,7 @@ def nv_verdict_table(
     if abs(nu_min) > 1e-12:
         raise ValidationError("no zero-frequency channel for the bare splitting")
     dephasing_coup = tuple(
-        HermitianOperator(m) for m in lset0.transitions[nu_min]
+        HermitianOperator(m) for m in lset0.blocks[lset0.frequencies.index(nu_min)]
         if np.linalg.norm(m) > 1e-13
     )
     rep1 = check_conditions(bare, g, dephasing_coup)

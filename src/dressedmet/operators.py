@@ -127,16 +127,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "StateVector":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return cls(v)
-
-    def projector(self) -> np.ndarray:
-        v = self.amplitudes
-        return np.outer(v, v.conj())
-
     def __array__(self, dtype=None, copy=None):
         arr = self.amplitudes
         if dtype is not None:

@@ -14,7 +14,6 @@ fidelities underflow) are scaled to match it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -23,7 +22,14 @@ import numpy as np
 
 from .codespace import CodeSpace, effective_generator
 from .errors import NumericalError, ValidationError
-from .lindblad import BathSpectrum, LindbladSet, jump_operators, spectrum_from_json, superoperator
+from .lindblad import (
+    BathSpectrum,
+    LindbladSet,
+    commutator_superoperator,
+    jump_operators,
+    spectrum_from_json,
+    superoperator,
+)
 from .operators import HermitianOperator, as_matrix, eigh_fixed
 from .tolerances import TOL, Tolerances
 
@@ -76,7 +82,7 @@ def _default_dt(
 ) -> float:
     hnorm = float(np.abs(np.linalg.eigvalsh(h_s.entries)).max())
     total_rate = sum(
-        float(np.trace(spectrum.rate(nu, tol=tol)).real) for nu in lset.transitions
+        float(np.trace(spectrum.rate(nu, tol=tol)).real) for nu in lset.frequencies
     )
     return 1e-3 / max(hnorm, total_rate, 1e-3)
 
@@ -165,18 +171,14 @@ def evolve(
     return Trajectory(times, np.concatenate([rho0[None], states[:, 0]]), drift)
 
 
-# a rate PSD check that never fires, for generators checked per call instead
-_UNCHECKED_RATES = dataclasses.replace(TOL, psd=math.inf)
-
-
 @dataclass(frozen=True)
 class ProbeModel:
     """Everything needed to evolve a probe at a given signal offset.
 
-    The jump set and the generator are built once per gap tolerance from the
-    offset-free Hamiltonian; the offset enters only through the coherent
-    term, so the dissipative channels stay fixed while the signal is scanned
-    and the generator at offset ``delta`` is ``generator + delta * K_g``.
+    The jump set is built once per gap tolerance from the offset-free
+    Hamiltonian; the offset enters only through the coherent term, so the
+    dissipative channels stay fixed while the signal is scanned and the
+    generator at offset ``delta`` is ``superoperator(h) + delta * K_g``.
     """
 
     h: HermitianOperator
@@ -191,36 +193,22 @@ class ProbeModel:
     def dim(self) -> int:
         return self.h.dim
 
-    def _memo(self, name: str, tol: Tolerances, build):
-        """``build()`` once per model and per tolerance that ``jump_operators`` reads."""
+    def jump_set(self, tol: Tolerances = TOL) -> LindbladSet:
+        """Jump operators, built once per model and per tolerance ``jump_operators`` reads."""
         built = self.__dict__.setdefault("_built", {})
         gap = self.gap_tol if self.gap_tol is not None else (tol.gap_rel, tol.gap_abs)
-        key = (name, gap, tol.hermiticity)
-        return built[key] if key in built else built.setdefault(key, build())
-
-    def jump_set(self, tol: Tolerances = TOL) -> LindbladSet:
-        return self._memo("lset", tol, lambda: jump_operators(
-            self.h, self.couplings, gap_tol=self.gap_tol, tol=tol))
-
-    def base_generator(self, tol: Tolerances = TOL) -> np.ndarray:
-        """Offset-free generator on row-major flattened densities.
-
-        Assembled without the rates' PSD check, which :meth:`generators`
-        applies with each caller's ``tol.psd``.
-        """
-        return self._memo("generator", tol, lambda: superoperator(
-            self.h, self.jump_set(tol), self.spectrum, tol=_UNCHECKED_RATES))
+        key = (gap, tol.hermiticity)
+        if key not in built:
+            built[key] = jump_operators(self.h, self.couplings, gap_tol=self.gap_tol, tol=tol)
+        return built[key]
 
     lset = property(jump_set)
-    generator = property(base_generator)
 
     def generators(self, offsets: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
-        """Stacked ``generator + delta K_g``, ``K_g = -i (g (x) I - I (x) g^T)`` row-major."""
-        for nu in self.jump_set(tol).transitions:
-            self.spectrum.rate(nu, tol=tol)
-        g, eye = self.g.entries, np.eye(self.dim)
-        k_g = -1j * (np.kron(g, eye) - np.kron(eye, g.T))
-        return self.base_generator(tol) + np.asarray(offsets, dtype=float)[:, None, None] * k_g
+        """Stacked ``superoperator(h) + delta K_g``, ``K_g = -i[g, .]`` row-major."""
+        base = superoperator(self.h, self.jump_set(tol), self.spectrum, tol=tol)
+        k_g = commutator_superoperator(self.g.entries)
+        return base + np.asarray(offsets, dtype=float)[:, None, None] * k_g
 
     def hamiltonian(self, delta_omega: float) -> HermitianOperator:
         return HermitianOperator(self.h.entries + delta_omega * self.g.entries)
@@ -232,11 +220,8 @@ class ProbeModel:
     def coherence_frame(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.code is not None:
             return self.code.psi0.amplitudes, self.code.psi1.amplitudes
-        e0 = np.zeros(self.dim, dtype=complex)
-        e1 = np.zeros(self.dim, dtype=complex)
-        e0[0] = 1.0
-        e1[1] = 1.0
-        return e0, e1
+        eye = np.eye(self.dim, dtype=complex)
+        return eye[0], eye[1]
 
     def coherences(self, rhos: np.ndarray) -> np.ndarray:
         """``|a^dag rho b|`` in the coherence frame ``(a, b)`` over a stack of states."""

@@ -259,7 +259,7 @@ class TestTwoLevelDressing:
         code = dressed_pair_code()
         _, lset = two_level_dressing(code, [SX, SY, SZ], nu0=2.0)
         p = code.projector
-        for block in lset.transitions[0.0]:
+        for block in lset.blocks[lset.frequencies.index(0.0)]:
             np.testing.assert_allclose(block @ p, p @ block, atol=1e-12)
 
     def test_rejects_nonpositive_gap(self):

@@ -12,6 +12,8 @@ Frozen oracle values (hand derivation, verified against direct arithmetic):
   drains at gamma and coherence at gamma/2.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,14 @@ class TestJumpOperators:
         h = HermitianOperator(np.diag([3.0, 1.0, -2.0]).astype(complex))
         lset = jump_operators(h, [HermitianOperator(SZ)])
         assert lset.frequencies == (0.0,)
-        np.testing.assert_allclose(lset.transitions[0.0][0], SZ, atol=1e-14)
+        np.testing.assert_allclose(lset.blocks[lset.frequencies.index(0.0)][0], SZ, atol=1e-14)
 
     def test_ladder_coupling_frequency_pair(self):
         lset = jump_operators(HermitianOperator(SZ), [HermitianOperator(SX)])
         assert lset.frequencies == (-1.0, 1.0)
         # lowering block maps m to m - 1 and is the adjoint of the raising one
-        lp = lset.transitions[1.0][0]
-        lm = lset.transitions[-1.0][0]
+        lp = lset.blocks[lset.frequencies.index(1.0)][0]
+        lm = lset.blocks[lset.frequencies.index(-1.0)][0]
         np.testing.assert_allclose(lp.conj().T, lm, atol=1e-14)
         np.testing.assert_allclose(lp + lm, SX, atol=1e-14)
 
@@ -66,7 +68,7 @@ class TestJumpOperators:
         h = HermitianOperator(np.zeros((3, 3), dtype=complex))
         lset = jump_operators(h, [HermitianOperator(SX)])
         assert lset.frequencies == (0.0,)
-        np.testing.assert_allclose(lset.transitions[0.0][0], SX, atol=1e-14)
+        np.testing.assert_allclose(lset.blocks[lset.frequencies.index(0.0)][0], SX, atol=1e-14)
 
     def test_near_degenerate_gaps_bin_together(self):
         # two gaps differing by 1e-12 collapse onto one binned frequency
@@ -187,6 +189,39 @@ class TestBathSpectrum:
         with pytest.raises(ValidationError):
             spec.rate(1.0)
 
+    def test_each_call_applies_its_own_hermiticity_tolerance(self):
+        # an anti-Hermitian part of 1e-9 passes at 1e-6 and fails at the default
+        skewed = np.eye(2) + 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: skewed, 2)
+        loose = Tolerances(hermiticity=1e-6)
+        np.testing.assert_allclose(spec.rate(1.0, tol=loose), np.eye(2), atol=1e-15)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            spec.rate(1.0)
+        np.testing.assert_allclose(spec.rate(1.0, tol=loose), np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.diag([1.0, bad]), 2,
+                            lamb_coeffs=lambda nu: np.array([[bad]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            spec.rate(1.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            spec.lamb(1.0)
+
+    def test_shift_coefficients_go_through_the_same_checks(self):
+        spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(2), 2,
+                            lamb_coeffs=lambda nu: np.array([[1.0 + 5j]]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            spec.lamb(0.0)
+        skewed = np.eye(2) + 1e-9 * np.array([[0.0, 1j], [1j, 0.0]])
+        spec = dataclasses.replace(spec, lamb_coeffs=lambda nu: skewed)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            spec.lamb(0.0)
+        np.testing.assert_allclose(spec.lamb(0.0, tol=Tolerances(hermiticity=1e-6)), np.eye(2))
+        spec = dataclasses.replace(spec, lamb_coeffs=lambda nu: np.eye(3))
+        with pytest.raises(ValidationError, match="shape"):
+            spec.lamb(0.0)
+
     def test_json_round_trip_flat(self):
         spec = BathSpectrum.flat(0.7, 2, regime=Regime.FULL_THERMAL)
         rebuilt = spectrum_from_json(spec.descriptor, 2)
@@ -270,6 +305,21 @@ class TestGkslGenerator:
         lset = jump_operators(HermitianOperator(SZ), [HermitianOperator(SX)])
         spec = BathSpectrum.flat(1.0, 1)
         assert np.all(lamb_shift(lset, spec).entries == 0)
+
+    def test_lamb_shift_of_an_empty_jump_set_is_d_by_d(self):
+        # no couplings, or couplings that vanish, leave no frequencies
+        h = HermitianOperator(SZ)
+        shift = lambda nu: np.eye(1)
+        for couplings, k in (([], 0), ([np.zeros((3, 3))], 1)):
+            lset = jump_operators(h, couplings)
+            assert lset.frequencies == () and lset.blocks.shape == (0, k, 3, 3)
+            for spec in (BathSpectrum.flat(1.0, k),
+                         BathSpectrum(Regime.FULL_THERMAL, shift, k, lamb_coeffs=shift)):
+                out = lamb_shift(lset, spec)
+                assert out.entries.shape == (3, 3) and np.all(out.entries == 0)
+                np.testing.assert_array_equal(
+                    superoperator(h, lset, spec),
+                    -1j * (np.kron(SZ, np.eye(3)) - np.kron(np.eye(3), SZ.T)))
 
     def test_trace_and_hermiticity_invariants(self, rng):
         for _ in range(100):
