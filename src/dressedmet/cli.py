@@ -12,8 +12,10 @@ drivers can repin randomness without editing command lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -134,6 +136,14 @@ def _load_hermitian(path: str) -> HermitianOperator:
     return HermitianOperator(_load_matrix(path))
 
 
+def _write_table(path: str, header: str, cols: np.ndarray) -> None:
+    """CSV of the rows of ``cols``, every value in ``%.11e``, in one format pass."""
+    row = ",".join(["%.11e"] * cols.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write((row * len(cols)) % tuple(cols.ravel().tolist()))
+
+
 def _parse_tgrid(text: str) -> np.ndarray:
     """Grid syntax 'start:stop:N' (linear) or 'start:stop:Nlog' (geometric)."""
     spec = text.strip()
@@ -147,8 +157,8 @@ def _parse_tgrid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad tgrid {text!r}; expected start:stop:N[log]")
-    if count < 2 or stop <= start:
-        raise ValidationError("tgrid needs stop > start and at least 2 points")
+    if count < 2 or not (math.isfinite(start) and math.isfinite(stop) and stop > start):
+        raise ValidationError("tgrid needs finite stop > start and at least 2 points")
     if logspaced:
         if start <= 0:
             raise ValidationError("log tgrid needs start > 0")
@@ -248,9 +258,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     purity = np.trace(traj.states @ traj.states, axis1=-2, axis2=-1).real
     drift = np.abs(np.trace(traj.states, axis1=-2, axis2=-1).real - 1.0)
     cols = np.stack([traj.times, model.coherences(traj.states), purity, drift], axis=1)
-    with open(args.out, "w") as fh:
-        fh.write("t,coherence,purity,trace_drift\n")
-        fh.write(("%.11e,%.11e,%.11e,%.11e\n" * len(cols)) % tuple(cols.ravel().tolist()))
+    _write_table(args.out, "t,coherence,purity,trace_drift", cols)
     _write_sidecar(args.out, _manifest("simulate", args, _resolve_seed(args), t0))
     return EXIT_OK
 
@@ -264,10 +272,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.config is not None:
         cfg = SimConfig.from_json_dict(load_json(args.config))
     records = scaling_sweep(protected, unprotected, tgrid, cfg=cfg)
-    with open(args.out, "w") as fh:
-        fh.write(ScalingRecord.CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+    names = [f.name for f in dataclasses.fields(ScalingRecord)]
+    cols = np.array([[getattr(r, n) for n in names] for r in records])
+    _write_table(args.out, ",".join(names), cols)
     _write_sidecar(args.out, _manifest("sweep", args, _resolve_seed(args), t0))
     return EXIT_OK
 

@@ -536,8 +536,7 @@ def correctable_code(
     report = quadratic_span_condition(g, couplings, tol=tol)
     if not report.verdict:
         return None
-    rho1, rho0, _ = positive_negative_split(report.g_perp, tol=tol)
-    return purify_pair(rho0, rho1, tol=tol)
+    return code_from_optimizer(report.g_perp, tol)
 
 
 def code_from_optimizer(g_tilde: np.ndarray, tol: Tolerances = TOL) -> CodeSpace:

@@ -10,8 +10,8 @@ indices and an optional Hamiltonian-renormalization coefficient matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,16 +40,16 @@ def _regime_mask(regime: Regime, nu: float) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class BathSpectrum:
     """Rate matrix over coupling indices, evaluated per transition frequency.
 
     ``gamma`` maps a frequency to a PSD ``n_couplings x n_couplings`` matrix;
     the regime zeroes out frequencies the bath cannot drive, so callers never
-    need to encode that in the callback.  Evaluations are cached per binned
-    frequency since the generator only ever samples the finitely many realized
-    gaps.  ``lamb_coeffs`` optionally supplies the Hermitian coefficient matrix
-    of the bath-induced Hamiltonian shift; the default is no shift.
+    need to encode that in the callback.  Every evaluation is checked at the
+    caller's tolerances and returns a fresh matrix.  ``lamb_coeffs``
+    optionally supplies the Hermitian coefficient matrix of the bath-induced
+    Hamiltonian shift; the default is no shift.
     """
 
     regime: Regime
@@ -57,12 +57,12 @@ class BathSpectrum:
     n_couplings: int
     lamb_coeffs: Optional[Callable[[float], np.ndarray]] = None
     descriptor: Optional[dict] = None
-    _cache: Dict[float, tuple] = field(default_factory=dict, repr=False)
 
-    def _coefficients(self, what: str, fn: Callable, nu: float) -> Tuple[np.ndarray, float]:
+    def _coefficients(self, what: str, fn: Callable, nu: float, tol: Tolerances) -> np.ndarray:
         """``fn(nu)`` as a finite ``k x k`` matrix, ``(1, 1)`` broadcast to ``gamma I``.
 
-        Returns its Hermitian part and the relative norm of the part dropped.
+        Returns its Hermitian part; an anti-Hermitian part above
+        ``tol.hermiticity`` relative to the norm is an error.
         """
         k = self.n_couplings
         mat = np.atleast_2d(np.asarray(fn(nu), dtype=complex))
@@ -74,35 +74,18 @@ class BathSpectrum:
             raise ValidationError(
                 f"{what} matrix at nu={nu} has shape {mat.shape}, expected ({k}, {k})"
             )
-        skew = frobenius(mat - mat.conj().T) / max(1.0, frobenius(mat))
-        return 0.5 * (mat + mat.conj().T), skew
-
-    @staticmethod
-    def _require_hermitian(what: str, nu: float, skew: float, tol: Tolerances) -> None:
-        if skew > tol.hermiticity:
+        if frobenius(mat - mat.conj().T) / max(1.0, frobenius(mat)) > tol.hermiticity:
             raise ValidationError(f"{what} matrix at nu={nu} is not Hermitian")
+        return 0.5 * (mat + mat.conj().T)
 
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
-        """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``.
-
-        The cache keeps the Hermitian matrix with its smallest eigenvalue, norm
-        and Hermiticity deviation, so every call, cached or not, applies its
-        own ``tol.psd`` and ``tol.hermiticity``.
-        """
+        """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``."""
         nu = float(nu)
-        cached = self._cache.get(nu)
-        if cached is None:
-            k = self.n_couplings
-            if not _regime_mask(self.regime, nu):
-                cached = (np.zeros((k, k)), 0.0, 1.0, 0.0)
-            else:
-                mat, skew = self._coefficients("rate", self.gamma, nu)
-                low = float(np.linalg.eigvalsh(mat).min())
-                cached = (mat, low, max(1.0, frobenius(mat)), skew)
-            self._cache[nu] = cached
-        mat, low, scale, skew = cached
-        self._require_hermitian("rate", nu, skew, tol)
-        if low < -tol.psd * scale:
+        if not _regime_mask(self.regime, nu):
+            return np.zeros((self.n_couplings, self.n_couplings))
+        mat = self._coefficients("rate", self.gamma, nu, tol)
+        low = float(np.linalg.eigvalsh(mat).min())
+        if low < -tol.psd * max(1.0, frobenius(mat)):
             raise ValidationError(f"rate matrix at nu={nu} has negative eigenvalue {low}")
         return mat
 
@@ -110,10 +93,7 @@ class BathSpectrum:
         """Hermitian shift-coefficient matrix at ``nu``, or None if unset."""
         if self.lamb_coeffs is None:
             return None
-        nu = float(nu)
-        mat, skew = self._coefficients("shift", self.lamb_coeffs, nu)
-        self._require_hermitian("shift", nu, skew, tol)
-        return mat
+        return self._coefficients("shift", self.lamb_coeffs, float(nu), tol)
 
     # -- built-in spectral shapes -------------------------------------------
 
@@ -286,6 +266,15 @@ def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> np.ndarray:
     return np.where(gaps >= 0, 1.0, -1.0) * centers[np.searchsorted(mags, np.abs(gaps))] + 0.0
 
 
+def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
+    """Default eigenvalue grouping tolerance for a Hamiltonian of operator norm ``hnorm``.
+
+    ``tol.gap_rel`` times the norm, floored at ``tol.gap_abs`` for the zero
+    Hamiltonian.
+    """
+    return max(tol.gap_rel * hnorm, tol.gap_abs)
+
+
 def jump_operators(
     h: HermitianOperator,
     couplings: Sequence[HermitianOperator],
@@ -294,12 +283,12 @@ def jump_operators(
 ) -> LindbladSet:
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
-    ``gap_tol`` defaults to ``tol.gap_rel`` times the operator norm of ``h``,
-    floored at ``tol.gap_abs`` for the zero Hamiltonian.  The blocks
-    ``P_e A_a P_f`` of every eigenspace pair are summed into their binned
-    frequency ``E_f - E_e``.  Frequencies whose blocks all vanish are
-    dropped; the surviving set satisfies the completeness and
-    adjoint-pairing checks to 1e-10 by construction of the symmetric binning.
+    ``gap_tol`` defaults to :func:`grouping_tolerance` of the operator norm
+    of ``h``.  The blocks ``P_e A_a P_f`` of every eigenspace pair are
+    summed into their binned frequency ``E_f - E_e``.  Frequencies whose
+    blocks all vanish are dropped; the surviving set satisfies the
+    completeness and adjoint-pairing checks to 1e-10 by construction of the
+    symmetric binning.
     """
     dim = h.dim
     mats = [as_matrix(a) for a in couplings]
@@ -309,8 +298,7 @@ def jump_operators(
         if frobenius(a - a.conj().T) > tol.hermiticity * max(1.0, frobenius(a)):
             raise ValidationError("couplings must be Hermitian")
     if gap_tol is None:
-        hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
-        gap_tol = max(tol.gap_rel * hnorm, tol.gap_abs)
+        gap_tol = grouping_tolerance(float(np.abs(np.linalg.eigvalsh(h.entries)).max()), tol)
     groups = eigendecompose_grouped(h, gap_tol)
     energies = np.array([e for e, _ in groups])
     projs = np.array([p for _, p in groups])

@@ -18,7 +18,14 @@ from .codespace import CodeSpace, check_conditions, no_go_search
 from .criteria import linear_span_condition, quadratic_span_condition
 from .errors import ValidationError
 from .lindblad import BathSpectrum
-from .operators import HermitianOperator, StateVector, eigh_fixed, lift, spin_matrices
+from .operators import (
+    HermitianOperator,
+    StateVector,
+    eigh_fixed,
+    first_order_mixing,
+    lift,
+    spin_matrices,
+)
 from .rand import stream
 from .simulate import ProbeModel
 from .tolerances import TOL
@@ -82,14 +89,7 @@ def _first_order_rotation(h0: np.ndarray, v: np.ndarray) -> np.ndarray:
     S mixes eigenspaces of h0 with amplitude <m|v|n>/(E_n - E_m); applying it
     to unperturbed eigenvectors reproduces the exact ones to second order.
     """
-    vals, vecs = eigh_fixed(h0)
-    vb = vecs.conj().T @ v @ vecs
-    s = np.zeros_like(vb)
-    for n in range(len(vals)):
-        for m in range(len(vals)):
-            gap = vals[n] - vals[m]
-            if abs(gap) > 1e-9 * max(1.0, abs(vals).max()):
-                s[m, n] = vb[m, n] / gap
+    _, vecs, s = first_order_mixing(h0, v)
     k = 1j * s
     kvals, kvecs = np.linalg.eigh(0.5 * (k + k.conj().T))
     expo = kvecs @ np.diag(np.exp(-1j * kvals)) @ kvecs.conj().T

@@ -15,6 +15,7 @@ fidelities underflow) are scaled to match it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,11 +27,12 @@ from .lindblad import (
     BathSpectrum,
     LindbladSet,
     commutator_superoperator,
+    grouping_tolerance,
     jump_operators,
     spectrum_from_json,
     superoperator,
 )
-from .operators import HermitianOperator, as_matrix, eigh_fixed
+from .operators import HermitianOperator, as_matrix, eigh_fixed, first_order_mixing
 from .tolerances import TOL, Tolerances
 
 
@@ -39,7 +41,7 @@ class SimConfig:
     """Fixed-step integration parameters.
 
     ``dt`` of None picks 1e-3 over the generator scale at evolve time;
-    ``record_stride`` thins the stored trajectory.
+    ``record_stride``, a whole number, thins the stored trajectory.
     """
 
     t_final: float
@@ -47,22 +49,25 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.t_final <= 0:
-            raise ValidationError("t_final must be positive")
-        if self.dt is not None and (self.dt <= 0 or self.dt > self.t_final):
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValidationError("t_final must be positive and finite")
+        if self.dt is not None and not (math.isfinite(self.dt) and 0 < self.dt <= self.t_final):
             raise ValidationError("dt must satisfy 0 < dt <= t_final")
-        if self.record_stride < 1:
-            raise ValidationError("record_stride must be >= 1")
+        if not (isinstance(self.record_stride, numbers.Integral) and self.record_stride >= 1):
+            raise ValidationError("record_stride must be a whole number >= 1")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimConfig":
         unknown = sorted(set(obj) - {"t_final", "dt", "record_stride"})
         if unknown:
             raise ValidationError(f"unknown simulation config keys: {unknown}")
+        stride = obj.get("record_stride", 1)
+        if isinstance(stride, float) and stride.is_integer():
+            stride = int(stride)
         return cls(
             t_final=float(obj["t_final"]),
             dt=float(obj["dt"]) if obj.get("dt") is not None else None,
-            record_stride=int(obj.get("record_stride", 1)),
+            record_stride=stride,
         )
 
 
@@ -175,10 +180,10 @@ def evolve(
 class ProbeModel:
     """Everything needed to evolve a probe at a given signal offset.
 
-    The jump set is built once per gap tolerance from the offset-free
-    Hamiltonian; the offset enters only through the coherent term, so the
-    dissipative channels stay fixed while the signal is scanned and the
-    generator at offset ``delta`` is ``superoperator(h) + delta * K_g``.
+    The jump set comes from the offset-free Hamiltonian; the offset enters
+    only through the coherent term, so the dissipative channels stay fixed
+    while the signal is scanned and the generator at offset ``delta`` is
+    ``superoperator(h) + delta * K_g``.
     """
 
     h: HermitianOperator
@@ -194,15 +199,8 @@ class ProbeModel:
         return self.h.dim
 
     def jump_set(self, tol: Tolerances = TOL) -> LindbladSet:
-        """Jump operators, built once per model and per tolerance ``jump_operators`` reads."""
-        built = self.__dict__.setdefault("_built", {})
-        gap = self.gap_tol if self.gap_tol is not None else (tol.gap_rel, tol.gap_abs)
-        key = (gap, tol.hermiticity)
-        if key not in built:
-            built[key] = jump_operators(self.h, self.couplings, gap_tol=self.gap_tol, tol=tol)
-        return built[key]
-
-    lset = property(jump_set)
+        """Jump operators of ``h`` at the model's ``gap_tol``, else the one ``tol`` sets."""
+        return jump_operators(self.h, self.couplings, gap_tol=self.gap_tol, tol=tol)
 
     def generators(self, offsets: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
         """Stacked ``superoperator(h) + delta K_g``, ``K_g = -i[g, .]`` row-major."""
@@ -320,15 +318,6 @@ def _default_delta(model: ProbeModel) -> float:
     return 1e-4 / max(gnorm, 1e-12)
 
 
-def _final_states(
-    model: ProbeModel, offsets: Sequence[float], t: float,
-    cfg: Optional[SimConfig], tol: Tolerances,
-) -> np.ndarray:
-    """States at time ``t``, one per offset, from one batched run."""
-    run = SimConfig(t_final=t, dt=cfg.dt if cfg is not None else None)
-    return _grid_states(model, offsets, [t], run, tol)[0]
-
-
 def qfi_numeric(
     model: ProbeModel,
     t: float,
@@ -345,7 +334,7 @@ def qfi_numeric(
     """
     delta = delta if delta is not None else _default_delta(model)
     offsets = (delta, -delta, delta / 2.0, -delta / 2.0)
-    plus, minus, half_plus, half_minus = _final_states(model, offsets, t, cfg, tol)
+    plus, minus, half_plus, half_minus = _grid_states(model, offsets, [t], cfg, tol)[0]
     coarse = (1.0 - fidelity(plus, minus)) / (2.0 * delta) ** 2
     fine = (1.0 - fidelity(half_plus, half_minus)) / delta ** 2
     value = (4.0 * fine - coarse) / 3.0
@@ -366,9 +355,7 @@ def qfi_sld(
     formula; unlike the fidelity route this stays accurate when the states
     are nearly orthogonal or the fidelity deficit underflows.
     """
-    delta = delta if delta is not None else _default_delta(model)
-    center, plus, minus = _final_states(model, (0.0, delta, -delta), t, cfg, tol)
-    return _sld_value(center, (plus - minus) / (2.0 * delta))
+    return _sld_series(model, [t], cfg, delta, tol)[0][0]
 
 
 def _sld_value(rho: np.ndarray, drho: np.ndarray, floor: float = 1e-12) -> float:
@@ -409,13 +396,6 @@ class ScalingRecord:
         if not (0.0 <= self.coherence <= 0.5 + 1e-9):
             raise ValidationError(f"coherence {self.coherence} outside [0, 1/2]")
 
-    CSV_HEADER = "t,qfi_protected,qfi_unprotected,coherence,crlb"
-
-    def csv_row(self) -> str:
-        vals = (self.t, self.qfi_protected, self.qfi_unprotected,
-                self.coherence, self.crlb)
-        return ",".join(f"{v:.11e}" for v in vals)
-
 
 def _grid_states(
     model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
@@ -423,24 +403,40 @@ def _grid_states(
 ) -> np.ndarray:
     """States at every grid time and offset from one continuous batched run.
 
-    Shape ``(len(tgrid), len(offsets), d, d)``.  Each grid interval takes
-    the fewest equal steps no longer than dt; a defaulted dt is the smallest
-    of the offsets' defaults, so every offset takes the same steps.
+    Shape ``(len(tgrid), len(offsets), d, d)``.  Grid times must be
+    positive, finite and nondecreasing; only ``cfg.dt`` is read.  Each grid
+    interval takes the fewest equal steps no longer than dt; a defaulted dt
+    is the smallest of the offsets' defaults, so every offset takes the same
+    steps.
     """
-    gens, lset = model.generators(offsets, tol), model.jump_set(tol)
-    dt = cfg.dt if cfg is not None and cfg.dt is not None else min(
-        _default_dt(model.hamiltonian(d), lset, model.spectrum, tol) for d in offsets)
+    if not (all(0 < t < math.inf for t in tgrid) and all(a <= b for a, b in zip(tgrid, tgrid[1:]))):
+        raise ValidationError("time grid must be positive, finite and nondecreasing")
+    gens = model.generators(offsets, tol)
+    if cfg is not None and cfg.dt is not None:
+        dt = cfg.dt
+    else:
+        lset = model.jump_set(tol)
+        dt = min(_default_dt(model.hamiltonian(d), lset, model.spectrum, tol) for d in offsets)
     _check_stability(gens, dt, tol)
     legs = []
     t_prev = 0.0
     for t in tgrid:
         span = t - t_prev
-        if span < 0:
-            raise ValidationError("time grid must be nondecreasing")
         n = max(1, int(math.ceil(span / dt - 1e-12))) if span > 0 else 0
         legs.append((span / max(n, 1), n))
         t_prev = t
     return _propagate(gens, model.rho0, legs, tol)[0]
+
+
+def _sld_series(
+    model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig],
+    delta: Optional[float], tol: Tolerances,
+) -> Tuple[List[float], np.ndarray]:
+    """Spectral Fisher values at every grid time, from offsets 0 and +-delta
+    integrated together, and the offset-0 states."""
+    d = delta if delta is not None else _default_delta(model)
+    states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
+    return [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states], states[:, 0]
 
 
 def scaling_sweep(
@@ -458,15 +454,8 @@ def scaling_sweep(
     coherence tracks the protected probe's code-basis off-diagonal.
     """
     tgrid = [float(t) for t in tgrid]
-    if any(t <= 0 for t in tgrid):
-        raise ValidationError("sweep times must be positive")
-    per_model = []
-    for model in (protected, unprotected):
-        d = delta if delta is not None else _default_delta(model)
-        states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
-        qfis = [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states]
-        per_model.append((qfis, states[:, 0]))
-    (qp, center_p), (qu, _) = per_model
+    qp, center_p = _sld_series(protected, tgrid, cfg, delta, tol)
+    qu, _ = _sld_series(unprotected, tgrid, cfg, delta, tol)
     return [
         ScalingRecord(
             t=t,
@@ -525,19 +514,12 @@ def perturbation_leakage(
     """
     if delta_omega <= 0:
         raise ValidationError("delta_omega must be positive")
-    vals, vecs = eigh_fixed(h0.entries)
+    vals, vecs, coeff = first_order_mixing(h0.entries, g.entries)
     if gap_tol is None:
-        gap_tol = max(tol.gap_rel * float(np.abs(vals).max()), tol.gap_abs)
+        gap_tol = grouping_tolerance(float(np.abs(vals).max()), tol)
     if len(vals) > 1 and np.diff(vals).min() < gap_tol:
         raise ValidationError("spectrum is degenerate at the grouping tolerance")
-
-    gmat = vecs.conj().T @ g.entries @ vecs
     dim = len(vals)
-    coeff = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim):
-        for m in range(dim):
-            if m != n:
-                coeff[m, n] = gmat[m, n] / (vals[n] - vals[m])
     corrections = tuple(
         float(delta_omega * np.linalg.norm(coeff[:, n])) for n in range(dim)
     )

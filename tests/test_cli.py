@@ -314,6 +314,22 @@ class TestSimulate:
         assert rc == EXIT_NUMERICAL
 
 
+    @pytest.mark.parametrize("cfg", [
+        '{"t_final": Infinity}',
+        '{"t_final": 1.0, "record_stride": Infinity}',
+        '{"t_final": 1.0, "record_stride": 2.7}',
+    ])
+    def test_non_finite_or_fractional_config_is_usage_error(self, capsys, tmp_path, cfg):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg)
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("dressedmet: ")
+
+
 class TestSweep:
     def test_emitted_models_sweep_to_csv(self, capsys, tmp_path):
         mdir = tmp_path / "models"
@@ -349,6 +365,17 @@ class TestSweep:
                              "--unprotected", str(model_path),
                              "--tgrid", "1:2", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", ["nan:2:3", "0.5:inf:3", "nan:2:3log"])
+    def test_non_finite_grid_is_usage_error(self, capsys, tmp_path, grid):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        csv_path = tmp_path / "x.csv"
+        rc = dispatch(["sweep", "--protected", str(model_path), "--unprotected", str(model_path),
+                       "--tgrid", grid, "--out", str(csv_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("dressedmet: ")
+        assert not csv_path.exists()
 
     def test_jobs_flag_is_gone(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"

@@ -176,13 +176,27 @@ class TestBathSpectrum:
             spec.rate(1.0)
 
     def test_each_call_applies_its_own_psd_tolerance(self):
-        # a loose first call must not let the cached matrix past a stricter one
+        # a loose first call must not let the matrix past a stricter one
         slightly_bad = np.diag([1.0, -1e-9])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: slightly_bad, 2)
         np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
         with pytest.raises(ValidationError):
             spec.rate(1.0)
         np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
+
+    def test_writing_into_a_returned_rate_changes_nothing(self):
+        spec = BathSpectrum.flat(0.3, 3, regime=Regime.FULL_THERMAL)
+        h = HermitianOperator(np.diag([0.0, 1.0, 3.0]).astype(complex))
+        lset = jump_operators(h, [HermitianOperator(m) for m in spin_matrices(2)])
+        before = superoperator(h, lset, spec)
+        rate = spec.rate(0.0)
+        rate[:] = -np.eye(3)
+        np.testing.assert_array_equal(spec.rate(0.0), 0.3 * np.eye(3))
+        np.testing.assert_array_equal(superoperator(h, lset, spec), before)
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            dataclasses.replace(spec, gamma=lambda nu: rate).rate(0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.gamma = lambda nu: rate
 
     def test_rejects_shape_mismatch(self):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(3), 2)

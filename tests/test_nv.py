@@ -207,7 +207,7 @@ class TestVerdicts:
 class TestProbeModels:
     def test_dressed_probe_has_no_resonant_channel(self):
         model = protected_model()
-        assert min(abs(nu) for nu in model.lset.frequencies) > 1e-3
+        assert min(abs(nu) for nu in model.jump_set().frequencies) > 1e-3
         assert model.spectrum.descriptor["gamma"]["kind"] == "peak0"
         assert abs(np.trace(model.rho0).real - 1.0) < 1e-12
         assert np.allclose(model.rho0 @ model.rho0, model.rho0)
@@ -227,7 +227,7 @@ class TestProbeModels:
         assert model.dim == 6
         vals = np.linalg.eigvalsh(model.h.entries)
         assert np.allclose(vals, [0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
-        assert model.lset.frequencies == (-5.0, 0.0, 5.0)
+        assert model.jump_set().frequencies == (-5.0, 0.0, 5.0)
 
     def test_undressed_decay(self):
         model = unprotected_model()

@@ -69,7 +69,7 @@ def reference_rk4_run(sop, vec, dt, n_steps):
 
 def reference_evolve(model, delta_omega, cfg):
     """Recorded times and states of the old ``evolve`` at an explicit dt."""
-    sop = superoperator(model.hamiltonian(delta_omega), model.lset, model.spectrum)
+    sop = superoperator(model.hamiltonian(delta_omega), model.jump_set(), model.spectrum)
     n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt - 1e-12)))
     dt = cfg.t_final / n_steps
     dim = model.dim
@@ -85,7 +85,7 @@ def reference_evolve(model, delta_omega, cfg):
 
 
 def reference_grid_states(model, delta_omega, tgrid, dt0):
-    sop = superoperator(model.hamiltonian(delta_omega), model.lset, model.spectrum)
+    sop = superoperator(model.hamiltonian(delta_omega), model.jump_set(), model.spectrum)
     vec = model.rho0.reshape(-1).astype(complex)
     dim = model.dim
     out = []
@@ -190,7 +190,7 @@ def test_generator_is_affine_in_the_offset(dim, n_couplings, seed, delta):
         spectrum=BathSpectrum.flat(0.7, n_couplings, regime=Regime.FULL_THERMAL),
         rho0=random_density(rng, dim),
     )
-    assembled = superoperator(model.hamiltonian(delta), model.lset, model.spectrum)
+    assembled = superoperator(model.hamiltonian(delta), model.jump_set(), model.spectrum)
     affine = model.generators([delta])[0]
     assert np.abs(affine - assembled).max() < 1e-12 * max(1.0, np.abs(assembled).max())
 
@@ -212,11 +212,11 @@ class TestTolerances:
     def test_trace_drift_threshold(self):
         h, model = self.driven_dephasing()
         cfg = SimConfig(t_final=1.0, dt=0.01)
-        traj = evolve(GROUND, h, model.lset, model.spectrum, cfg)
+        traj = evolve(GROUND, h, model.jump_set(), model.spectrum, cfg)
         assert 0.0 < traj.trace_drift < TOL.trace_drift
         strict = Tolerances(trace_drift=traj.trace_drift / 2.0)
         with pytest.raises(NumericalError, match="trace drift"):
-            evolve(GROUND, h, model.lset, model.spectrum, cfg, tol=strict)
+            evolve(GROUND, h, model.jump_set(), model.spectrum, cfg, tol=strict)
         with pytest.raises(NumericalError, match="trace drift"):
             scaling_sweep(model, model, [0.5, 1.0], cfg=cfg, tol=strict)
 
@@ -251,7 +251,7 @@ class TestTolerances:
         assert qfi_sld(model, 0.2) > 0.0
         strict = Tolerances(psd=1e-12)
         with pytest.raises(ValidationError):
-            superoperator(model.h, model.lset, model.spectrum, tol=strict)
+            superoperator(model.h, model.jump_set(), model.spectrum, tol=strict)
         with pytest.raises(ValidationError):
             qfi_sld(model, 0.2, tol=strict)
 
@@ -264,9 +264,8 @@ class TestTolerances:
                            couplings=couplings, spectrum=spectrum, rho0=rho0)
         loose = Tolerances(gap_rel=1e-5)
         lset = jump_operators(h, couplings, tol=loose)
-        assert len(lset.frequencies) == 3 and len(model.lset.frequencies) == 7
+        assert len(lset.frequencies) == 3 and len(model.jump_set().frequencies) == 7
         assert model.jump_set(loose).frequencies == lset.frequencies
-        assert model.jump_set(Tolerances(gap_rel=1e-5)) is model.jump_set(loose)
         np.testing.assert_array_equal(
             model.generators([0.0], tol=loose)[0], superoperator(h, lset, spectrum))
         cfg = SimConfig(t_final=0.2, dt=0.01)
@@ -274,7 +273,7 @@ class TestTolerances:
                                       evolve(rho0, h, lset, spectrum, cfg).states)
         # a model whose fixed gap_tol is the loose tolerance's gap matches throughout
         pinned = dataclasses.replace(model, gap_tol=1e-5 * (1.0 + 1e-6))
-        assert pinned.lset.frequencies == lset.frequencies
+        assert pinned.jump_set().frequencies == lset.frequencies
         assert qfi_sld(model, 0.2, cfg, tol=loose) == qfi_sld(pinned, 0.2, cfg)
         assert qfi_sld(model, 0.2, cfg) != qfi_sld(pinned, 0.2, cfg)
         assert scaling_sweep(model, model, [0.1, 0.2], cfg, tol=loose) == scaling_sweep(
@@ -282,7 +281,7 @@ class TestTolerances:
 
 
 # ---------------------------------------------------------------------------
-# probe-model caching and JSON form
+# probe-model values and JSON form
 # ---------------------------------------------------------------------------
 
 
@@ -290,9 +289,8 @@ class TestProbeModelCaches:
     def test_cached_lset_and_generator(self):
         model = protected_model()
         before = repr(model)
-        assert model.lset is model.lset
         np.testing.assert_array_equal(
-            model.generators([0.0])[0], superoperator(model.h, model.lset, model.spectrum))
+            model.generators([0.0])[0], superoperator(model.h, model.jump_set(), model.spectrum))
         assert repr(model) == before
         assert "lset" not in before and "generator" not in before
 
@@ -310,7 +308,7 @@ class TestProbeModelCaches:
         assert obj["gap_tol"] == 1e-3
         back = ProbeModel.from_json_dict(obj)
         assert back.gap_tol == 1e-3
-        assert back.lset.frequencies == model.lset.frequencies
+        assert back.jump_set().frequencies == model.jump_set().frequencies
 
     def test_unset_gap_tol_stays_unset(self):
         obj = unprotected_model().to_json_dict()

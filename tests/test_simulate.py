@@ -19,12 +19,14 @@ independent route exists):
   route floors tiny populations, scipy keeps their noise).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dressedmet.cli import _write_table
 from dressedmet.codespace import CodeSpace
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
@@ -101,6 +103,14 @@ class TestSimConfig:
     def test_rejects_zero_stride(self):
         with pytest.raises(ValidationError):
             SimConfig(t_final=1.0, record_stride=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_final": math.inf}, {"t_final": math.nan}, {"t_final": 1.0, "dt": math.nan},
+        {"t_final": 1.0, "record_stride": 2.7}, {"t_final": 1.0, "record_stride": math.inf},
+    ])
+    def test_rejects_non_finite_and_fractional_values(self, kwargs):
+        with pytest.raises(ValidationError):
+            SimConfig(**kwargs)
 
     def test_json_round_trip(self):
         cfg = SimConfig.from_json_dict(
@@ -186,7 +196,6 @@ class TestProbeModel:
         model = dephasing_probe()
         shifted = model.hamiltonian(0.25)
         assert np.allclose(shifted.entries, 0.125 * PAULI_Z)
-        assert model.lset is model.lset
 
     def test_dephasing_coherence_decay(self):
         model = dephasing_probe()
@@ -313,6 +322,13 @@ class TestScalingSweep:
         with pytest.raises(ValidationError):
             scaling_sweep(noiseless_probe(), dephasing_probe(), [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValidationError):
+            scaling_sweep(noiseless_probe(), dephasing_probe(), [0.5, bad])
+        with pytest.raises(ValidationError):
+            qfi_sld(dephasing_probe(), bad)
+
     def test_record_validation(self):
         with pytest.raises(ValidationError):
             ScalingRecord(t=1.0, qfi_protected=-1.0, qfi_unprotected=0.0,
@@ -321,13 +337,20 @@ class TestScalingSweep:
             ScalingRecord(t=1.0, qfi_protected=1.0, qfi_unprotected=0.0,
                           coherence=0.7, crlb=1.0)
 
-    def test_csv_format(self):
-        rec = ScalingRecord(t=0.5, qfi_protected=0.0625, qfi_unprotected=0.25,
-                            coherence=0.5, crlb=16.0)
-        assert ScalingRecord.CSV_HEADER == "t,qfi_protected,qfi_unprotected,coherence,crlb"
-        assert rec.csv_row() == (
+    def test_csv_format(self, tmp_path):
+        recs = [ScalingRecord(t=0.5, qfi_protected=0.0625, qfi_unprotected=0.25,
+                              coherence=0.5, crlb=16.0),
+                ScalingRecord(t=1.0, qfi_protected=0.0, qfi_unprotected=0.0,
+                              coherence=0.0, crlb=math.inf)]
+        path = tmp_path / "sweep.csv"
+        header = "t,qfi_protected,qfi_unprotected,coherence,crlb"
+        _write_table(str(path), header, np.array([dataclasses.astuple(r) for r in recs]))
+        assert path.read_text() == (
+            header + "\n"
             "5.00000000000e-01,6.25000000000e-02,2.50000000000e-01,"
-            "5.00000000000e-01,1.60000000000e+01"
+            "5.00000000000e-01,1.60000000000e+01\n"
+            "1.00000000000e+00,0.00000000000e+00,0.00000000000e+00,"
+            "0.00000000000e+00,inf\n"
         )
 
 
