@@ -346,7 +346,6 @@ def qfi_sld(
     model: ProbeModel,
     t: float,
     cfg: Optional[SimConfig] = None,
-    delta: Optional[float] = None,
     tol: Tolerances = TOL,
 ) -> float:
     """Fisher information via the symmetric logarithmic derivative.
@@ -355,7 +354,7 @@ def qfi_sld(
     formula; unlike the fidelity route this stays accurate when the states
     are nearly orthogonal or the fidelity deficit underflows.
     """
-    return _sld_series(model, [t], cfg, delta, tol)[0][0]
+    return _sld_series(model, [t], cfg, tol)[0][0]
 
 
 def _sld_value(rho: np.ndarray, drho: np.ndarray, floor: float = 1e-12) -> float:
@@ -429,12 +428,11 @@ def _grid_states(
 
 
 def _sld_series(
-    model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig],
-    delta: Optional[float], tol: Tolerances,
+    model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
 ) -> Tuple[List[float], np.ndarray]:
-    """Spectral Fisher values at every grid time, from offsets 0 and +-delta
-    integrated together, and the offset-0 states."""
-    d = delta if delta is not None else _default_delta(model)
+    """Spectral Fisher values at every grid time, from offsets 0 and +-d
+    (``_default_delta``) integrated together, and the offset-0 states."""
+    d = _default_delta(model)
     states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
     return [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states], states[:, 0]
 
@@ -444,18 +442,17 @@ def scaling_sweep(
     unprotected: ProbeModel,
     tgrid: Sequence[float],
     cfg: Optional[SimConfig] = None,
-    delta: Optional[float] = None,
     tol: Tolerances = TOL,
 ) -> List[ScalingRecord]:
     """Fisher information of both probes across a common time grid.
 
-    Each probe integrates its three offsets (0 and +-delta) together once
+    Each probe integrates its three offsets (0 and +-d) together once
     across the whole grid; per-time Fisher values use the spectral estimator,
     coherence tracks the protected probe's code-basis off-diagonal.
     """
     tgrid = [float(t) for t in tgrid]
-    qp, center_p = _sld_series(protected, tgrid, cfg, delta, tol)
-    qu, _ = _sld_series(unprotected, tgrid, cfg, delta, tol)
+    qp, center_p = _sld_series(protected, tgrid, cfg, tol)
+    qu, _ = _sld_series(unprotected, tgrid, cfg, tol)
     return [
         ScalingRecord(
             t=t,

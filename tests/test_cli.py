@@ -33,8 +33,6 @@ from dressedmet.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunManifest,
-    _emit_json,
     _parse_tgrid,
     dispatch,
 )
@@ -259,24 +257,98 @@ class TestManifest:
         for key in ("command", "config_hash", "seed", "tool_version"):
             assert m1[key] == m2[key]
 
-    def test_hash_tracks_file_content_not_path(self, capsys, ops, tmp_path):
-        argv = ["check", "--criterion", "thm1", "--generator", ops["szsq"],
-                "--couplings", ops["sz"], "--out", str(tmp_path / "r.json")]
-        run(capsys, argv)
-        h1 = json.loads((tmp_path / "r.json.manifest.json").read_text())["config_hash"]
-        dump_json(operator_to_json(2.0 * SZ @ SZ), ops["szsq"])
-        run(capsys, argv)
-        h2 = json.loads((tmp_path / "r.json.manifest.json").read_text())["config_hash"]
-        assert h1 != h2
+    @staticmethod
+    def input_files(capsys, ops, tmp_path):
+        """Valid inputs for every file-valued argument of every subcommand."""
+        files = {"g": ops["szsq"], "sz": ops["sz"]}
+        for name, model in (("protected", protected_model()),
+                            ("unprotected", unprotected_model())):
+            files[name] = str(tmp_path / f"{name}.json")
+            dump_json(model.to_json_dict(), files[name])
+        files["cfg"] = str(tmp_path / "cfg.json")
+        dump_json({"t_final": 0.2, "dt": 0.01}, files["cfg"])
+        files["sol"] = str(tmp_path / "sol.json")
+        files["code"] = str(tmp_path / "code.json")
+        assert run(capsys, ["optimize", "--generator", files["g"], "--couplings", files["sz"],
+                            "--out", files["sol"]])[0] == EXIT_OK
+        assert run(capsys, ["build-code", "--from-sdp", files["sol"],
+                            "--out", files["code"]])[0] == EXIT_OK
+        return files
 
-    def test_non_finite_payload_writes_nothing(self, capsys, tmp_path):
-        # JSON has no infinity; the payload is refused before any output
-        manifest = RunManifest("check", "0" * 16, 0, dressedmet.__version__, 0.0)
-        for out in (str(tmp_path / "r.json"), None):
-            with pytest.raises(ValidationError):
-                _emit_json({"value": math.inf}, out, manifest)
-        assert not list(tmp_path.iterdir())
-        assert capsys.readouterr().out == ""
+    # (argv with {file} placeholders, the input whose bytes change); one
+    # case per input-path argument of every subcommand
+    HASH_CASES = [
+        (["check", "--criterion", "thm1", "--generator", "{g}", "--couplings", "{sz}"], "g"),
+        (["check", "--criterion", "thm1", "--generator", "{g}", "--couplings", "{sz}"], "sz"),
+        (["optimize", "--generator", "{g}", "--couplings", "{sz}"], "g"),
+        (["optimize", "--generator", "{g}", "--couplings", "{sz}"], "sz"),
+        (["build-code", "--from-sdp", "{sol}"], "sol"),
+        (["verify", "--code", "{code}", "--couplings", "{sz}", "--generator", "{g}"], "code"),
+        (["verify", "--code", "{code}", "--couplings", "{sz}", "--generator", "{g}"], "sz"),
+        (["verify", "--code", "{code}", "--couplings", "{sz}", "--generator", "{g}"], "g"),
+        (["no-go", "--couplings", "{sz}", "--restarts", "2"], "sz"),
+        (["simulate", "--model", "{unprotected}", "--config", "{cfg}"], "unprotected"),
+        (["simulate", "--model", "{unprotected}", "--config", "{cfg}"], "cfg"),
+        (["sweep", "--protected", "{protected}", "--unprotected", "{unprotected}",
+          "--tgrid", "0.1:0.2:2", "--config", "{cfg}"], "protected"),
+        (["sweep", "--protected", "{protected}", "--unprotected", "{unprotected}",
+          "--tgrid", "0.1:0.2:2", "--config", "{cfg}"], "unprotected"),
+        (["sweep", "--protected", "{protected}", "--unprotected", "{unprotected}",
+          "--tgrid", "0.1:0.2:2", "--config", "{cfg}"], "cfg"),
+    ]
+
+    def test_hash_tracks_file_content_not_path(self, capsys, ops, tmp_path):
+        files = self.input_files(capsys, ops, tmp_path)
+        for i, (template, changed) in enumerate(self.HASH_CASES):
+            argv = [a.format(**files) for a in template]
+
+            def config_hash(out_name):
+                out = tmp_path / out_name
+                rc, _ = run(capsys, argv + ["--out", str(out)])
+                assert rc == EXIT_OK, argv
+                return json.loads(Path(f"{out}.manifest.json").read_text())["config_hash"]
+
+            h1 = config_hash("r1.out")
+            # the same document in new bytes (an indent no earlier case used) at the same path
+            path = Path(files[changed])
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=i + 3))
+            h2 = config_hash("r1.out")
+            assert h1 != h2, (template[0], changed)
+            assert config_hash("r2.out") == h2, (template[0], changed)
+
+    def test_hash_matches_the_pinned_value(self, capsys, ops):
+        rc, out = run(capsys, ["check", "--criterion", "thm1", "--generator", ops["szsq"],
+                               "--couplings", ops["sz"]])
+        assert rc == EXIT_OK
+        assert json.loads(out)["manifest"]["config_hash"] == (
+            "d6f1f227d9e3ca26458e214e786fa88ede936c805cf906030ce5f88c6c9f247c")
+
+    def test_non_finite_payload_writes_nothing(self, capsys, ops, tmp_path):
+        # JSON has no NaN; the payload is refused before any output
+        argv = ["no-go", "--couplings", ops["sz"], "--restarts", "2", "--feasible-tol", "nan"]
+        out = tmp_path / "r.json"
+        for extra in ([], ["--out", str(out)]):
+            rc, stdout = run(capsys, argv + extra)
+            assert rc == EXIT_USAGE
+            assert stdout == ""
+        assert not out.exists()
+        assert not (tmp_path / "r.json.manifest.json").exists()
+
+    def test_failed_run_writes_no_emitted_model(self, capsys, tmp_path):
+        # the models are ready before the table fails, but nothing is written
+        mdir = tmp_path / "models"
+        rc, out = run(capsys, ["nv-demo", "--emit-models", str(mdir), "--table",
+                               "--restarts", "0"])
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert not list(mdir.glob("*"))
+
+    def test_sidecars_of_one_run_share_one_manifest(self, capsys, tmp_path):
+        mdir = tmp_path / "models"
+        assert run(capsys, ["nv-demo", "--emit-models", str(mdir)])[0] == EXIT_OK
+        sidecars = [(mdir / f"{name}_model.json.manifest.json").read_text()
+                    for name in ("protected", "unprotected")]
+        assert sidecars[0] == sidecars[1]
 
 
 class TestSimulate:

@@ -246,7 +246,7 @@ class TestTolerances:
         for cfg in (None, SimConfig(t_final=0.2, dt=0.01)):
             assert qfi_numeric(model, 0.2, cfg=cfg, tol=loose).value > 0.0
 
-    def test_strict_psd_tolerance_rejects_a_cached_generator(self):
+    def test_strict_psd_tolerance_rejects_the_generator(self):
         model = self.slightly_indefinite(-5e-11)
         assert qfi_sld(model, 0.2) > 0.0
         strict = Tolerances(psd=1e-12)
@@ -285,8 +285,8 @@ class TestTolerances:
 # ---------------------------------------------------------------------------
 
 
-class TestProbeModelCaches:
-    def test_cached_lset_and_generator(self):
+class TestProbeModelValues:
+    def test_generator_assembles_from_the_jump_set(self):
         model = protected_model()
         before = repr(model)
         np.testing.assert_array_equal(
@@ -294,7 +294,7 @@ class TestProbeModelCaches:
         assert repr(model) == before
         assert "lset" not in before and "generator" not in before
 
-    def test_equality_ignores_caches(self):
+    def test_equality_is_field_equality(self):
         model = protected_model()
         twin = dataclasses.replace(model)
         model.generators([0.0])

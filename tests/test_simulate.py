@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dressedmet.cli import _write_table
+from dressedmet.cli import _csv_text
 from dressedmet.codespace import CodeSpace
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
@@ -337,15 +337,13 @@ class TestScalingSweep:
             ScalingRecord(t=1.0, qfi_protected=1.0, qfi_unprotected=0.0,
                           coherence=0.7, crlb=1.0)
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self):
         recs = [ScalingRecord(t=0.5, qfi_protected=0.0625, qfi_unprotected=0.25,
                               coherence=0.5, crlb=16.0),
                 ScalingRecord(t=1.0, qfi_protected=0.0, qfi_unprotected=0.0,
                               coherence=0.0, crlb=math.inf)]
-        path = tmp_path / "sweep.csv"
         header = "t,qfi_protected,qfi_unprotected,coherence,crlb"
-        _write_table(str(path), header, np.array([dataclasses.astuple(r) for r in recs]))
-        assert path.read_text() == (
+        assert _csv_text(header, np.array([dataclasses.astuple(r) for r in recs])) == (
             header + "\n"
             "5.00000000000e-01,6.25000000000e-02,2.50000000000e-01,"
             "5.00000000000e-01,1.60000000000e+01\n"

@@ -43,7 +43,8 @@ def test_traced_name_resolves(module, attr, span):
 
 
 def traced_commands(tmp_path):
-    """Tiny CLI runs that reach every function with a result-reading hook."""
+    """Tiny CLI runs that reach every function with a result-reading hook and
+    every name the tracer wraps on ``cli``."""
     sx, sy, sz = spin_matrices(2)
     files = {}
     for name, m in (("g", sz @ sz), ("sx", sx), ("sy", sy), ("sz", sz)):
@@ -55,8 +56,12 @@ def traced_commands(tmp_path):
     files["cfg"] = str(tmp_path / "cfg.json")
     (tmp_path / "cfg.json").write_text(json.dumps({"t_final": 1.0, "dt": 0.01}))
     return [
+        ["check", "--criterion", "thm1", "--generator", files["g"], "--couplings", files["sz"]],
         ["optimize", "--generator", files["g"], "--couplings", files["sz"],
          "--out", str(tmp_path / "sol.json")],
+        ["build-code", "--from-sdp", str(tmp_path / "sol.json"),
+         "--out", str(tmp_path / "code.json")],
+        ["verify", "--code", str(tmp_path / "code.json"), "--couplings", files["sz"]],
         ["no-go", "--couplings", files["sx"], files["sy"], files["sz"], "--restarts", "2",
          "--out", str(tmp_path / "no-go.json")],
         ["simulate", "--model", files["unprotected"], "--config", files["cfg"],
@@ -66,8 +71,8 @@ def traced_commands(tmp_path):
     ]
 
 
-def test_result_hooks_read_finite_numbers(tmp_path, capsys):
-    tracing = load_tracing()
+def traced_run(tracing, tmp_path):
+    """Spans of the traced commands, run under the wrappers of ``tracing.PATCHES``."""
     for module in {m for m, _, _ in tracing.PATCHES}:
         importlib.import_module(f"dressedmet.{module}")
     spans = []
@@ -77,7 +82,23 @@ def test_result_hooks_read_finite_numbers(tmp_path, capsys):
         codes = [dressedmet.cli.dispatch(argv) for argv in traced_commands(tmp_path)]
     finally:
         tracer.remove()
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(codes)
+    return spans
+
+
+def test_every_cli_patch_records_a_span(tmp_path, capsys):
+    # with only the cli wrappers installed, a span of a name can come only
+    # from the cli lookup; a reference captured at import would record none
+    tracing = load_tracing()
+    tracing.PATCHES = [p for p in tracing.PATCHES if p[0] == "cli"]
+    names = {span.name for span in traced_run(tracing, tmp_path)}
+    for _, attr, span in tracing.PATCHES:
+        assert span in names, f"cli.{attr} recorded no {span} span"
+
+
+def test_result_hooks_read_finite_numbers(tmp_path, capsys):
+    tracing = load_tracing()
+    spans = traced_run(tracing, tmp_path)
 
     attrs = defaultdict(list)
     for span in spans:
