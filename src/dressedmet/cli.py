@@ -29,7 +29,7 @@ from . import __version__
 from .codespace import CodeSpace, check_conditions, code_from_optimizer, no_go_search
 from .criteria import condition_by_name
 from .errors import NumericalError, ValidationError
-from .jsonio import json_text, load_json, operator_from_json
+from .jsonio import hermitian_from_json, json_text, load_json, operator_from_json
 from .operators import HermitianOperator
 from .sdp import SdpProblem, solve_primal
 from .simulate import ProbeModel, ScalingRecord, SimConfig, scaling_sweep
@@ -111,7 +111,7 @@ def _write_outputs(outputs: Outputs, manifest: dict) -> None:
 
 
 def _load_hermitian(path: str) -> HermitianOperator:
-    return HermitianOperator(operator_from_json(load_json(path)))
+    return hermitian_from_json(load_json(path))
 
 
 def _csv_text(header: str, cols: np.ndarray) -> str:
@@ -170,7 +170,7 @@ def _cmd_build_code(args: argparse.Namespace, seed: int) -> Result:
     doc = load_json(args.from_sdp)
     if "g_tilde" not in doc:
         raise ValidationError("solution JSON lacks a 'g_tilde' field")
-    code = code_from_optimizer(HermitianOperator(operator_from_json(doc["g_tilde"])))
+    code = code_from_optimizer(hermitian_from_json(doc["g_tilde"]))
     return EXIT_OK, [(args.out, code.to_json_dict())]
 
 
@@ -180,7 +180,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> Result:
     g = (_load_hermitian(args.generator) if args.generator is not None
          else HermitianOperator(np.zeros((code.sys_dim, code.sys_dim))))
     report = check_conditions(code, g, couplings)
-    payload = report.to_json_dict()
+    payload = dataclasses.asdict(report)
     if args.generator is None:
         payload["signal"] = None
     payload["kl_ok"] = bool(report.kl_violation <= TOL.kl)
@@ -242,14 +242,14 @@ def _cmd_nv_demo(args: argparse.Namespace, seed: int) -> Result:
         if args.table and args.out is None:
             doc: Document = table.to_markdown()
         elif args.table:
-            doc = {**table.to_json_dict(), "markdown": table.to_markdown()}
+            doc = {**dataclasses.asdict(table), "markdown": table.to_markdown()}
         else:
             picks = {
                 ("dephasing", False): 0, ("dephasing", True): 0,
                 ("relaxation", False): 1, ("relaxation", True): 2,
                 ("thermal", False): 3, ("thermal", True): 3,
             }
-            doc = table.cells[picks[(args.regime, args.ancilla)]].to_json_dict()
+            doc = dataclasses.asdict(table.cells[picks[(args.regime, args.ancilla)]])
         outputs.append((args.out, doc))
     return EXIT_OK, outputs
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .criteria import error_set, quadratic_span_condition
 from .errors import NumericalError, ValidationError
+from .jsonio import check_keys, positive_whole, state_from_json, state_to_json
 from .lindblad import LindbladSet, jump_operators
 from .operators import (
     HermitianOperator,
@@ -67,8 +68,6 @@ class CodeSpace:
         return v @ v.conj().T
 
     def to_json_dict(self) -> dict:
-        from .jsonio import state_to_json
-
         return {
             "psi0": state_to_json(self.psi0),
             "psi1": state_to_json(self.psi1),
@@ -78,13 +77,11 @@ class CodeSpace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CodeSpace":
-        from .jsonio import state_from_json
-
+        check_keys(obj, "code", ("psi0", "psi1", "sys_dim", "anc_dim"))
         return cls(
-            state_from_json(obj["psi0"]),
-            state_from_json(obj["psi1"]),
-            int(obj["sys_dim"]),
-            int(obj["anc_dim"]),
+            *(state_from_json(obj[k]) for k in ("psi0", "psi1")),
+            positive_whole(obj["sys_dim"], "code sys_dim"),
+            positive_whole(obj["anc_dim"], "code anc_dim"),
         )
 
 
@@ -102,15 +99,6 @@ class ConditionReport:
     excitation_violation: Optional[float]
     kl_violation: float
     signal: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dephasing_violation": self.dephasing_violation,
-            "relaxation_violation": self.relaxation_violation,
-            "excitation_violation": self.excitation_violation,
-            "kl_violation": self.kl_violation,
-            "signal": self.signal,
-        }
 
 
 class EffectiveGenerator(NamedTuple):
@@ -493,8 +481,12 @@ def code_search(
     difference of 1e-9, and the smaller penalty breaks the remaining ties,
     so signals that agree to rounding never decide the pick.
     """
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
     gmat = as_matrix(g)
     mats = [as_matrix(a) for a in couplings]
+    if any(m.shape != (dim, dim) for m in (gmat, *mats)):
+        raise ValidationError("generator or coupling dimension mismatch with dim")
     fn = _quadratic_search_terms(gmat, mats, signal_weight)
     penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None

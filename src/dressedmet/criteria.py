@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
+from .jsonio import operator_to_json
 from .operators import (
     ScalarField,
     as_matrix,
@@ -71,8 +72,6 @@ class CriterionReport:
     tolerance: float
 
     def to_json_dict(self) -> dict:
-        from .jsonio import operator_to_json
-
         return {
             "criterion": self.criterion.value,
             "verdict": self.verdict,

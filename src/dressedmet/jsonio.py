@@ -1,67 +1,86 @@
-"""JSON (de)serialization for operators and states.
+"""The JSON wire format: array codecs, the key rule, and JSON text.
 
-Wire format for a d x d operator:
+A d x d operator travels as
 
     {"dim": d, "re": [[...], ...], "im": [[...], ...]}
 
-with row-major real/imaginary parts.  State vectors use the same layout with
-flat lists.  ``im`` may be omitted for real data.
+with row-major real/imaginary parts; a state vector uses the same layout with
+flat lists.  ``dim`` is a whole number and ``im`` may be omitted for real
+data.  Every document reader names its keys through :func:`check_keys`: a
+missing required key or a key it does not know is an error.
 """
 from __future__ import annotations
 
 import json
-from typing import Any
+import numbers
+from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import StateVector, as_matrix, as_vector
+from .operators import HermitianOperator, StateVector, as_matrix, as_vector
+
+
+def check_keys(obj: Any, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Require ``obj`` to be a dict holding every ``required`` key and no key outside both lists."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} JSON must be an object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValidationError(f"missing {what} keys: {missing}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {unknown}")
+
+
+def positive_whole(value: Any, what: str) -> int:
+    """``value`` as an int >= 1; ``4.0`` counts as 4, but ``4.5``, ``"4"`` and ``true`` do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{what} must be a whole number >= 1")
+    return int(value)
+
+
+def _array_to_json(arr: np.ndarray) -> dict:
+    return {"dim": int(arr.shape[0]), "re": arr.real.tolist(), "im": arr.imag.tolist()}
+
+
+def _array_from_json(data: Any, what: str, ndim: int) -> np.ndarray:
+    """The complex ``dim``-sided array of ``ndim`` axes that ``data`` encodes."""
+    check_keys(data, what, ("dim", "re"), ("im",))
+    shape = (positive_whole(data["dim"], f"{what} dim"),) * ndim
+    re = np.asarray(data["re"], dtype=float)
+    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    if re.shape != shape or im.shape != shape:
+        raise ValidationError(
+            f"{what} JSON shape mismatch: dim={shape[0]}, re{re.shape}, im{im.shape}"
+        )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError(f"{what} JSON has non-finite entries")
+    arr = re.astype(complex)
+    arr.imag = im  # set, not added, so a -0.0 keeps its sign
+    return arr
 
 
 def operator_to_json(op) -> dict:
-    m = as_matrix(op)
-    return {
-        "dim": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+    return _array_to_json(as_matrix(op))
 
 
 def operator_from_json(data: dict) -> np.ndarray:
-    if not isinstance(data, dict) or "dim" not in data or "re" not in data:
-        raise ValidationError("operator JSON must carry 'dim' and 're' fields")
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValidationError(
-            f"operator JSON shape mismatch: dim={dim}, re{re.shape}, im{im.shape}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValidationError("operator JSON has non-finite entries")
-    return re + 1j * im
+    return _array_from_json(data, "operator", 2)
+
+
+def hermitian_from_json(data: dict) -> HermitianOperator:
+    return HermitianOperator(operator_from_json(data))
 
 
 def state_to_json(state) -> dict:
-    v = as_vector(state)
-    return {
-        "dim": int(v.shape[0]),
-        "re": v.real.tolist(),
-        "im": v.imag.tolist(),
-    }
+    return _array_to_json(as_vector(state))
 
 
 def state_from_json(data: dict) -> StateVector:
-    if not isinstance(data, dict) or "dim" not in data or "re" not in data:
-        raise ValidationError("state JSON must carry 'dim' and 're' fields")
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float).reshape(-1)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ValidationError("state JSON shape mismatch")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValidationError("state JSON has non-finite entries")
-    return StateVector(re + 1j * im)
+    return StateVector(_array_from_json(data, "state", 1))
 
 
 def load_json(path) -> Any:

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .jsonio import check_keys
 from .operators import HermitianOperator, as_matrix, frobenius
 from .tolerances import TOL, Tolerances
 
@@ -137,43 +138,39 @@ class BathSpectrum:
         return cls(regime, gamma, n_couplings, descriptor=desc)
 
     @classmethod
-    def peak0(cls, rate: float, n_couplings: int) -> "BathSpectrum":
-        """Rate concentrated at nu = 0: pure dephasing."""
+    def peak0(
+        cls,
+        rate: float,
+        n_couplings: int,
+        regime: Regime = Regime.DEPHASING_ONLY,
+    ) -> "BathSpectrum":
+        """Rate concentrated at nu = 0: pure dephasing in every regime."""
         g = float(rate)
 
         def gamma(nu: float) -> np.ndarray:
             return (g if nu == 0 else 0.0) * np.eye(n_couplings)
 
-        desc = {
-            "regime": Regime.DEPHASING_ONLY.value,
-            "gamma": {"kind": "peak0", "rate": g},
-        }
-        return cls(Regime.DEPHASING_ONLY, gamma, n_couplings, descriptor=desc)
-
-
-_SHAPE_BUILDERS = {
-    "flat": lambda params, k, regime: BathSpectrum.flat(
-        params["rate"], k, regime=regime
-    ),
-    "ohmic": lambda params, k, regime: BathSpectrum.ohmic(
-        params["rate"], params["cutoff"], k, regime=regime
-    ),
-    "peak0": lambda params, k, regime: BathSpectrum.peak0(params["rate"], k),
-}
-
-_REGIMES = {r.value: r for r in Regime}
+        desc = {"regime": regime.value, "gamma": {"kind": "peak0", "rate": g}}
+        return cls(regime, gamma, n_couplings, descriptor=desc)
 
 
 def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
-    """Build a spectrum from ``{"regime": ..., "gamma": {"kind": ..., ...}}``."""
+    """Build a spectrum from its descriptor ``{"regime": ..., "gamma": {"kind": ..., ...}}``.
+
+    ``kind`` names the built-in shape (``flat``, ``ohmic`` or ``peak0``) and the
+    other ``gamma`` keys are that shape's keyword arguments.
+    """
+    check_keys(obj, "spectrum", ("regime", "gamma"))
+    gamma = obj["gamma"]
+    if not isinstance(gamma, dict) or gamma.get("kind") not in ("flat", "ohmic", "peak0"):
+        raise ValidationError("spectrum gamma needs a kind: flat, ohmic or peak0")
+    kind = gamma["kind"]
+    params = {k: v for k, v in gamma.items() if k != "kind"}
     try:
-        regime = _REGIMES[obj["regime"]]
-        gamma_cfg = dict(obj["gamma"])
-        kind = gamma_cfg.pop("kind")
-        builder = _SHAPE_BUILDERS[kind]
-    except KeyError as exc:
-        raise ValidationError(f"bad spectrum config: missing or unknown {exc}")
-    return builder(gamma_cfg, n_couplings, regime)
+        regime = Regime(obj["regime"])
+        return getattr(BathSpectrum, kind)(n_couplings=n_couplings, regime=regime, **params)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad spectrum: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codespace import CodeSpace, check_conditions, no_go_search
+from .codespace import CodeSpace, check_conditions, no_go_search, two_level_dressing
 from .criteria import linear_span_condition, quadratic_span_condition
 from .errors import ValidationError
 from .lindblad import BathSpectrum
@@ -187,8 +187,6 @@ def protected_model(
         h = nv_dressed_hamiltonian(ratio=ratio)
         spectrum = BathSpectrum.peak0(gamma, len(couplings))
     else:
-        from .codespace import two_level_dressing
-
         code = nv_ancilla_code()
         couplings = tuple(HermitianOperator(lift(c.entries, 2)) for c in couplings)
         g = HermitianOperator(lift(g.entries, 2))
@@ -236,21 +234,10 @@ class VerdictCell:
     achievable: bool
     witness: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "ancilla": self.ancilla,
-            "achievable": self.achievable,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
 class VerdictTable:
     cells: Tuple[VerdictCell, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"cells": [c.to_json_dict() for c in self.cells]}
 
     def to_markdown(self) -> str:
         lines = [

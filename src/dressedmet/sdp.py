@@ -38,6 +38,7 @@ import numpy as np
 
 from .criteria import linear_span_condition
 from .errors import NumericalError, ValidationError
+from .jsonio import operator_to_json
 from .operators import HermitianOperator, as_matrix, dagger, positive_negative_split
 from .tolerances import TOL, Tolerances
 
@@ -127,8 +128,6 @@ class SdpSolution:
     certified: bool
 
     def to_json_dict(self) -> dict:
-        from .jsonio import operator_to_json
-
         return {
             "primal_value": self.primal_value,
             "g_tilde": operator_to_json(self.g_tilde),

@@ -23,6 +23,9 @@ import numpy as np
 
 from .codespace import CodeSpace, effective_generator
 from .errors import NumericalError, ValidationError
+from .jsonio import (
+    check_keys, hermitian_from_json, operator_from_json, operator_to_json, positive_whole,
+)
 from .lindblad import (
     BathSpectrum,
     LindbladSet,
@@ -58,16 +61,11 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimConfig":
-        unknown = sorted(set(obj) - {"t_final", "dt", "record_stride"})
-        if unknown:
-            raise ValidationError(f"unknown simulation config keys: {unknown}")
-        stride = obj.get("record_stride", 1)
-        if isinstance(stride, float) and stride.is_integer():
-            stride = int(stride)
+        check_keys(obj, "simulation config", ("t_final",), ("dt", "record_stride"))
         return cls(
             t_final=float(obj["t_final"]),
             dt=float(obj["dt"]) if obj.get("dt") is not None else None,
-            record_stride=stride,
+            record_stride=positive_whole(obj.get("record_stride", 1), "record_stride"),
         )
 
 
@@ -128,6 +126,8 @@ def _propagate(
     rho0 = as_matrix(rho0)
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ValidationError("initial state must have unit trace")
+    if np.abs(rho0 - rho0.conj().T).max() > tol.hermiticity:
+        raise ValidationError("initial state must be Hermitian")
     _check_states(rho0[None, None], tol)
     dim = rho0.shape[0]
     trace_row = np.eye(dim).reshape(-1)
@@ -230,8 +230,6 @@ class ProbeModel:
         return float(self.coherences(np.asarray(rho)[None])[0])
 
     def to_json_dict(self) -> dict:
-        from .jsonio import operator_to_json
-
         if self.spectrum.descriptor is None:
             raise ValidationError(
                 "custom bath spectra have no JSON form; use a built-in shape"
@@ -251,27 +249,15 @@ class ProbeModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProbeModel":
-        from .jsonio import operator_from_json, state_from_json
-
-        couplings = tuple(
-            HermitianOperator(operator_from_json(a)) for a in obj["couplings"]
-        )
-        spectrum = spectrum_from_json(obj["spectrum"], len(couplings))
-        if "rho0" in obj:
-            rho0 = operator_from_json(obj["rho0"])
-        else:
-            psi = state_from_json(obj["psi0"]).amplitudes
-            rho0 = np.outer(psi, psi.conj())
-        code = (
-            CodeSpace.from_json_dict(obj["code"]) if obj.get("code") is not None else None
-        )
+        check_keys(obj, "model", ("h", "g", "couplings", "spectrum", "rho0"), ("code", "gap_tol"))
+        couplings = tuple(hermitian_from_json(a) for a in obj["couplings"])
         return cls(
-            h=HermitianOperator(operator_from_json(obj["h"])),
-            g=HermitianOperator(operator_from_json(obj["g"])),
+            h=hermitian_from_json(obj["h"]),
+            g=hermitian_from_json(obj["g"]),
             couplings=couplings,
-            spectrum=spectrum,
-            rho0=rho0,
-            code=code,
+            spectrum=spectrum_from_json(obj["spectrum"], len(couplings)),
+            rho0=operator_from_json(obj["rho0"]),
+            code=CodeSpace.from_json_dict(obj["code"]) if obj.get("code") is not None else None,
             gap_tol=float(obj["gap_tol"]) if obj.get("gap_tol") is not None else None,
         )
 

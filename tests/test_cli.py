@@ -385,6 +385,22 @@ class TestSimulate:
                              "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_NUMERICAL
 
+    def test_non_hermitian_state_is_usage_error(self, capsys, tmp_path):
+        # unit trace and a positive Hermitian part, but coherence 0.8 > 1/2
+        rho0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho0[0, 1] = 0.8
+        doc = unprotected_model().to_json_dict()
+        doc["rho0"] = operator_to_json(rho0)
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"t_final": 0.5, "dt": 0.01}))
+        csv_path = tmp_path / "x.csv"
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(csv_path)])
+        assert rc == EXIT_USAGE
+        assert "Hermitian" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
 
     @pytest.mark.parametrize("cfg", [
         '{"t_final": Infinity}',

@@ -15,6 +15,8 @@ Frozen oracle values (hand derivation, verified by direct arithmetic):
   with signal 1.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,14 +196,14 @@ class TestCheckConditions:
 
     def test_report_json_fields(self):
         rep = check_conditions(dressed_pair_code(), SZSQ, [SZ])
-        obj = rep.to_json_dict()
-        assert set(obj) == {
+        obj = dataclasses.asdict(rep)
+        assert list(obj) == [
             "dephasing_violation",
             "relaxation_violation",
             "excitation_violation",
             "kl_violation",
             "signal",
-        }
+        ]
 
 
 class TestEffectiveGenerator:
@@ -339,6 +341,14 @@ class TestCodeSearch:
         res = code_search(SZSQ, [SZ], 3, restarts=8, seed=5)
         assert res.kl_penalty == pytest.approx(0.5, abs=1e-6)
         assert abs(res.signal) == pytest.approx(1.0, abs=1e-6)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError, match="restarts"):
+            code_search(SZSQ, [SZ], 3, restarts=0)
+        with pytest.raises(ValidationError, match="dimension"):
+            code_search(SZSQ, [SZ], 4, restarts=1)
+        with pytest.raises(ValidationError, match="dimension"):
+            code_search(SZSQ, [PAULI_Z], 3, restarts=1)
 
 
 class TestCorrectableCode:

@@ -1,0 +1,140 @@
+"""The JSON wire format: exact round trips and one key rule for every document.
+
+Every document kind the package writes (operator, state, code, bath spectrum,
+probe model) must read back into a value that writes the same text.  Every
+reader rejects a missing key and a key it does not know, naming it, and
+reads dimensions only from whole numbers.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dressedmet.codespace import CodeSpace
+from dressedmet.errors import ValidationError
+from dressedmet.jsonio import (
+    json_text,
+    operator_from_json,
+    operator_to_json,
+    state_from_json,
+    state_to_json,
+)
+from dressedmet.lindblad import BathSpectrum, Regime, spectrum_from_json
+from dressedmet.nv import nv_ancilla_code, nv_bare_code, protected_model, unprotected_model
+from dressedmet.simulate import ProbeModel
+
+from conftest import random_state
+
+SPECTRA = {
+    "flat": lambda regime: BathSpectrum.flat(0.7, 2, regime=regime),
+    "ohmic": lambda regime: BathSpectrum.ohmic(1.1, 3.0, 2, regime=regime),
+    "peak0": lambda regime: BathSpectrum.peak0(0.5, 2, regime=regime),
+}
+
+MODELS = {
+    "bare": protected_model,
+    "ancilla": lambda: protected_model(ancilla=True),
+    "unprotected": unprotected_model,
+    "gap_tol": lambda: dataclasses.replace(unprotected_model(), gap_tol=1e-3),
+}
+
+
+def assert_round_trip(doc, decode, encode):
+    assert json_text(encode(decode(doc))) == json_text(doc)
+
+
+class TestRoundTrip:
+    def test_operator(self, rng):
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert_round_trip(operator_to_json(m), operator_from_json, operator_to_json)
+
+    def test_state(self, rng):
+        doc = state_to_json(random_state(rng, 4))
+        assert_round_trip(doc, state_from_json, state_to_json)
+
+    @pytest.mark.parametrize("code", [nv_bare_code, nv_ancilla_code])
+    def test_code(self, code):
+        assert_round_trip(code().to_json_dict(), CodeSpace.from_json_dict, CodeSpace.to_json_dict)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("kind", sorted(SPECTRA))
+    def test_spectrum(self, kind, regime):
+        doc = SPECTRA[kind](regime).descriptor
+        assert_round_trip(doc, lambda d: spectrum_from_json(d, 2), lambda s: s.descriptor)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_model(self, name):
+        doc = MODELS[name]().to_json_dict()
+        assert_round_trip(doc, ProbeModel.from_json_dict, ProbeModel.to_json_dict)
+
+    def test_peak0_is_dephasing_in_every_regime(self):
+        for regime in Regime:
+            spec = BathSpectrum.peak0(0.5, 1, regime=regime)
+            for nu in (-1.0, 0.0, 1.0):
+                np.testing.assert_array_equal(spec.rate(nu), [[0.5 if nu == 0 else 0.0]])
+
+
+class TestKeyRule:
+    @pytest.mark.parametrize("path", [
+        (), ("spectrum",), ("spectrum", "gamma"), ("code",), ("h",), ("code", "psi1"),
+    ])
+    def test_unknown_key_is_named(self, path):
+        doc = protected_model(ancilla=True).to_json_dict()
+        part = doc
+        for key in path:
+            part = part[key]
+        part["stray"] = 1.0
+        with pytest.raises(ValidationError, match="stray"):
+            ProbeModel.from_json_dict(doc)
+
+    def test_missing_key_is_named(self):
+        doc = unprotected_model().to_json_dict()
+        del doc["spectrum"]["regime"]
+        with pytest.raises(ValidationError, match="regime"):
+            ProbeModel.from_json_dict(doc)
+
+    def test_state_form_of_the_initial_state_is_gone(self):
+        # a model carries its initial state as the density matrix rho0 only
+        doc = protected_model().to_json_dict()
+        psi = nv_bare_code().psi0
+        del doc["rho0"]
+        doc["psi0"] = state_to_json(psi)
+        with pytest.raises(ValidationError, match="rho0"):
+            ProbeModel.from_json_dict(doc)
+
+    def test_stray_gamma_parameter_is_an_unexpected_keyword(self):
+        doc = {"regime": "full-thermal", "gamma": {"kind": "peak0", "rate": 0.5, "gamma": 2.0}}
+        with pytest.raises(ValidationError, match="gamma"):
+            spectrum_from_json(doc, 1)
+
+    @pytest.mark.parametrize("doc", [
+        {"regime": "sideways", "gamma": {"kind": "flat", "rate": 1.0}},
+        {"regime": "full-thermal", "gamma": {"rate": 1.0}},
+        {"regime": "full-thermal", "gamma": "flat"},
+        {"regime": "full-thermal", "gamma": {"kind": "ohmic", "rate": 1.0}},
+    ])
+    def test_bad_descriptor(self, doc):
+        with pytest.raises(ValidationError):
+            spectrum_from_json(doc, 1)
+
+
+class TestWholeNumberDims:
+    @pytest.mark.parametrize("dim", [2.5, "2", True])
+    def test_array_dim(self, dim):
+        with pytest.raises(ValidationError, match="dim"):
+            operator_from_json({"dim": dim, "re": [[1, 0], [0, 1]]})
+        with pytest.raises(ValidationError, match="dim"):
+            state_from_json({"dim": dim, "re": [1, 0]})
+
+    def test_whole_float_dim_reads_as_int(self):
+        np.testing.assert_array_equal(operator_from_json({"dim": 2.0, "re": [[1, 0], [0, 1]]}),
+                                      np.eye(2))
+
+    @pytest.mark.parametrize("sys_dim, anc_dim", [(1.5, 4.9), ("2", 2), (4, True)])
+    def test_code_dims(self, sys_dim, anc_dim):
+        # four-dimensional states, so only the rounding of the dims would match them
+        doc = {"psi0": state_to_json(np.eye(4)[0]), "psi1": state_to_json(np.eye(4)[1]),
+               "sys_dim": sys_dim, "anc_dim": anc_dim}
+        with pytest.raises(ValidationError, match="_dim"):
+            CodeSpace.from_json_dict(doc)

@@ -21,6 +21,7 @@ Frozen oracle values (hand derivation unless noted):
   dressed probe: coherence pinned at 1/2, Fisher t^2 / 4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestVerdicts:
 
     def test_json_layout(self):
         table = nv_verdict_table(restarts=50, seed=0)
-        obj = table.to_json_dict()
+        obj = dataclasses.asdict(table)
         assert len(obj["cells"]) == 4
         for cell in obj["cells"]:
             assert set(cell) == {"regime", "ancilla", "achievable", "witness"}

@@ -128,6 +128,15 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="delta_omega"):
             SimConfig.from_json_dict({"t_final": 1.0, "delta_omega": 1e-3})
 
+    def test_json_names_missing_keys(self):
+        with pytest.raises(ValidationError, match="t_final"):
+            SimConfig.from_json_dict({"dt": 0.01})
+
+    @pytest.mark.parametrize("stride", [True, "2"])
+    def test_json_rejects_non_whole_stride(self, stride):
+        with pytest.raises(ValidationError, match="record_stride"):
+            SimConfig.from_json_dict({"t_final": 1.0, "record_stride": stride})
+
 
 class TestEvolve:
     def test_matches_matrix_exponential(self):
@@ -167,6 +176,17 @@ class TestEvolve:
         h, lset, spec = driven_dephasing()
         with pytest.raises(ValidationError):
             evolve(2.0 * GROUND, h, lset, spec, SimConfig(t_final=0.1))
+
+    def test_rejects_non_hermitian_state(self):
+        h, lset, spec = driven_dephasing()
+        bad = np.array([[0.5, 0.8], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            evolve(bad, h, lset, spec, SimConfig(t_final=0.1))
+        # the check runs at the caller's tol.hermiticity
+        skewed = np.diag([0.5, 0.5]).astype(complex) + np.array([[0.0, 1e-9], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="Hermitian"):
+            evolve(skewed, h, lset, spec, SimConfig(t_final=0.1))
+        evolve(skewed, h, lset, spec, SimConfig(t_final=0.1), tol=Tolerances(hermiticity=1e-6))
 
     def test_rejects_negative_state(self):
         h, lset, spec = driven_dephasing()

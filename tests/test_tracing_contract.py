@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import dressedmet
+import dressedmet.cli
 from dressedmet.jsonio import dump_json, operator_to_json
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.operators import spin_matrices
@@ -40,6 +41,9 @@ def load_patches():
 def test_traced_name_resolves(module, attr, span):
     mod = importlib.import_module(f"dressedmet.{module}")
     assert callable(getattr(mod, attr, None)), f"dressedmet.{module}.{attr} ({span}) is gone"
+
+
+NV_TABLE = ["nv-demo", "--table", "--restarts", "2"]
 
 
 def traced_commands(tmp_path):
@@ -71,34 +75,82 @@ def traced_commands(tmp_path):
     ]
 
 
-def traced_run(tracing, tmp_path):
-    """Spans of the traced commands, run under the wrappers of ``tracing.PATCHES``."""
+# the one entry nothing reaches: no command or library path has called
+# constructive_bound since the primal was read off the dual's central path
+UNREACHED = {("sdp", "constructive_bound")}
+
+
+def run_commands(argvs):
+    codes = [dressedmet.cli.dispatch(argv) for argv in argvs]
+    assert codes == [0] * len(codes)
+
+
+def bench_direct_calls(tmp_path):
+    """The benchmark's two calls that bypass the CLI, looked up on the package as it does."""
+    sz = spin_matrices(2)[2]
+    dressedmet.codespace.code_search(sz @ sz, [sz], 3, restarts=1, seed=0)
+    path = tmp_path / "direct_model.json"
+    path.write_text(json.dumps(protected_model().to_json_dict()))
+    sim = dressedmet.simulate
+    model = sim.ProbeModel.from_json_dict(dressedmet.jsonio.load_json(path))
+    sim.qfi_numeric(model, 0.5, sim.SimConfig(t_final=0.5, dt=0.01))
+
+
+def traced_run(tracing, run):
+    """Spans recorded while ``run()`` goes under the wrappers of ``tracing.PATCHES``."""
     for module in {m for m, _, _ in tracing.PATCHES}:
         importlib.import_module(f"dressedmet.{module}")
     spans = []
     tracer = tracing.Tracer(dressedmet, spans)
     tracer.install()
     try:
-        codes = [dressedmet.cli.dispatch(argv) for argv in traced_commands(tmp_path)]
+        run()
     finally:
         tracer.remove()
-    assert codes == [0] * len(codes)
     return spans
 
 
-def test_every_cli_patch_records_a_span(tmp_path, capsys):
-    # with only the cli wrappers installed, a span of a name can come only
-    # from the cli lookup; a reference captured at import would record none
+def patch_spans(module, run):
+    """Installs only the ``PATCHES`` entries on ``module``; returns them and the span names.
+
+    Entries on different modules can share a span name, so with one module's
+    wrappers alone a span can come only from that module's lookup: a
+    reference captured at import would record none."""
     tracing = load_tracing()
-    tracing.PATCHES = [p for p in tracing.PATCHES if p[0] == "cli"]
-    names = {span.name for span in traced_run(tracing, tmp_path)}
-    for _, attr, span in tracing.PATCHES:
+    tracing.PATCHES = [p for p in tracing.PATCHES if p[0] == module]
+    return tracing.PATCHES, {span.name for span in traced_run(tracing, run)}
+
+
+def test_every_cli_patch_records_a_span(tmp_path, capsys):
+    patches, names = patch_spans("cli", lambda: run_commands(traced_commands(tmp_path)))
+    for _, attr, span in patches:
         assert span in names, f"cli.{attr} recorded no {span} span"
+
+
+def test_every_nv_patch_records_a_span(capsys):
+    patches, names = patch_spans("nv", lambda: run_commands([NV_TABLE]))
+    assert len(patches) == 5
+    for _, attr, span in patches:
+        assert span in names, f"nv.{attr} recorded no {span} span"
+
+
+@pytest.mark.parametrize("module", sorted({m for m, _, _ in load_patches()} - {"cli", "nv"}))
+def test_every_library_patch_records_a_span(module, tmp_path, capsys):
+    def run():
+        run_commands(traced_commands(tmp_path) + [NV_TABLE])
+        bench_direct_calls(tmp_path)
+
+    patches, names = patch_spans(module, run)
+    for _, attr, span in patches:
+        if (module, attr) in UNREACHED:
+            assert span not in names, f"{module}.{attr} is reached now: drop it from UNREACHED"
+        else:
+            assert span in names, f"{module}.{attr} recorded no {span} span"
 
 
 def test_result_hooks_read_finite_numbers(tmp_path, capsys):
     tracing = load_tracing()
-    spans = traced_run(tracing, tmp_path)
+    spans = traced_run(tracing, lambda: run_commands(traced_commands(tmp_path)))
 
     attrs = defaultdict(list)
     for span in spans:
