@@ -5,7 +5,8 @@ failure (non-certified optimization, integrator breakdown), 3 negative
 verdict from ``check --gate``.  JSON documents written to stdout embed their
 run manifest, file outputs get a ``<path>.manifest.json`` sidecar, and text
 on stdout goes out as is.  Every document of a run is rendered before any is
-written, so a refused one (a non-finite number in JSON) writes nothing.
+written, so a refused one (a non-finite number in JSON) writes nothing, and
+each file is rewritten in place (``jsonio.write_text``).
 
 The environment variable DM_SEED overrides any ``--seed`` flag, so batch
 drivers can repin randomness without editing command lines.
@@ -29,7 +30,7 @@ from . import __version__
 from .codespace import CodeSpace, check_conditions, code_from_optimizer, no_go_search
 from .criteria import condition_by_name
 from .errors import NumericalError, ValidationError
-from .jsonio import hermitian_from_json, json_text, load_json, operator_from_json
+from .jsonio import hermitian_from_json, json_text, load_json, operator_from_json, write_text
 from .operators import HermitianOperator
 from .sdp import SdpProblem, solve_primal
 from .simulate import ProbeModel, ScalingRecord, SimConfig, scaling_sweep
@@ -106,8 +107,7 @@ def _write_outputs(outputs: Outputs, manifest: dict) -> None:
         if path is None:
             sys.stdout.write(text)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_text(path, text)
 
 
 def _load_hermitian(path: str) -> HermitianOperator:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
+import stat
 from typing import Any, Sequence
 
 import numpy as np
@@ -50,8 +52,11 @@ def _array_from_json(data: Any, what: str, ndim: int) -> np.ndarray:
     """The complex ``dim``-sided array of ``ndim`` axes that ``data`` encodes."""
     check_keys(data, what, ("dim", "re"), ("im",))
     shape = (positive_whole(data["dim"], f"{what} dim"),) * ndim
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric lists
+        raise ValidationError(f"{what} JSON re/im must be numeric arrays of shape {shape}") from None
     if re.shape != shape or im.shape != shape:
         raise ValidationError(
             f"{what} JSON shape mismatch: dim={shape[0]}, re{re.shape}, im{im.shape}"
@@ -96,8 +101,24 @@ def json_text(obj: Any) -> str:
         raise ValidationError(f"refusing to write non-standard JSON: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Rewrite ``path`` in place with ``text`` (UTF-8), creating it if missing.
+
+    The file is opened without truncation, written, and then cut at the end
+    of the new text if it is a regular file that runs past it, so its inode,
+    mode, hard links and symlinks stay as they were.  Truncating to zero
+    first would let ext4's replace-via-truncate heuristic start writeback at
+    close, tens of milliseconds per file.  Nothing is fsynced.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > fh.tell():
+            fh.truncate()
+
+
 def dump_json(obj: Any, path) -> None:
     """Write ``obj`` to ``path``; serialized first, so a refusal writes nothing."""
-    text = json_text(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, json_text(obj))

@@ -194,6 +194,16 @@ class ProbeModel:
     code: Optional[CodeSpace] = None
     gap_tol: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        d = self.dim
+        parts = [("g", self.g.entries), ("rho0", np.asarray(self.rho0))]
+        parts += [(f"coupling {i}", a.entries) for i, a in enumerate(self.couplings)]
+        for what, arr in parts:
+            if arr.shape != (d, d):
+                raise ValidationError(f"model {what} has shape {arr.shape}, but h has dim {d}")
+        if self.code is not None and self.code.total_dim != d:
+            raise ValidationError(f"model code has dim {self.code.total_dim}, but h has dim {d}")
+
     @property
     def dim(self) -> int:
         return self.h.dim

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,80 @@ class TestManifest:
         assert sidecars[0] == sidecars[1]
 
 
+class TestInPlaceWrites:
+    """Every output file is rewritten in place: the bytes of a fresh write, on
+    the same inode, with the same mode and links."""
+
+    WALL_TIME = re.compile(r'"wall_time": [^,\n]+')
+
+    @staticmethod
+    def inputs(tmp_path):
+        files = {"cfg": str(tmp_path / "cfg.json")}
+        dump_json({"t_final": 0.2, "dt": 0.01}, files["cfg"])
+        for name, model in (("protected", protected_model()),
+                            ("unprotected", unprotected_model())):
+            files[name] = str(tmp_path / f"{name}.json")
+            dump_json(model.to_json_dict(), files[name])
+        return files
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "nv-demo"])
+    def test_rewrite_over_a_longer_file_matches_a_fresh_write(self, capsys, tmp_path, command):
+        files = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--model", files["unprotected"], "--config", files["cfg"],
+                         "--out", str(out / "traj.csv")],
+            "sweep": ["sweep", "--protected", files["protected"],
+                      "--unprotected", files["unprotected"], "--tgrid", "0.1:0.2:2",
+                      "--config", files["cfg"], "--out", str(out / "sweep.csv")],
+            "nv-demo": ["nv-demo", "--emit-models", str(out)],
+        }[command]
+        out.mkdir()
+        assert run(capsys, argv)[0] == EXIT_OK
+        fresh = {p.name: p.read_text() for p in out.iterdir()}
+        assert len(fresh) == (4 if command == "nv-demo" else 2)
+        for name, text in fresh.items():
+            (out / name).write_text("stale\n" * (len(text) // 6 + 100))
+        assert run(capsys, argv)[0] == EXIT_OK
+        for name, text in fresh.items():
+            again = (out / name).read_text()
+            if name.endswith(".manifest.json"):
+                text, again = self.WALL_TIME.sub("", text), self.WALL_TIME.sub("", again)
+            assert again == text, name
+
+    def test_file_keeps_its_inode_mode_and_links(self, capsys, tmp_path):
+        files = self.inputs(tmp_path)
+        target, alias, link = tmp_path / "traj.csv", tmp_path / "alias.csv", tmp_path / "link.csv"
+        target.write_text("stale\n" * 10000)
+        target.chmod(0o600)
+        os.link(target, alias)
+        link.symlink_to(target)
+        before = os.stat(target)
+        rc, _ = run(capsys, ["simulate", "--model", files["unprotected"],
+                             "--config", files["cfg"], "--out", str(link)])
+        assert rc == EXIT_OK
+        after = os.stat(target)
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o600
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        text = target.read_text()
+        lines = text.splitlines()
+        assert lines[0] == "t,coherence,purity,trace_drift" and len(lines) == 22
+        assert lines[-1].startswith("2.00000000000e-01,") and text.endswith("\n")
+        assert alias.read_text() == text
+        assert (tmp_path / "link.csv.manifest.json").exists()
+
+    def test_refused_document_leaves_an_existing_file_as_it_was(self, capsys, ops, tmp_path):
+        out, sidecar = tmp_path / "r.json", tmp_path / "r.json.manifest.json"
+        out.write_bytes(b"earlier result\n")
+        sidecar.write_bytes(b"earlier manifest\n")
+        rc, stdout = run(capsys, ["no-go", "--couplings", ops["sz"], "--restarts", "2",
+                                  "--feasible-tol", "nan", "--out", str(out)])
+        assert (rc, stdout) == (EXIT_USAGE, "")
+        assert out.read_bytes() == b"earlier result\n"
+        assert sidecar.read_bytes() == b"earlier manifest\n"
+
+
 class TestSimulate:
     def test_trajectory_csv(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
@@ -400,6 +475,19 @@ class TestSimulate:
                        "--out", str(csv_path)])
         assert rc == EXIT_USAGE
         assert "Hermitian" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
+
+    def test_mismatched_model_dimension_is_usage_error(self, capsys, tmp_path):
+        doc = unprotected_model().to_json_dict()
+        doc["rho0"] = operator_to_json(np.eye(2) / 2)
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"t_final": 0.5, "dt": 0.01}))
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert "rho0 has shape (2, 2), but h has dim 3" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
 
     @pytest.mark.parametrize("cfg", [

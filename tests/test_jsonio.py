@@ -3,10 +3,14 @@
 Every document kind the package writes (operator, state, code, bath spectrum,
 probe model) must read back into a value that writes the same text.  Every
 reader rejects a missing key and a key it does not know, naming it, and
-reads dimensions only from whole numbers.
+reads dimensions only from whole numbers.  Arrays of the wrong shape and
+models whose parts act on different spaces are validation errors.  The one
+file writer rewrites a file in place.
 """
 
 import dataclasses
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from dressedmet.jsonio import (
     operator_to_json,
     state_from_json,
     state_to_json,
+    write_text,
 )
 from dressedmet.lindblad import BathSpectrum, Regime, spectrum_from_json
 from dressedmet.nv import nv_ancilla_code, nv_bare_code, protected_model, unprotected_model
@@ -138,3 +143,80 @@ class TestWholeNumberDims:
                "sys_dim": sys_dim, "anc_dim": anc_dim}
         with pytest.raises(ValidationError, match="_dim"):
             CodeSpace.from_json_dict(doc)
+
+
+class TestBadShape:
+    @pytest.mark.parametrize("doc", [
+        {"dim": 3, "re": [[1, 0], [0, 1]]},
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]},
+        {"dim": 2, "re": [[1, 0], [0]]},
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0]]},
+        {"dim": 2, "re": [[1, 0], [0, "a"]]},
+    ])
+    def test_operator(self, doc):
+        with pytest.raises(ValidationError, match="shape"):
+            operator_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 3, "re": [1, 0]},
+        {"dim": 2, "re": [1, [0]]},
+    ])
+    def test_state(self, doc):
+        with pytest.raises(ValidationError, match="shape"):
+            state_from_json(doc)
+
+
+class TestModelDims:
+    """Every operator of a model acts on the space of its ``h``."""
+
+    @staticmethod
+    def two_level(doc, field):
+        small = operator_to_json(np.eye(2) / 2)
+        if field == "couplings":
+            doc[field][0] = small
+        else:
+            doc[field] = small
+        return doc
+
+    @pytest.mark.parametrize("field", ["rho0", "g", "couplings"])
+    def test_two_level_part_of_a_three_level_model(self, field):
+        doc = self.two_level(unprotected_model().to_json_dict(), field)
+        with pytest.raises(ValidationError, match=r"\(2, 2\), but h has dim 3"):
+            ProbeModel.from_json_dict(doc)
+
+    def test_code(self):
+        doc = unprotected_model().to_json_dict()
+        doc["code"] = nv_ancilla_code().to_json_dict()
+        with pytest.raises(ValidationError, match="code has dim 6, but h has dim 3"):
+            ProbeModel.from_json_dict(doc)
+
+
+class TestWriteText:
+    def test_shorter_text_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("stale\n" * 100)
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+
+    def test_new_file_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            write_text(tmp_path / "fresh.txt", "x")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "fresh.txt").st_mode) == 0o644
+
+    def test_non_regular_file_is_not_truncated(self):
+        write_text(os.devnull, "anything\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_gets_the_text_and_no_truncate(self, tmp_path):
+        # a pipe cannot seek, so a truncate there would raise
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_text(fifo, "through the pipe\n")
+            assert os.read(reader, 100) == b"through the pipe\n"
+        finally:
+            os.close(reader)
