@@ -52,11 +52,14 @@ def _array_from_json(data: Any, what: str, ndim: int) -> np.ndarray:
     """The complex ``dim``-sided array of ``ndim`` axes that ``data`` encodes."""
     check_keys(data, what, ("dim", "re"), ("im",))
     shape = (positive_whole(data["dim"], f"{what} dim"),) * ndim
-    try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric lists
-        raise ValidationError(f"{what} JSON re/im must be numeric arrays of shape {shape}") from None
+    try:  # no dtype is forced, so strings and booleans do not read as numbers
+        re = np.asarray(data["re"])
+        im = np.asarray(data.get("im", np.zeros_like(re)))
+        numeric = re.dtype.kind in "iuf" and im.dtype.kind in "iuf"
+    except ValueError:  # ragged lists
+        numeric = False
+    if not numeric:
+        raise ValidationError(f"{what} JSON re/im must be numeric arrays of shape {shape}")
     if re.shape != shape or im.shape != shape:
         raise ValidationError(
             f"{what} JSON shape mismatch: dim={shape[0]}, re{re.shape}, im{im.shape}"

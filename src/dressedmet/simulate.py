@@ -2,11 +2,14 @@
 
 One propagation core serves every trajectory: fixed-step classical 4th order
 as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
-built once per generator and dt, with one stacked matmul per step advancing
-all signal offsets of an estimate.  ``Trajectory.trace_drift`` is the largest
-per-step trace error of ``M v`` before renormalization; past
-``tol.trace_drift`` the run aborts.  All records are checked for positivity
-in one stack.  Fisher information follows the convention
+kept as the increment ``M - I`` and built once per run of steps of one dt.
+One stacked matmul advances a block of steps for all signal offsets of an
+estimate, through the increments ``M^j - I`` of its powers.  The trace is
+renormalized once per block; a step's drift is the ratio of consecutive
+traces, ``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
+renormalized ``v``.  ``Trajectory.trace_drift`` is the largest step drift;
+the first step past ``tol.trace_drift`` aborts the run.  All records are
+checked for positivity in one stack.  Fisher information follows the convention
 ``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity finite
 differences, and a symmetric-logarithmic-derivative estimator used where
 fidelities underflow) are scaled to match it.
@@ -116,14 +119,76 @@ def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
     return a @ poly
 
 
+def _block_size(gen_dim: int) -> int:
+    """Steps per block: the largest power of two ``B`` with ``B * D^2 <= 2^15``, at least 1."""
+    return 1 << max(0, ((1 << 15) // gen_dim ** 2).bit_length() - 1)
+
+
+def _squarings(inc: np.ndarray, count: int) -> List[np.ndarray]:
+    """``M^(2^i) - I`` for ``i < count`` from ``inc = M - I``, each as ``2 P + P P``."""
+    out = [inc]
+    while len(out) < count:
+        out.append(2.0 * out[-1] + out[-1] @ out[-1])
+    return out
+
+
+def _doubled(
+    first: np.ndarray, n: int, squares: Optional[Sequence[np.ndarray]] = None
+) -> np.ndarray:
+    """``X_j`` for ``j = 1..n`` from ``X_1 = first``, by ``X_{j+k} = X_j + X_k + X_j D_k``
+    at ``k = 2^i``, with ``D_k = squares[i]``.
+
+    With ``first = M - I`` the ``X_j`` are the increments ``M^j - I``, and
+    ``D_k`` is ``X_k`` itself unless ``squares`` are given; with the trace row
+    ``1^T (M - I)`` and the squarings of ``M`` they are the trace rows
+    ``1^T (M^j - I)``.
+    """
+    out = np.empty((n,) + first.shape, dtype=complex)
+    out[0] = first
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        square = out[k - 1] if squares is None else squares[k.bit_length() - 1]
+        np.matmul(out[:m], square, out=out[k:k + m])
+        out[k:k + m] += out[:m]
+        out[k:k + m] += out[k - 1]
+        k *= 2
+    return out
+
+
+def _step_drift(before: np.ndarray, traces: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, int]:
+    """Each step's drift ``|T_j / T_(j-1) - 1|``, the largest over the generators,
+    from the step traces ``(steps, generators)`` and the traces ``before`` them;
+    and how many steps come before the first not within ``tol.trace_drift``
+    (a NaN drift is not)."""
+    err = np.abs(traces / np.vstack([before, traces[:-1]]) - 1.0).max(axis=1)
+    bad = np.flatnonzero(~(err <= tol.trace_drift))
+    return err, int(bad[0]) if bad.size else len(err)
+
+
+def _drift_abort(err: float, records: np.ndarray, tol: Tolerances) -> None:
+    # a record that already lost positivity failed first
+    _check_states(records, tol)
+    raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
+
+
 def _propagate(
     gens: np.ndarray, rho0: np.ndarray, legs: Sequence[Tuple[float, int]], tol: Tolerances
 ) -> Tuple[np.ndarray, float]:
     """Advance ``rho0`` under each stacked generator through ``legs`` of ``(dt, steps)``.
 
     Returns the states after each leg, ``(legs, generators, d, d)``, and the drift.
+    Consecutive legs of one ``dt`` form a run, advanced up to ``_block_size``
+    steps per numpy call.  A run of several legs records inside its blocks, so
+    it applies a table of the increments ``M^j - I``; a run of one leg records
+    once, so it takes its step traces from the trace rows ``1^T (M^j - I)`` and
+    advances by the squarings ``M^(2^i) - I``.  A step's drift is
+    ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``: the trace error of
+    ``M v`` for the renormalized ``v``.
     """
     rho0 = as_matrix(rho0)
+    if not np.isfinite(rho0).all():
+        raise ValidationError("initial state must be finite")
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ValidationError("initial state must have unit trace")
     if np.abs(rho0 - rho0.conj().T).max() > tol.hermiticity:
@@ -133,23 +198,53 @@ def _propagate(
     trace_row = np.eye(dim).reshape(-1)
     vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
     records = np.empty((len(legs), len(gens), dim, dim), dtype=complex)
-    steppers = {}
+    ends = np.cumsum([n for _, n in legs], dtype=np.int64)
+    block = _block_size(gens.shape[-1])
     drift = 0.0
-    for i, (dt, n_steps) in enumerate(legs):
-        if n_steps and dt not in steppers:
-            steppers[dt] = _step_increment(gens, dt)
-        step = steppers.get(dt)
-        for _ in range(n_steps):
-            vecs = vecs + np.matmul(step, vecs[..., None])[..., 0]
-            tr = (vecs @ trace_row).real
-            err = max([abs(x - 1.0) for x in tr.tolist()])
-            if err > tol.trace_drift:
-                # a record that already lost positivity failed first
-                _check_states(records[:i], tol)
-                raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
-            drift = max(drift, err)
-            vecs = vecs / tr[:, None]
-        records[i] = vecs.reshape(-1, dim, dim)
+    lo = 0
+    while lo < len(legs):
+        dt = legs[lo][0]
+        hi = lo + 1
+        while hi < len(legs) and legs[hi][0] == dt:
+            hi += 1
+        run_ends = ends[lo:hi] - (ends[lo - 1] if lo else 0)
+        total = int(run_ends[-1])
+        span = min(block, total)
+        at_start = int(np.searchsorted(run_ends, 0, side="right"))
+        records[lo:lo + at_start] = vecs.reshape(-1, dim, dim)
+        if total and hi - lo > 1:  # records inside the blocks: a table of increments
+            table = _doubled(_step_increment(gens, dt), span)
+            for done in range(0, total, block):
+                n = min(block, total - done)
+                states = vecs + np.matmul(table[:n], vecs[..., None])[..., 0]
+                traces = (states @ trace_row).real
+                err, passed = _step_drift((vecs @ trace_row).real, traces, tol)
+                k0, k1 = np.searchsorted(run_ends, (done, done + passed), side="right")
+                at = run_ends[k0:k1] - done - 1
+                records[lo + k0:lo + k1] = (
+                    states[at] / traces[at][..., None]).reshape(-1, len(gens), dim, dim)
+                if passed < n:
+                    _drift_abort(err[passed], records[:lo + k1], tol)
+                drift = max(drift, float(err.max()))
+                vecs = states[-1] / traces[-1][:, None]
+        elif total:  # one record at the end: trace rows and squarings
+            inc = _step_increment(gens, dt)
+            squares = _squarings(inc, span.bit_length())
+            rows = _doubled((trace_row @ inc)[:, None], span, squares)
+            for done in range(0, total, block):
+                n = min(block, total - done)
+                before = (vecs @ trace_row).real
+                traces = before + (rows[:n] @ vecs[..., None])[..., 0, 0].real
+                err, passed = _step_drift(before, traces, tol)
+                if passed < n:
+                    _drift_abort(err[passed], records[:lo], tol)
+                drift = max(drift, float(err.max()))
+                for i in range(n.bit_length()):
+                    if n >> i & 1:
+                        vecs = vecs + np.matmul(squares[i], vecs[..., None])[..., 0]
+                vecs = vecs / (vecs @ trace_row).real[:, None]
+            records[lo] = vecs.reshape(-1, dim, dim)
+        lo = hi
     _check_states(records, tol)
     return records, drift
 
@@ -232,9 +327,13 @@ class ProbeModel:
         return eye[0], eye[1]
 
     def coherences(self, rhos: np.ndarray) -> np.ndarray:
-        """``|a^dag rho b|`` in the coherence frame ``(a, b)`` over a stack of states."""
+        """``|a^dag rho b|`` in the coherence frame ``(a, b)`` over a stack of states.
+
+        Summed entrywise over each state, so a state's value does not depend
+        on how many states are stacked with it.
+        """
         a, b = self.coherence_frame()
-        return np.abs(a.conj() @ rhos @ b)
+        return np.abs((rhos * np.outer(a.conj(), b)).sum(axis=(-2, -1)))
 
     def coherence(self, rho: np.ndarray) -> float:
         return float(self.coherences(np.asarray(rho)[None])[0])

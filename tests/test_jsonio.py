@@ -166,6 +166,27 @@ class TestBadShape:
             state_from_json(doc)
 
 
+class TestNumericEntries:
+    """Array entries are JSON numbers: strings and booleans do not read as numbers."""
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "re": [["1", "0"], ["0", " 1e0 "]]},
+        {"dim": 2, "re": [[True, False], [False, True]]},
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [["0", "0"], ["0", "0"]]},
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[False, False], [False, False]]},
+        {"dim": 2, "re": [[1, 0], [0, None]]},
+        {"dim": 2, "re": [[1, 0], [0, 10 ** 400]]},
+    ])
+    def test_operator(self, doc):
+        with pytest.raises(ValidationError, match="numeric"):
+            operator_from_json(doc)
+
+    @pytest.mark.parametrize("re", [["1", "0"], [True, False]])
+    def test_state(self, re):
+        with pytest.raises(ValidationError, match="numeric"):
+            state_from_json({"dim": 2, "re": re})
+
+
 class TestModelDims:
     """Every operator of a model acts on the space of its ``h``."""
 

@@ -201,22 +201,17 @@ def test_generator_is_affine_in_the_offset(dim, n_couplings, seed, delta):
 
 
 class TestTolerances:
-    def driven_dephasing(self):
-        h = HermitianOperator(PAULI_X)
-        model = ProbeModel(h=h, g=HermitianOperator(0.5 * PAULI_Z),
-                           couplings=(HermitianOperator(PAULI_Z),),
-                           spectrum=BathSpectrum.flat(0.4, 1, regime=Regime.FULL_THERMAL),
-                           rho0=GROUND.copy())
-        return h, model
-
     def test_trace_drift_threshold(self):
-        h, model = self.driven_dephasing()
+        # gate 8's thermal bath: consecutive traces differ in their last bit, where a
+        # driven-dephasing qubit's are exactly equal and its drift reads 0
+        model = dataclasses.replace(
+            protected_model(), spectrum=BathSpectrum.flat(0.3, 3, regime=Regime.FULL_THERMAL))
         cfg = SimConfig(t_final=1.0, dt=0.01)
-        traj = evolve(GROUND, h, model.jump_set(), model.spectrum, cfg)
+        traj = evolve(model.rho0, model.h, model.jump_set(), model.spectrum, cfg)
         assert 0.0 < traj.trace_drift < TOL.trace_drift
         strict = Tolerances(trace_drift=traj.trace_drift / 2.0)
         with pytest.raises(NumericalError, match="trace drift"):
-            evolve(GROUND, h, model.jump_set(), model.spectrum, cfg, tol=strict)
+            evolve(model.rho0, model.h, model.jump_set(), model.spectrum, cfg, tol=strict)
         with pytest.raises(NumericalError, match="trace drift"):
             scaling_sweep(model, model, [0.5, 1.0], cfg=cfg, tol=strict)
 

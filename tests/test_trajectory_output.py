@@ -1,12 +1,14 @@
-"""Stacked trajectory records against the per-record reference path.
+"""Trajectory records and CSV output against their reference paths.
 
-``_reference_propagate`` is the propagation core that checked positivity
-once per leg and stacked the legs from a list; ``_reference_csv`` is the
-row-by-row CSV writer of ``simulate``.  The stacked path must give the same
-states and times bit for bit, the same ``t``, ``purity`` and ``trace_drift``
-bytes, and coherences within 4 ulp (the stacked contraction sums in another
-order than the per-row dot).  The positivity guard must raise at the same
-record with the same message, and before a later trace-drift abort.
+``_reference_propagate`` here is the propagation core that checked positivity
+once per leg and stacked the legs from a list; the positivity guard must
+raise at the same record with the same message, and before a later
+trace-drift abort.  ``tests/_reference_propagate.py`` is the per-step core
+that blocked propagation replaced: the recorded states must match it within
+1e-12 and the times exactly.  ``_reference_csv`` is the row-by-row CSV
+writer of ``simulate``: ``t``, ``purity`` and ``trace_drift`` must match it
+byte for byte, and coherences within 4 ulp (the entrywise contraction sums
+in another order than the per-row dot).
 """
 
 import math
@@ -24,6 +26,8 @@ from dressedmet.nv import (
 from dressedmet.operators import as_matrix
 from dressedmet.simulate import ProbeModel, SimConfig
 from dressedmet.tolerances import TOL, Tolerances
+
+import _reference_propagate as per_step
 
 
 def _reference_check_state(rho, tol):
@@ -101,12 +105,12 @@ def test_stacked_records_match_the_per_record_path(name, stride, tmp_path, monke
     delta = 0.03
     traj = model.evolve(delta, cfg)
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_propagate", _reference_propagate)
+        patch.setattr(simulate, "_propagate", per_step._propagate)
         ref = model.evolve(delta, cfg)
     assert traj.states.shape[0] == (101 if stride == 1 else 16)
-    assert np.array_equal(traj.states, ref.states)
+    assert np.abs(traj.states - ref.states).max() <= 1e-12
     assert np.array_equal(traj.times, ref.times)
-    assert traj.trace_drift == ref.trace_drift
+    assert 0.0 <= traj.trace_drift < 1e-12
 
     model_path, cfg_path, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "t.csv"
     model_path.write_text(cli.json_text(model.to_json_dict()))
@@ -115,24 +119,30 @@ def test_stacked_records_match_the_per_record_path(name, stride, tmp_path, monke
                        f"--delta-omega={delta!r}", "--out", str(out)])
     assert rc == cli.EXIT_OK
     text = out.read_text()
-    want = _reference_csv(model, ref)
+    want = _reference_csv(model, traj)
     assert text.splitlines()[0] == want.splitlines()[0]
     got_rows, want_rows = _columns(text), _columns(want)
     assert len(got_rows) == len(want_rows)
     for got, ref_row in zip(got_rows, want_rows):
         assert (got[0], got[2], got[3]) == (ref_row[0], ref_row[2], ref_row[3])
-    stacked = model.coherences(ref.states)
+    stacked = model.coherences(traj.states)
     assert [row[1] for row in got_rows] == [f"{c:.11e}" for c in stacked]
     a, b = model.coherence_frame()
-    per_row = np.array([float(abs(a.conj() @ rho @ b)) for rho in ref.states])
+    per_row = np.array([float(abs(a.conj() @ rho @ b)) for rho in traj.states])
     assert np.all(np.abs(stacked - per_row) <= 4 * np.spacing(per_row))
 
 
 def test_single_coherence_is_the_stacked_case():
     model = thermal_model()
-    traj = model.evolve(0.0, SimConfig(t_final=0.2, dt=0.01))
-    stacked = model.coherences(traj.states)
-    assert [model.coherence(rho) for rho in traj.states] == stacked.tolist()
+    states = np.concatenate([
+        model.evolve(delta, SimConfig(t_final=0.5, dt=dt)).states
+        for dt in (0.01, 0.007, 0.003, 0.013, 0.005, 0.0023) for delta in (0.0, 0.03, -0.03)])
+    assert len(states) == 1956
+    stacked = model.coherences(states)
+    assert [model.coherence(rho) for rho in states] == stacked.tolist()
+    for size in (2, 3, 7, 64):
+        parts = [model.coherences(states[i:i + size]) for i in range(0, len(states), size)]
+        assert np.concatenate(parts).tolist() == stacked.tolist()
 
 
 # ---------------------------------------------------------------------------
