@@ -327,50 +327,65 @@ def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - v @ (0.5 * (a + a.conj().T))
 
 
+_STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp on every Barzilai-Borwein step
+_ZH_ETA, _ZH_RHO = 0.85, 1e-4  # Zhang-Hager memory and sufficient decrease
+
+
 def stiefel_minimize(
     fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     v0: np.ndarray,
     max_iter: int = 400,
     gtol: float = 1e-13,
 ) -> Tuple[float, np.ndarray]:
-    """Projected gradient descent on d x 2 frames with Armijo backtracking.
+    """Projected gradient descent on d x 2 frames with Barzilai-Borwein steps.
 
     ``fn`` returns the objective and its conjugate-coordinate gradient; the
     descent direction is the gradient projected onto the tangent space of the
-    orthonormal-frame constraint.  The descent stops at the first of: the
-    tangent norm below ``gtol``; the rounding floor, where every step the
-    backtracking would try asks for a decrease of at most
-    ``16 eps max(1, |f|)``, which floating point cannot confirm; or
-    ``max_iter`` accepted steps.
+    orthonormal-frame constraint.  Steps alternate the two Barzilai-Borwein
+    lengths, clamped, and halve until the value is ``_ZH_RHO step |grad|^2``
+    below the Zhang-Hager average of the values so far (Wen & Yin 2013).
+    Three stop rules, the first to hold ends the descent: ``gtol``, the
+    tangent norm below it; the rounding floor, a trial step whose predicted
+    decrease ``step |grad|^2 / 2`` is at most ``16 eps max(1, |f|)``, which
+    floating point cannot confirm; and ``max_iter`` accepted steps.  It
+    returns the lowest-valued frame visited.
     """
     v = np.asarray(v0, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValidationError(f"expected a d x 2 frame, got shape {v.shape}")
     v = _retract(v)
     f, grad = fn(v)
-    step = 0.5
-    for _ in range(max_iter):
-        gt = _tangent(v, grad)
-        gn2 = float(np.real(np.sum(gt.conj() * gt)))
+    gt = _tangent(v, grad)
+    best = (f, v)
+    c, q, step = f, 1.0, 0.5
+    for k in range(max_iter):
+        gn2 = float(np.vdot(gt, gt).real)
         if gn2 < gtol * gtol:
             break
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
-        moved = False
-        for _ in range(50):
-            want = 0.5 * step * gn2
-            if want <= floor:
-                break
+        while 0.5 * step * gn2 > floor:
             cand = _retract(v - step * gt)
             f_new, grad_new = fn(cand)
-            if f_new <= f - want:
-                v, f, grad = cand, f_new, grad_new
-                step = min(step * 1.3, 8.0)
-                moved = True
+            if f_new <= c - _ZH_RHO * step * gn2:
                 break
             step *= 0.5
-        if not moved:
+        else:
             break
-    return f, v
+        gt_new = _tangent(cand, grad_new)
+        s, y = cand - v, gt_new - gt
+        v, f, gt = cand, f_new, gt_new
+        if f < best[0]:
+            best = (f, v)
+        c, q = (_ZH_ETA * q * c + f) / (_ZH_ETA * q + 1.0), _ZH_ETA * q + 1.0
+        sy = abs(float(np.vdot(s, y).real))
+        if not sy:
+            step = _STEP_MAX
+        elif k % 2:  # BB1 and BB2 in turn
+            step = float(np.vdot(s, s).real) / sy
+        else:
+            step = sy / float(np.vdot(y, y).real)
+        step = min(max(step, _STEP_MIN), _STEP_MAX)
+    return best
 
 
 def _pair_penalty_terms(mats: Sequence[np.ndarray]):

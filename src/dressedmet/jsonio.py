@@ -11,6 +11,7 @@ missing required key or a key it does not know is an error.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import os
@@ -58,12 +59,15 @@ def _array_from_json(data: Any, what: str, ndim: int) -> np.ndarray:
         numeric = re.dtype.kind in "iuf" and im.dtype.kind in "iuf"
     except ValueError:  # ragged lists
         numeric = False
-    if not numeric:
-        raise ValidationError(f"{what} JSON re/im must be numeric arrays of shape {shape}")
-    if re.shape != shape or im.shape != shape:
+    if numeric and (re.shape != shape or im.shape != shape):
         raise ValidationError(
             f"{what} JSON shape mismatch: dim={shape[0]}, re{re.shape}, im{im.shape}"
         )
+    entries = [data["re"], data.get("im", [])]
+    for _ in range(ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not numeric or bool in set(map(type, entries)):  # a bool among numbers reads as 0 or 1
+        raise ValidationError(f"{what} JSON re/im must be numeric arrays of shape {shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError(f"{what} JSON has non-finite entries")
     arr = re.astype(complex)

@@ -102,8 +102,8 @@ class DualSolution:
 
     ``g_tilde`` is the feasible primal point read off the last center (zero
     when ``g`` is zero or inside the span) and ``duality_measure`` is
-    ``2 d mu`` there, in the units of ``g``.  Solvers that follow no central
-    path leave both at their defaults.
+    ``2 d mu`` there, in the units of ``g`` (zero when no barrier step ran).
+    :func:`solve_dual` sets ``g_tilde`` on every return.
     """
 
     value: float

@@ -176,12 +176,16 @@ class TestNumericEntries:
         {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[False, False], [False, False]]},
         {"dim": 2, "re": [[1, 0], [0, None]]},
         {"dim": 2, "re": [[1, 0], [0, 10 ** 400]]},
+        {"dim": 2, "re": [[True, 0], [0, 1]]},
+        {"dim": 2, "re": [[True, 0.0], [0.0, 1.0]]},
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]},
+        {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [True, 0.0]]},
     ])
     def test_operator(self, doc):
         with pytest.raises(ValidationError, match="numeric"):
             operator_from_json(doc)
 
-    @pytest.mark.parametrize("re", [["1", "0"], [True, False]])
+    @pytest.mark.parametrize("re", [["1", "0"], [True, False], [True, 0], [0.5, False]])
     def test_state(self, re):
         with pytest.raises(ValidationError, match="numeric"):
             state_from_json({"dim": 2, "re": re})

@@ -3,10 +3,12 @@
 The reference copies below are the searches as they stood before the error
 sets were stacked: one Python-level pass per coupling (per coupling and pair
 product for the quadratic search), a sign-fixed QR retraction, and an Armijo
-search that halved its step fifty times before giving up.  The stacked
-objectives must match the loops to 1e-13 relative, the closed-form
-retraction must match QR to 1e-13, and the searches must land on the same
-restart penalties and codes while spending far fewer evaluations.
+steepest descent that halved its step fifty times before giving up.  The
+stacked objectives must match the loops to 1e-13 relative and the
+closed-form retraction must match QR to 1e-13.  The Barzilai-Borwein search
+takes other paths: no-go restarts must land on the same penalties in far
+fewer evaluations, and code-search restarts must reach at most the loop's
+objective, stopping by themselves where the loop ran into ``max_iter``.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedmet.codespace import (
+    _better_restart,
     _pair_penalty_terms,
     _quadratic_search_terms,
     _retract,
+    _tangent,
     code_search,
     stiefel_minimize,
 )
@@ -109,23 +113,6 @@ def loop_minimize(fn, v0, max_iter=400, gtol=1e-13):
         if not moved:
             break
     return f, v
-
-
-def loop_code_search(gmat, mats, dim, restarts, seed, signal_weight=0.1):
-    fn = loop_quadratic(gmat, mats, signal_weight)
-    penalty_fn = loop_quadratic(gmat, mats, 0.0)
-    best = None
-    for r in range(restarts):
-        rng = stream(seed, r)
-        v0 = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-        _, v = loop_minimize(fn, v0)
-        pen = penalty_fn(v)[0]
-        gblock = v.conj().T @ gmat @ v
-        signal = float((gblock[1, 1] - gblock[0, 0]).real)
-        key = (pen > 1e-9, -abs(signal))
-        if best is None or key < best[0]:
-            best = (key, pen, signal)
-    return best[1], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +232,11 @@ class TestRetraction:
 # ---------------------------------------------------------------------------
 
 
+# seeds whose code-search restarts all converge before max_iter; the loop's
+# all ran into it
+CONVERGED_SEEDS = {7000, 7002, 7005}
+
+
 class TestSearches:
     @pytest.mark.parametrize("rotation", range(4))
     def test_restart_penalties_match_loop(self, rotation):
@@ -258,19 +250,40 @@ class TestSearches:
             assert f_new >= NO_GO_FLOOR - 1e-9
 
     @pytest.mark.parametrize("seed", [7000, 7002, 7005, 7007])
-    def test_code_search_matches_loop(self, seed):
+    def test_code_search_beats_loop(self, seed):
         rng = stream(seed)
         dim = int(rng.integers(3, 7))
         couplings = [random_hermitian(rng, dim) for _ in range(rng.integers(1, 5))]
         g = random_hermitian(rng, dim)
+        fn = _quadratic_search_terms(g, couplings, 0.1)
+        penalty = _quadratic_search_terms(g, couplings, 0.0)
+        ref = loop_quadratic(g, couplings, 0.1)
+        values, loop_values, pick = [], [], None
+        for r in range(3):
+            v0 = random_frame(stream(seed, r), dim)
+            counted_fn, calls = counted(fn)
+            f, v = stiefel_minimize(counted_fn, v0)
+            values.append(f)
+            loop_values.append(loop_minimize(ref, v0)[0])
+            if seed in CONVERGED_SEEDS:
+                # fewer evaluations than max_iter steps, and a longer budget
+                # changes nothing: another stop rule ended the restart
+                assert calls[0] < 400
+                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+                assert f_long == f and np.array_equal(v_long, v)
+            gblock = v.conj().T @ g @ v
+            cand = (penalty(v)[0], float((gblock[1, 1] - gblock[0, 0]).real), v)
+            if pick is None or _better_restart(cand[0], cand[1], pick[0], pick[1]):
+                pick = cand
+        assert min(values) <= min(loop_values)
         res = code_search(g, couplings, dim, restarts=3, seed=seed)
-        pen, signal = loop_code_search(g, couplings, dim, restarts=3, seed=seed)
-        assert res.kl_penalty == pytest.approx(pen, rel=1e-10, abs=1e-13)
-        assert res.signal == pytest.approx(signal, rel=1e-10, abs=1e-13)
+        assert (res.kl_penalty, res.signal) == pick[:2]
+        assert np.array_equal(res.code.frame, pick[2])
 
     def test_code_search_ignores_rounding_in_signals(self):
-        # every restart stops at max_iter with |signal| 1 to an ulp; the
-        # pick must be the smallest penalty, not the last bit of the signal
+        # every restart stops at the rounding floor with |signal| 1 to an
+        # ulp; the pick must be the smallest penalty, not the last bit of
+        # the signal
         sx, _, sz = spin_matrices(2)
         g = sz @ sz
         res = code_search(g, [sx, sz], 3, restarts=8, seed=5)
@@ -292,3 +305,54 @@ class TestSearches:
         assert abs(f - f_ref) <= 1e-12
         assert calls[0] <= 30
         assert ref_calls[0] >= 60
+
+
+class TestStopRules:
+    """Each of the three stop rules ends a converging no-go restart by itself."""
+
+    @staticmethod
+    def restart():
+        mats = [as_matrix(a) for a in nv_couplings()]
+        return _pair_penalty_terms(mats), random_frame(stream(0, 0), 3)
+
+    def test_gtol(self):
+        fn, v0 = self.restart()
+        counted_fn, calls = counted(fn)
+        stiefel_minimize(counted_fn, v0, gtol=1e3)
+        assert calls[0] == 1
+        for gtol in (1e-1, 1e-3):
+            f, v = stiefel_minimize(fn, v0, max_iter=10**6, gtol=gtol)
+            assert np.linalg.norm(_tangent(v, fn(v)[1])) < gtol
+            assert f > NO_GO_FLOOR + 1e-12
+
+    def test_rounding_floor(self):
+        # a zero gtol never fires and the budget is never reached
+        fn, v0 = self.restart()
+        counted_fn, calls = counted(fn)
+        f, v = stiefel_minimize(counted_fn, v0, max_iter=10**6, gtol=0.0)
+        assert f == pytest.approx(NO_GO_FLOOR, abs=1e-12)
+        assert calls[0] <= 30
+        assert np.linalg.norm(_tangent(v, fn(v)[1])) > 0.0
+
+    def test_max_iter(self):
+        fn, v0 = self.restart()
+        counted_fn, calls = counted(fn)
+        f, v = stiefel_minimize(counted_fn, v0, max_iter=0)
+        assert calls[0] == 1
+        assert f == fn(_retract(v0))[0] and np.array_equal(v, _retract(v0))
+        for max_iter in (1, 5):
+            counted_fn, calls = counted(fn)
+            f, _ = stiefel_minimize(counted_fn, v0, max_iter=max_iter)
+            assert calls[0] >= max_iter + 1
+            assert f > NO_GO_FLOOR + 1e-6
+
+    def test_returns_lowest_value_visited(self):
+        # the nonmonotone search can accept a rise (here the third step);
+        # a longer budget never returns a higher value
+        fn, v0 = self.restart()
+        runs = [stiefel_minimize(fn, v0, max_iter=m) for m in range(10)]
+        values = [f for f, _ in runs]
+        assert values == sorted(values, reverse=True)
+        assert values[2] == values[3]
+        for f, v in runs:
+            assert fn(v)[0] == f

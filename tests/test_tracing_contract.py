@@ -162,3 +162,24 @@ def test_result_hooks_read_finite_numbers(tmp_path, capsys):
             assert record, f"{name} recorded no fields"
             for key, value in record.items():
                 assert isinstance(value, (int, float)) and math.isfinite(value), (name, key, value)
+
+
+@pytest.mark.parametrize("search", ["no_go_search", "code_search"])
+def test_one_stiefel_span_per_restart(search):
+    """Each restart is one ``stiefel_minimize`` call, looked up on ``codespace``,
+    whose result the tracer reads as ``float(result[0])``."""
+    sx, sy, sz = spin_matrices(2)
+    restarts = 3
+    args = {
+        "no_go_search": ([sx, sy, sz], 3),
+        "code_search": (sz @ sz, [sx, sz], 3),
+    }[search]
+
+    def run():
+        getattr(dressedmet.codespace, search)(*args, restarts=restarts, seed=1)
+
+    spans = traced_run(load_tracing(), run)
+    stiefel = [s for s in spans if s.name == "codespace.stiefel_minimize"]
+    assert len(stiefel) == restarts
+    for span in stiefel:
+        assert math.isfinite(span.attrs["f"]) and span.attrs["evals"] >= 1
