@@ -46,9 +46,7 @@ from .lindblad import (
     BathSpectrum,
     LindbladSet,
     Regime,
-    dissipator,
     eigendecompose_grouped,
-    gksl_rhs,
     jump_operators,
     lamb_shift,
     spectrum_from_json,

@@ -335,7 +335,6 @@ def stiefel_minimize(
     fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     v0: np.ndarray,
     max_iter: int = 400,
-    gtol: float = 1e-13,
 ) -> Tuple[float, np.ndarray]:
     """Projected gradient descent on d x 2 frames with Barzilai-Borwein steps.
 
@@ -344,10 +343,10 @@ def stiefel_minimize(
     orthonormal-frame constraint.  Steps alternate the two Barzilai-Borwein
     lengths, clamped, and halve until the value is ``_ZH_RHO step |grad|^2``
     below the Zhang-Hager average of the values so far (Wen & Yin 2013).
-    Three stop rules, the first to hold ends the descent: ``gtol``, the
-    tangent norm below it; the rounding floor, a trial step whose predicted
-    decrease ``step |grad|^2 / 2`` is at most ``16 eps max(1, |f|)``, which
-    floating point cannot confirm; and ``max_iter`` accepted steps.  It
+    Two stop rules, the first to hold ends the descent: the rounding floor,
+    a trial step whose predicted decrease ``step |grad|^2 / 2`` is at most
+    ``16 eps max(1, |f|)``, which floating point cannot confirm (a zero
+    tangent gradient meets it at once); and ``max_iter`` accepted steps.  It
     returns the lowest-valued frame visited.
     """
     v = np.asarray(v0, dtype=complex)
@@ -360,8 +359,6 @@ def stiefel_minimize(
     c, q, step = f, 1.0, 0.5
     for k in range(max_iter):
         gn2 = float(np.vdot(gt, gt).real)
-        if gn2 < gtol * gtol:
-            break
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
         while 0.5 * step * gn2 > floor:
             cand = _retract(v - step * gt)
@@ -386,6 +383,18 @@ def stiefel_minimize(
             step = sy / float(np.vdot(y, y).real)
         step = min(max(step, _STEP_MIN), _STEP_MAX)
     return best
+
+
+def _restart_minima(fn, dim: int, restarts: int, seed: int) -> List[Tuple[float, np.ndarray]]:
+    """:func:`stiefel_minimize` of ``fn`` from each restart's ``stream(seed, r)`` frame."""
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
+    runs = []
+    for r in range(restarts):
+        rng = stream(seed, r)
+        v0 = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        runs.append(stiefel_minimize(fn, v0))
+    return runs
 
 
 def _pair_penalty_terms(mats: Sequence[np.ndarray]):
@@ -424,22 +433,12 @@ def no_go_search(
     bare system space satisfies the dephasing and relaxation conditions for
     the given couplings.
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     mats = [as_matrix(a) for a in couplings]
     for m in mats:
         if m.shape != (sys_dim, sys_dim):
             raise ValidationError("coupling dimension mismatch with sys_dim")
-    fn = _pair_penalty_terms(mats)
-    best = np.inf
-    for r in range(restarts):
-        rng = stream(seed, r)
-        v0 = rng.standard_normal((sys_dim, 2)) + 1j * rng.standard_normal(
-            (sys_dim, 2)
-        )
-        f, _ = stiefel_minimize(fn, v0)
-        best = min(best, f)
-    return float(best)
+    runs = _restart_minima(_pair_penalty_terms(mats), sys_dim, restarts, seed)
+    return float(min(np.inf, *(f for f, _ in runs)))
 
 
 def _quadratic_search_terms(
@@ -496,8 +495,6 @@ def code_search(
     difference of 1e-9, and the smaller penalty breaks the remaining ties,
     so signals that agree to rounding never decide the pick.
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     gmat = as_matrix(g)
     mats = [as_matrix(a) for a in couplings]
     if any(m.shape != (dim, dim) for m in (gmat, *mats)):
@@ -505,10 +502,7 @@ def code_search(
     fn = _quadratic_search_terms(gmat, mats, signal_weight)
     penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None
-    for r in range(restarts):
-        rng = stream(seed, r)
-        v0 = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-        _, v = stiefel_minimize(fn, v0)
+    for _, v in _restart_minima(fn, dim, restarts, seed):
         pen = penalty_fn(v)[0]
         gblock = v.conj().T @ gmat @ v
         signal = float((gblock[1, 1] - gblock[0, 0]).real)

@@ -16,6 +16,7 @@ import json
 import numbers
 import os
 import stat
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -43,6 +44,14 @@ def positive_whole(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValidationError(f"{what} must be a whole number >= 1")
     return int(value)
+
+
+def finite_number(value: Any, what: str) -> float:
+    """``value`` as a finite float; ``5`` reads as 5.0, but ``"5"``, ``true`` and ``NaN`` fail."""
+    numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (numeric and abs(value) <= sys.float_info.max):  # NaN fails the comparison
+        raise ValidationError(f"{what} must be a finite number")
+    return float(value)
 
 
 def _array_to_json(arr: np.ndarray) -> dict:

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .jsonio import check_keys
+from .jsonio import check_keys, finite_number
 from .operators import HermitianOperator, as_matrix, frobenius
 from .tolerances import TOL, Tolerances
 
@@ -165,7 +165,7 @@ def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
     if not isinstance(gamma, dict) or gamma.get("kind") not in ("flat", "ohmic", "peak0"):
         raise ValidationError("spectrum gamma needs a kind: flat, ohmic or peak0")
     kind = gamma["kind"]
-    params = {k: v for k, v in gamma.items() if k != "kind"}
+    params = {k: finite_number(v, f"spectrum {k}") for k, v in gamma.items() if k != "kind"}
     try:
         regime = Regime(obj["regime"])
         return getattr(BathSpectrum, kind)(n_couplings=n_couplings, regime=regime, **params)
@@ -231,8 +231,8 @@ def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[f
     group energy is the mean of its members.  A cluster stretched wider than
     10x ``gap_tol`` means the spectrum has no clean separation at this scale.
     """
-    if gap_tol <= 0:
-        raise ValidationError("gap_tol must be positive")
+    if not 0.0 < gap_tol < np.inf:
+        raise ValidationError("gap_tol must be finite and positive")
     vals, vecs = np.linalg.eigh(h.entries)
     groups: List[Tuple[float, np.ndarray]] = []
     for lo, hi in _linkage(vals, gap_tol):
@@ -334,24 +334,6 @@ def _weigh(lset: LindbladSet, spectrum: BathSpectrum, coeffs: Callable[[float], 
     return jumps, weighted, np.einsum("xji,xjk->ik", jumps.conj(), weighted)
 
 
-def dissipator(
-    rho: np.ndarray,
-    lset: LindbladSet,
-    spectrum: BathSpectrum,
-    tol: Tolerances = TOL,
-) -> np.ndarray:
-    """Non-unitary part of the generator applied to ``rho``.
-
-    For each frequency, ``sum_ab gamma_ab(nu) (L_b rho L_a^dag
-    - {L_a^dag L_b, rho}/2)``.  Linear in ``rho``; trace-free and
-    Hermiticity-preserving by construction.
-    """
-    rho = as_matrix(rho)
-    jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
-    feed = (weighted @ rho @ np.swapaxes(jumps, -2, -1).conj()).sum(axis=0)
-    return feed - 0.5 * (k @ rho + rho @ k)
-
-
 def lamb_shift(
     lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances = TOL
 ) -> HermitianOperator:
@@ -363,19 +345,6 @@ def lamb_shift(
     if spectrum.lamb_coeffs is None:
         return HermitianOperator(np.zeros((lset.dim, lset.dim), dtype=complex))
     return HermitianOperator(_weigh(lset, spectrum, lambda nu: spectrum.lamb(nu, tol=tol))[2])
-
-
-def gksl_rhs(
-    rho: np.ndarray,
-    h_s: HermitianOperator,
-    lset: LindbladSet,
-    spectrum: BathSpectrum,
-    tol: Tolerances = TOL,
-) -> np.ndarray:
-    """Full generator: commutator with ``h_s`` plus shift, plus dissipator."""
-    rho = as_matrix(rho)
-    h = h_s.entries + lamb_shift(lset, spectrum, tol=tol).entries
-    return -1j * (h @ rho - rho @ h) + dissipator(rho, lset, spectrum, tol=tol)
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 from .codespace import CodeSpace, effective_generator
 from .errors import NumericalError, ValidationError
 from .jsonio import (
-    check_keys, hermitian_from_json, operator_from_json, operator_to_json, positive_whole,
+    check_keys, finite_number, hermitian_from_json, operator_from_json, operator_to_json,
+    positive_whole,
 )
 from .lindblad import (
     BathSpectrum,
@@ -66,8 +67,8 @@ class SimConfig:
     def from_json_dict(cls, obj: dict) -> "SimConfig":
         check_keys(obj, "simulation config", ("t_final",), ("dt", "record_stride"))
         return cls(
-            t_final=float(obj["t_final"]),
-            dt=float(obj["dt"]) if obj.get("dt") is not None else None,
+            t_final=finite_number(obj["t_final"], "t_final"),
+            dt=finite_number(obj["dt"], "dt") if obj.get("dt") is not None else None,
             record_stride=positive_whole(obj.get("record_stride", 1), "record_stride"),
         )
 
@@ -367,7 +368,8 @@ class ProbeModel:
             spectrum=spectrum_from_json(obj["spectrum"], len(couplings)),
             rho0=operator_from_json(obj["rho0"]),
             code=CodeSpace.from_json_dict(obj["code"]) if obj.get("code") is not None else None,
-            gap_tol=float(obj["gap_tol"]) if obj.get("gap_tol") is not None else None,
+            gap_tol=(finite_number(obj["gap_tol"], "model gap_tol")
+                     if obj.get("gap_tol") is not None else None),
         )
 
 

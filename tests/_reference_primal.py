@@ -243,7 +243,6 @@ def solve_primal(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         dual_coeffs=dual.coeffs,
         gap=gap,
         iterations=newton_steps,
-        dual_iterations=dual.iterations,
         duality_measure=mu * nu * scale,
         certified=bool(dual.certified),
     )

@@ -41,6 +41,7 @@ from dressedmet.errors import ValidationError
 from dressedmet.jsonio import dump_json, operator_to_json
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.operators import spin_matrices
+from dressedmet.sdp import SdpProblem, solve_dual
 from dressedmet.simulate import ProbeModel
 
 SX, SY, SZ = spin_matrices(2)
@@ -190,6 +191,15 @@ class TestDesignChain:
         rc, out = run(capsys, ["optimize", "--generator", str(gen), "--out", str(sol_path)])
         assert rc == EXIT_USAGE
         assert out == "" and not sol_path.exists()
+
+    def test_optimize_counts_newton_steps_once(self, capsys, ops, tmp_path):
+        sol_path = tmp_path / "sol.json"
+        run(capsys, ["optimize", "--generator", ops["szsq"], "--couplings", ops["sz"],
+                     "--out", str(sol_path)])
+        sol = json.loads(sol_path.read_text())
+        assert "dual_iterations" not in sol
+        steps = solve_dual(SdpProblem.from_couplings(SZ @ SZ, [SZ])).iterations
+        assert steps > 0 and sol["iterations"] == steps
 
     def test_tol_flag_is_gone(self, capsys, ops):
         with pytest.raises(SystemExit) as exc:
@@ -504,6 +514,21 @@ class TestSimulate:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("dressedmet: ")
+
+
+    def test_nan_gap_tol_is_usage_error(self, capsys, tmp_path):
+        # the JSON reader takes the NaN literal; a NaN tolerance used to merge
+        # the whole spectrum into one zero-frequency jump
+        text = json.dumps(dict(protected_model().to_json_dict(), gap_tol=float("nan")))
+        assert '"gap_tol": NaN' in text
+        model_path = tmp_path / "m.json"
+        model_path.write_text(text)
+        (tmp_path / "cfg.json").write_text('{"t_final": 0.1, "dt": 0.01}')
+        rc = dispatch(["simulate", "--model", str(model_path), "--config",
+                       str(tmp_path / "cfg.json"), "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert "gap_tol must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSweep:

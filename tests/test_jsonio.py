@@ -18,6 +18,7 @@ import pytest
 from dressedmet.codespace import CodeSpace
 from dressedmet.errors import ValidationError
 from dressedmet.jsonio import (
+    finite_number,
     json_text,
     operator_from_json,
     operator_to_json,
@@ -27,7 +28,7 @@ from dressedmet.jsonio import (
 )
 from dressedmet.lindblad import BathSpectrum, Regime, spectrum_from_json
 from dressedmet.nv import nv_ancilla_code, nv_bare_code, protected_model, unprotected_model
-from dressedmet.simulate import ProbeModel
+from dressedmet.simulate import ProbeModel, SimConfig
 
 from conftest import random_state
 
@@ -189,6 +190,64 @@ class TestNumericEntries:
     def test_state(self, re):
         with pytest.raises(ValidationError, match="numeric"):
             state_from_json({"dim": 2, "re": re})
+
+
+class TestFiniteScalars:
+    """Scalar parameters are finite JSON numbers: no strings, booleans or NaN."""
+
+    @pytest.mark.parametrize("value", [5, 5.0, -0.25, 2 ** 60])
+    def test_numbers(self, value):
+        out = finite_number(value, "x")
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("value", [
+        "5", " 5 ", True, False, None, [5], float("nan"), float("inf"), -float("inf"),
+        pytest.param(10 ** 400, id="10**400"),
+    ])
+    def test_refused(self, value):
+        with pytest.raises(ValidationError, match="x must be a finite number"):
+            finite_number(value, "x")
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"t_final": "5"}, "t_final"),
+        ({"t_final": True}, "t_final"),
+        ({"t_final": 5.0, "dt": True}, "dt"),
+        ({"t_final": 5.0, "dt": "0.1"}, "dt"),
+    ])
+    def test_config(self, doc, field):
+        with pytest.raises(ValidationError, match=field):
+            SimConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("gamma, field", [
+        ({"kind": "flat", "rate": "2"}, "rate"),
+        ({"kind": "peak0", "rate": True}, "rate"),
+        ({"kind": "flat", "rate": float("nan")}, "rate"),
+        ({"kind": "ohmic", "rate": 1.0, "cutoff": "3"}, "cutoff"),
+    ])
+    def test_spectrum(self, gamma, field):
+        with pytest.raises(ValidationError, match=f"spectrum {field}"):
+            spectrum_from_json({"regime": "full-thermal", "gamma": gamma}, 1)
+
+    @pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), "1e-3", True])
+    def test_model_gap_tol(self, gap_tol):
+        doc = dict(protected_model().to_json_dict(), gap_tol=gap_tol)
+        with pytest.raises(ValidationError, match="gap_tol"):
+            ProbeModel.from_json_dict(doc)
+
+    def test_nan_gap_tol_of_a_model_value_is_refused(self):
+        # at NaN the protected model's six frequencies merged into (0.0,)
+        model = protected_model()
+        assert len(model.jump_set().frequencies) == 6
+        with pytest.raises(ValidationError, match="gap_tol"):
+            dataclasses.replace(model, gap_tol=float("nan")).jump_set()
+
+    def test_whole_numbers_still_load(self):
+        assert SimConfig.from_json_dict({"t_final": 5, "dt": 1}) == SimConfig(5.0, 1.0)
+        spec = spectrum_from_json({"regime": "full-thermal",
+                                   "gamma": {"kind": "ohmic", "rate": 2, "cutoff": 3}}, 1)
+        assert spec.descriptor["gamma"] == {"kind": "ohmic", "rate": 2.0, "cutoff": 3.0}
+        doc = dict(unprotected_model().to_json_dict(), gap_tol=1)
+        assert ProbeModel.from_json_dict(doc).gap_tol == 1.0
 
 
 class TestModelDims:

@@ -22,9 +22,7 @@ from dressedmet.lindblad import (
     BathSpectrum,
     LindbladSet,
     Regime,
-    dissipator,
     eigendecompose_grouped,
-    gksl_rhs,
     jump_operators,
     lamb_shift,
     spectrum_from_json,
@@ -33,11 +31,23 @@ from dressedmet.lindblad import (
 from dressedmet.operators import HermitianOperator, spin_matrices
 from dressedmet.tolerances import Tolerances
 
+import _reference_lindblad as ref
 from conftest import random_density, random_hermitian
 
 SX, SY, SZ = spin_matrices(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def apply(generator, rho):
+    """The row-major superoperator ``generator`` applied to ``rho``."""
+    return (generator @ rho.reshape(-1)).reshape(rho.shape)
+
+
+def dissipator(rho, lset, spec):
+    """The dissipator on ``rho``: the generator of the zero Hamiltonian, no shift."""
+    zero = HermitianOperator(np.zeros((lset.dim, lset.dim), dtype=complex))
+    return apply(superoperator(zero, lset, spec), rho)
 
 
 def random_generator_instance(rng, max_dim=5, max_couplings=3):
@@ -121,6 +131,12 @@ class TestEigendecomposeGrouped:
         groups = eigendecompose_grouped(h, gap_tol=1e-9)
         total = sum(p for _, p in groups)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("gap_tol", [np.nan, np.inf])
+    def test_rejects_non_finite_gap_tol(self, gap_tol):
+        # NaN and inf fail every gap comparison and would merge the whole spectrum
+        with pytest.raises(ValidationError, match="gap_tol"):
+            eigendecompose_grouped(HermitianOperator(PAULI_Z), gap_tol=gap_tol)
 
     def test_stretched_cluster_raises(self):
         # adjacent gaps all below tolerance but the chain spans 10.8x it
@@ -341,20 +357,21 @@ class TestGkslGenerator:
             lset = jump_operators(h, couplings)
             spec = BathSpectrum.flat(0.5, len(couplings), regime=Regime.FULL_THERMAL)
             rho = random_density(rng, h.dim)
-            rhs = gksl_rhs(rho, h, lset, spec)
+            rhs = apply(superoperator(h, lset, spec), rho)
             assert abs(np.trace(rhs)) < 1e-12
             assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
     def test_superoperator_matches_rhs(self, rng):
+        # against the right-hand side of the dict-of-lists layer, term by term
         h, couplings = random_generator_instance(rng, max_dim=4)
         lset = jump_operators(h, couplings)
         spec = BathSpectrum.flat(0.8, len(couplings), regime=Regime.FULL_THERMAL)
         sup = superoperator(h, lset, spec)
+        old = ref.jump_operators(h, couplings)
         for _ in range(5):
             rho = random_density(rng, h.dim)
-            direct = gksl_rhs(rho, h, lset, spec)
-            via_matrix = (sup @ rho.reshape(-1)).reshape(rho.shape)
-            np.testing.assert_allclose(via_matrix, direct, atol=1e-12)
+            direct = ref.gksl_rhs(rho, h, old, spec)
+            np.testing.assert_allclose(apply(sup, rho), direct, atol=1e-12)
 
     def test_dephasing_only_regime_freezes_populations(self, rng):
         # with only nu = 0 channels the populations never move
@@ -362,7 +379,7 @@ class TestGkslGenerator:
         lset = jump_operators(h, couplings)
         spec = BathSpectrum.peak0(1.0, len(couplings))
         rho = random_density(rng, h.dim)
-        rhs = gksl_rhs(rho, h, lset, spec)
+        rhs = apply(superoperator(h, lset, spec), rho)
         # rotate to the h eigenbasis where populations are h-diagonal blocks
         vals, vecs = np.linalg.eigh(h.entries)
         r = vecs.conj().T @ rhs @ vecs

@@ -18,7 +18,6 @@ import pytest
 from dressedmet.lindblad import (
     BathSpectrum,
     Regime,
-    dissipator,
     jump_operators,
     lamb_shift,
     superoperator,
@@ -28,7 +27,7 @@ from dressedmet.operators import HermitianOperator
 from dressedmet.rand import stream
 
 import _reference_lindblad as ref
-from conftest import random_density, random_hermitian
+from conftest import random_hermitian
 
 REGIMES = (Regime.DEPHASING_ONLY, Regime.LOW_TEMPERATURE, Regime.FULL_THERMAL)
 
@@ -93,10 +92,6 @@ def assert_matches_reference(h, couplings, spectrum):
     expected = ref.superoperator(h, old, spectrum)
     assert np.abs(generator - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    rho = random_density(stream(9101, h.dim), h.dim)
-    expected_rhs = ref.dissipator(rho, old, spectrum)
-    assert np.abs(dissipator(rho, lset, spectrum) - expected_rhs).max() <= 1e-14 * max(
-        1.0, np.abs(expected_rhs).max())
     if old.transitions:
         expected_shift = ref.lamb_shift(old, spectrum).entries
         assert np.abs(lamb_shift(lset, spectrum).entries - expected_shift).max() <= 1e-14 * max(
