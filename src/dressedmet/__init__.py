@@ -65,7 +65,6 @@ from .codespace import (
     partial_trace,
     purify_pair,
     two_level_dressing,
-    verify_knill_laflamme,
 )
 from .simulate import (
     LeakageReport,

@@ -7,9 +7,6 @@ run manifest, file outputs get a ``<path>.manifest.json`` sidecar, and text
 on stdout goes out as is.  Every document of a run is rendered before any is
 written, so a refused one (a non-finite number in JSON) writes nothing, and
 each file is rewritten in place (``jsonio.write_text``).
-
-The environment variable DM_SEED overrides any ``--seed`` flag, so batch
-drivers can repin randomness without editing command lines.
 """
 
 from __future__ import annotations
@@ -70,24 +67,14 @@ def _hashed(value):
     return value
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("DM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"DM_SEED must be an integer, got {env!r}")
-    return int(getattr(args, "seed", 0))
-
-
-def _manifest(args: argparse.Namespace, seed: int, t0: float) -> dict:
+def _manifest(args: argparse.Namespace, t0: float) -> dict:
     """Provenance of one run: its inputs are hashed by content, not by path."""
     conf = {k: _hashed(v) for k, v in vars(args).items() if k not in ("func", "out")}
     blob = json.dumps(conf, sort_keys=True, separators=(",", ":"))
     return {
         "command": args.command,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
-        "seed": seed,
+        "seed": getattr(args, "seed", 0),
         "tool_version": __version__,
         "wall_time": time.monotonic() - t0,
     }
@@ -147,7 +134,7 @@ def _parse_tgrid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_check(args: argparse.Namespace) -> Result:
     g = _load_hermitian(args.generator)
     if args.criterion == "hnls":
         ops: Sequence = [operator_from_json(load_json(p)) for p in args.couplings]
@@ -158,7 +145,7 @@ def _cmd_check(args: argparse.Namespace, seed: int) -> Result:
     return code, [(args.out, report.to_json_dict())]
 
 
-def _cmd_optimize(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_optimize(args: argparse.Namespace) -> Result:
     g = _load_hermitian(args.generator)
     couplings = [_load_hermitian(p) for p in args.couplings]
     solution = solve_primal(SdpProblem.from_couplings(g, couplings))
@@ -166,7 +153,7 @@ def _cmd_optimize(args: argparse.Namespace, seed: int) -> Result:
     return code, [(args.out, solution.to_json_dict())]
 
 
-def _cmd_build_code(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_build_code(args: argparse.Namespace) -> Result:
     doc = load_json(args.from_sdp)
     if "g_tilde" not in doc:
         raise ValidationError("solution JSON lacks a 'g_tilde' field")
@@ -174,7 +161,7 @@ def _cmd_build_code(args: argparse.Namespace, seed: int) -> Result:
     return EXIT_OK, [(args.out, code.to_json_dict())]
 
 
-def _cmd_verify(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     code = CodeSpace.from_json_dict(load_json(args.code))
     couplings = [_load_hermitian(p) for p in args.couplings]
     g = (_load_hermitian(args.generator) if args.generator is not None
@@ -187,24 +174,24 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> Result:
     return EXIT_OK, [(args.out, payload)]
 
 
-def _cmd_no_go(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_no_go(args: argparse.Namespace) -> Result:
     couplings = [_load_hermitian(p) for p in args.couplings]
     if not couplings:
         raise ValidationError("no-go search needs at least one coupling")
     sys_dim = couplings[0].entries.shape[0]
-    floor = no_go_search(couplings, sys_dim, restarts=args.restarts, seed=seed)
+    floor = no_go_search(couplings, sys_dim, restarts=args.restarts, seed=args.seed)
     payload = {
         "min_penalty": floor,
         "feasible": bool(floor < args.feasible_tol),
         "feasible_tol": args.feasible_tol,
         "sys_dim": sys_dim,
         "restarts": args.restarts,
-        "seed": seed,
+        "seed": args.seed,
     }
     return EXIT_OK, [(args.out, payload)]
 
 
-def _cmd_simulate(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_simulate(args: argparse.Namespace) -> Result:
     model = ProbeModel.from_json_dict(load_json(args.model))
     cfg = SimConfig.from_json_dict(load_json(args.config))
     traj = model.evolve(args.delta_omega, cfg)
@@ -214,7 +201,7 @@ def _cmd_simulate(args: argparse.Namespace, seed: int) -> Result:
     return EXIT_OK, [(args.out, _csv_text("t,coherence,purity,trace_drift", cols))]
 
 
-def _cmd_sweep(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_sweep(args: argparse.Namespace) -> Result:
     protected = ProbeModel.from_json_dict(load_json(args.protected))
     unprotected = ProbeModel.from_json_dict(load_json(args.unprotected))
     tgrid = _parse_tgrid(args.tgrid)
@@ -225,7 +212,7 @@ def _cmd_sweep(args: argparse.Namespace, seed: int) -> Result:
     return EXIT_OK, [(args.out, _csv_text(",".join(names), cols))]
 
 
-def _cmd_nv_demo(args: argparse.Namespace, seed: int) -> Result:
+def _cmd_nv_demo(args: argparse.Namespace) -> Result:
     from .nv import nv_verdict_table, protected_model, unprotected_model
 
     if not (args.table or args.regime or args.emit_models):
@@ -238,18 +225,16 @@ def _cmd_nv_demo(args: argparse.Namespace, seed: int) -> Result:
         for name, model in (("protected_model", pm), ("unprotected_model", um)):
             outputs.append((os.path.join(args.emit_models, name + ".json"), model.to_json_dict()))
     if args.table or args.regime:
-        table = nv_verdict_table(restarts=args.restarts, seed=seed)
+        table = nv_verdict_table(restarts=args.restarts, seed=args.seed)
         if args.table and args.out is None:
             doc: Document = table.to_markdown()
         elif args.table:
             doc = {**dataclasses.asdict(table), "markdown": table.to_markdown()}
         else:
-            picks = {
-                ("dephasing", False): 0, ("dephasing", True): 0,
-                ("relaxation", False): 1, ("relaxation", True): 2,
-                ("thermal", False): 3, ("thermal", True): 3,
-            }
-            doc = dataclasses.asdict(table.cells[picks[(args.regime, args.ancilla)]])
+            # a regime with a single cell answers for both ancilla choices
+            cells = [c for c in table.cells if c.regime == args.regime]
+            cell = next((c for c in cells if c.ancilla == args.ancilla), cells[0])
+            doc = dataclasses.asdict(cell)
         outputs.append((args.out, doc))
     return EXIT_OK, outputs
 
@@ -345,9 +330,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     t0 = time.monotonic()
     try:
-        seed = _resolve_seed(args)
-        code, outputs = args.func(args, seed)
-        _write_outputs(outputs, _manifest(args, seed, t0))
+        code, outputs = args.func(args)
+        _write_outputs(outputs, _manifest(args, t0))
         return code
     except ValidationError as exc:
         print(f"dressedmet: {exc}", file=sys.stderr)

@@ -194,22 +194,6 @@ def _code_blocks(frame: np.ndarray, mats: Sequence[np.ndarray]) -> Tuple[np.ndar
     return np.concatenate([frame.conj().T @ w, pairs.reshape(-1, 2, 2)]), w
 
 
-def verify_knill_laflamme(
-    code: CodeSpace,
-    lindblads: Sequence[np.ndarray],
-    tol: Tolerances = TOL,
-) -> Tuple[bool, float]:
-    """Check code-block proportionality for each operator and each pair product.
-
-    Returns the worst Frobenius deviation from the best proportionality
-    constant; the code is correctable for the given error set when that
-    deviation is negligible.
-    """
-    blocks, _ = _code_blocks(code.frame, [_lift_to_code(l, code) for l in lindblads])
-    worst = _kl_worst(blocks)
-    return worst <= tol.kl, worst
-
-
 def check_conditions(
     code: CodeSpace,
     g,
@@ -224,10 +208,8 @@ def check_conditions(
     couplings and their pairwise products, i.e. correctability against the
     full quadratic error set.
     """
-    frame = code.frame
-    gm = _lift_to_code(g, code)
     mats = [_lift_to_code(a, code) for a in couplings]
-    blocks, w = _code_blocks(frame, mats)
+    blocks, w = _code_blocks(code.frame, mats)
     single = blocks[: len(mats)]
     dephasing = np.abs(single[:, 0, 0] - single[:, 1, 1]).max(initial=0.0)
     relaxation = np.abs(single[:, 0, 1]).max(initial=0.0)
@@ -240,10 +222,9 @@ def check_conditions(
         rows = np.array(vecs).reshape(-1, code.total_dim).conj() @ w
         excitation = float(np.abs(rows).max(initial=0.0))
 
-    gblock = frame.conj().T @ gm @ frame
-    signal = float((gblock[1, 1] - gblock[0, 0]).real)
     return ConditionReport(
-        float(dephasing), float(relaxation), excitation, _kl_worst(blocks), signal
+        float(dephasing), float(relaxation), excitation, _kl_worst(blocks),
+        effective_generator(code, g).delta,
     )
 
 
@@ -437,6 +418,8 @@ def no_go_search(
     for m in mats:
         if m.shape != (sys_dim, sys_dim):
             raise ValidationError("coupling dimension mismatch with sys_dim")
+        if not np.isfinite(m).all():
+            raise ValidationError("couplings must have finite entries")
     runs = _restart_minima(_pair_penalty_terms(mats), sys_dim, restarts, seed)
     return float(min(np.inf, *(f for f, _ in runs)))
 
@@ -499,6 +482,8 @@ def code_search(
     mats = [as_matrix(a) for a in couplings]
     if any(m.shape != (dim, dim) for m in (gmat, *mats)):
         raise ValidationError("generator or coupling dimension mismatch with dim")
+    if not all(np.isfinite(m).all() for m in (gmat, *mats)):
+        raise ValidationError("generator and couplings must have finite entries")
     fn = _quadratic_search_terms(gmat, mats, signal_weight)
     penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None

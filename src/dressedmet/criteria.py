@@ -4,12 +4,13 @@ Each criterion asks whether the signal generator G escapes an operator span
 built from the noise couplings; sensitivity beyond the standard quantum limit
 survives the corresponding noise class exactly when it does.
 
-This module is the one owner of the noise spans and of the quadratic error
-set: :func:`error_set` builds ``[A_alpha] + [A_alpha^dag A_beta]`` as one
-stacked array for the span criteria here, the Knill-Laflamme checks and the
-code search in :mod:`.codespace`; the constructive bound in :mod:`.sdp` and
-the code construction in :mod:`.codespace` take their orthogonal remainder
-``g_perp`` from the criterion reports, so no other module builds a span.
+This module owns the criterion spans and the quadratic error set:
+:func:`error_set` builds ``[A_alpha] + [A_alpha^dag A_beta]`` as one stacked
+array for the span criteria here and for :mod:`.codespace`; the constructive
+bound in :mod:`.sdp` and the code construction take their orthogonal
+remainder ``g_perp`` from the criterion reports.  The one other span is the
+real SVD basis that :func:`.sdp.solve_dual` builds of its constraint span,
+for its Newton coordinates and for mapping back to constraint coefficients.
 
 * :func:`linear_span_condition` - real span of the identity and the Hermitian
   couplings.  Escaping it is what dephasing-plus-relaxation protection (with a

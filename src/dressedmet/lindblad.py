@@ -306,11 +306,8 @@ def jump_operators(
     freqs = np.array(sorted(set(nu.tolist())))
     index = np.searchsorted(freqs, nu)
     pieces = (projs[:, None] @ stack[None])[:, None] @ projs[None, :, None]
-    # bincount adds in pair order, entry by entry on the real and imaginary parts
-    parts = pieces.reshape(len(nu), -1).view(float)
-    slots = index[:, None] * parts.shape[1] + np.arange(parts.shape[1])
-    sums = np.bincount(slots.ravel(), parts.ravel(), minlength=len(freqs) * parts.shape[1])
-    blocks = sums.view(complex).reshape((len(freqs),) + stack.shape)
+    blocks = np.zeros((len(freqs),) + stack.shape, dtype=complex)
+    np.add.at(blocks, index, pieces.reshape((len(nu),) + stack.shape))  # adds in pair order
 
     scale = max([1.0] + [frobenius(a) for a in mats])
     keep = (np.linalg.norm(blocks, axis=(-2, -1)) > 1e-13 * scale).any(axis=1)

@@ -611,6 +611,8 @@ def perturbation_leakage(
     vals, vecs, coeff = first_order_mixing(h0.entries, g.entries)
     if gap_tol is None:
         gap_tol = grouping_tolerance(float(np.abs(vals).max()), tol)
+    if not 0.0 < gap_tol < np.inf:
+        raise ValidationError("gap_tol must be finite and positive")
     if len(vals) > 1 and np.diff(vals).min() < gap_tol:
         raise ValidationError("spectrum is degenerate at the grouping tolerance")
     dim = len(vals)

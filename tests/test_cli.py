@@ -51,11 +51,6 @@ FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("DM_SEED", raising=False)
-
-
 @pytest.fixture
 def ops(tmp_path):
     paths = {}
@@ -239,20 +234,14 @@ class TestNoGo:
 
 
 class TestSeedHandling:
-    def test_env_overrides_flag(self, capsys, ops, monkeypatch):
+    def test_dm_seed_is_ignored(self, capsys, ops, monkeypatch):
         monkeypatch.setenv("DM_SEED", "11")
         rc, out = run(capsys, ["no-go", "--couplings", ops["sz"],
                                "--restarts", "4", "--seed", "3"])
         assert rc == EXIT_OK
         doc = json.loads(out)
-        assert doc["seed"] == 11
-        assert doc["manifest"]["seed"] == 11
-
-    def test_env_must_be_integer(self, capsys, ops, monkeypatch):
-        monkeypatch.setenv("DM_SEED", "abc")
-        rc, _ = run(capsys, ["no-go", "--couplings", ops["sz"],
-                             "--restarts", "4"])
-        assert rc == EXIT_USAGE
+        assert doc["seed"] == 3
+        assert doc["manifest"]["seed"] == 3
 
 
 class TestManifest:
@@ -611,17 +600,24 @@ class TestNvDemo:
         assert lines[0] == "| noise | ancilla | achievable | witness |"
         assert len(lines) == 6
 
-    def test_regime_cells(self, capsys):
-        rc, out = run(capsys, ["nv-demo", "--regime", "relaxation",
-                               "--restarts", "20"])
+    # a regime with a single cell answers for both ancilla choices
+    @pytest.mark.parametrize("regime, ancilla, cell_ancilla, achievable", [
+        ("dephasing", False, False, True),
+        ("dephasing", True, False, True),
+        ("relaxation", False, False, False),
+        ("relaxation", True, True, True),
+        ("thermal", False, True, False),
+        ("thermal", True, True, False),
+    ])
+    def test_regime_cells(self, capsys, regime, ancilla, cell_ancilla, achievable):
+        argv = ["nv-demo", "--regime", regime, "--restarts", "20"]
+        rc, out = run(capsys, argv + ["--ancilla"] * ancilla)
         assert rc == EXIT_OK
         cell = json.loads(out)
-        assert cell["achievable"] is False
-        assert cell["witness"]["search_floor"] == pytest.approx(2.0, abs=1e-6)
-        rc, out = run(capsys, ["nv-demo", "--regime", "relaxation", "--ancilla",
-                               "--restarts", "20"])
-        assert rc == EXIT_OK
-        assert json.loads(out)["achievable"] is True
+        assert (cell["regime"], cell["ancilla"]) == (regime, cell_ancilla)
+        assert cell["achievable"] is achievable
+        if (regime, ancilla) == ("relaxation", False):
+            assert cell["witness"]["search_floor"] == pytest.approx(2.0, abs=1e-6)
 
     def test_needs_a_mode(self, capsys):
         rc, _ = run(capsys, ["nv-demo"])

@@ -33,7 +33,6 @@ from dressedmet.codespace import (
     purify_pair,
     stiefel_minimize,
     two_level_dressing,
-    verify_knill_laflamme,
     _pair_penalty_terms,
     _quadratic_search_terms,
 )
@@ -44,6 +43,7 @@ from dressedmet.operators import (
     lift,
     spin_matrices,
 )
+from dressedmet.tolerances import TOL
 
 from conftest import random_density, random_hermitian
 
@@ -156,14 +156,15 @@ class TestKnillLaflamme:
         xs = [kron(PAULI_X, np.eye(2), np.eye(2)),
               kron(np.eye(2), PAULI_X, np.eye(2)),
               kron(np.eye(2), np.eye(2), PAULI_X)]
-        ok, dev = verify_knill_laflamme(code, xs)
-        assert ok
+        dev = check_conditions(code, np.zeros((8, 8)), xs).kl_violation
+        assert dev <= TOL.kl
         assert dev == pytest.approx(0.0, abs=1e-14)
 
     def test_repetition_code_fails_phase_flip(self):
         code = repetition_code()
-        ok, dev = verify_knill_laflamme(code, [kron(PAULI_Z, np.eye(2), np.eye(2))])
-        assert not ok
+        dev = check_conditions(code, np.zeros((8, 8)),
+                               [kron(PAULI_Z, np.eye(2), np.eye(2))]).kl_violation
+        assert not dev <= TOL.kl
         assert dev == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -328,6 +329,15 @@ class TestNoGoSearch:
         with pytest.raises(ValidationError):
             no_go_search([PAULI_Z], 3, restarts=1)
 
+    # both used to return inf, the strongest no-go verdict
+    @pytest.mark.parametrize("couplings", [
+        [np.where(np.eye(3, k=1, dtype=bool), np.nan, SZ), SX],
+        [np.diag([np.inf] * 3) + SZ],
+    ], ids=["nan", "inf"])
+    def test_rejects_non_finite_couplings(self, couplings):
+        with pytest.raises(ValidationError, match="finite"):
+            no_go_search(couplings, 3, restarts=3)
+
 
 class TestCodeSearch:
     def test_free_generator_maximizes_signal(self):
@@ -349,6 +359,15 @@ class TestCodeSearch:
             code_search(SZSQ, [SZ], 4, restarts=1)
         with pytest.raises(ValidationError, match="dimension"):
             code_search(SZSQ, [PAULI_Z], 3, restarts=1)
+
+    # both used to return a code with a nan kl_penalty
+    @pytest.mark.parametrize("g, couplings", [
+        (SZSQ, [np.where(np.eye(3, k=1, dtype=bool), np.nan, SZ)]),
+        (SZSQ + np.diag([0.0, 0.0, np.inf]), [SZ]),
+    ], ids=["nan coupling", "inf generator"])
+    def test_rejects_non_finite_operators(self, g, couplings):
+        with pytest.raises(ValidationError, match="finite"):
+            code_search(g, couplings, 3, restarts=2)
 
 
 class TestCorrectableCode:

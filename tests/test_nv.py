@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from dressedmet.codespace import check_conditions, verify_knill_laflamme
+from dressedmet.codespace import check_conditions
 from dressedmet.errors import ValidationError
 from dressedmet.nv import (
     NO_GO_FLOOR,
@@ -49,6 +49,7 @@ from dressedmet.nv import (
 from dressedmet.codespace import no_go_search
 from dressedmet.operators import HermitianOperator, lift, spin_matrices
 from dressedmet.simulate import SimConfig, qfi_numeric, qfi_sld
+from dressedmet.tolerances import TOL
 
 SX, SY, SZ = spin_matrices(2)
 
@@ -145,8 +146,9 @@ class TestCodes:
     def test_strict_product_check_fails_at_signal_block(self):
         # the pair products include the squared signal, whose code block must
         # distinguish the pair; protection and correctability part ways here
-        ok, dev = verify_knill_laflamme(nv_ancilla_code(), lifted_couplings())
-        assert not ok
+        code = nv_ancilla_code()
+        dev = check_conditions(code, np.zeros((3, 3)), lifted_couplings()).kl_violation
+        assert not dev <= TOL.kl
         assert abs(dev - 1.0 / math.sqrt(2.0)) < 1e-12
 
 

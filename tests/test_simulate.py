@@ -427,6 +427,14 @@ class TestPerturbationLeakage:
         with pytest.raises(ValidationError, match="degenerate"):
             perturbation_leakage(h0, g, 1e-9, tol=Tolerances(gap_rel=1e-5))
 
+    @pytest.mark.parametrize("gap_tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_a_gap_tol_that_is_not_finite_and_positive(self, gap_tol):
+        # nan and -1 used to pass the degeneracy check of a 1e-12 level split
+        h0 = HermitianOperator(np.diag([0.0, 1.0, 1.0 + 1e-12]).astype(complex))
+        sx = HermitianOperator(spin_matrices(2)[0])
+        with pytest.raises(ValidationError, match="finite and positive"):
+            perturbation_leakage(h0, sx, 1e-3, gap_tol=gap_tol)
+
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValidationError):
             perturbation_leakage(
