@@ -28,6 +28,7 @@ from .operators import (
     frobenius,
     lift,
     positive_negative_split,
+    require_hermitian,
 )
 from .rand import stream
 from .tolerances import TOL, Tolerances
@@ -129,8 +130,7 @@ def purify_pair(
     mats = [as_matrix(rho0), as_matrix(rho1)]
     spectra = []
     for m in mats:
-        if frobenius(m - m.conj().T) > tol.hermiticity * max(1.0, frobenius(m)):
-            raise ValidationError("density matrix input is not Hermitian")
+        require_hermitian(m, "density matrix input", tol)
         if abs(np.trace(m).real - 1.0) > 1e-8:
             raise ValidationError("density matrix input is not unit trace")
         vals, vecs = eigh_fixed(0.5 * (m + m.conj().T))
@@ -309,6 +309,7 @@ def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 _STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp on every Barzilai-Borwein step
+_SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
 _ZH_ETA, _ZH_RHO = 0.85, 1e-4  # Zhang-Hager memory and sufficient decrease
 
 
@@ -415,11 +416,9 @@ def no_go_search(
     the given couplings.
     """
     mats = [as_matrix(a) for a in couplings]
-    for m in mats:
-        if m.shape != (sys_dim, sys_dim):
-            raise ValidationError("coupling dimension mismatch with sys_dim")
-        if not np.isfinite(m).all():
-            raise ValidationError("couplings must have finite entries")
+    if any(m.shape != (sys_dim, sys_dim) for m in mats):
+        raise ValidationError("coupling dimension mismatch with sys_dim")
+    require_hermitian(np.array(mats).reshape(-1, sys_dim, sys_dim), "a coupling")
     runs = _restart_minima(_pair_penalty_terms(mats), sys_dim, restarts, seed)
     return float(min(np.inf, *(f for f, _ in runs)))
 
@@ -468,7 +467,6 @@ def code_search(
     dim: int,
     restarts: int,
     seed: int = 0,
-    signal_weight: float = 0.1,
 ) -> CodeSearchResult:
     """Search for a correctable pair with maximal signal on a given space.
 
@@ -482,9 +480,8 @@ def code_search(
     mats = [as_matrix(a) for a in couplings]
     if any(m.shape != (dim, dim) for m in (gmat, *mats)):
         raise ValidationError("generator or coupling dimension mismatch with dim")
-    if not all(np.isfinite(m).all() for m in (gmat, *mats)):
-        raise ValidationError("generator and couplings must have finite entries")
-    fn = _quadratic_search_terms(gmat, mats, signal_weight)
+    require_hermitian(np.array([gmat, *mats]), "the generator or a coupling")
+    fn = _quadratic_search_terms(gmat, mats, _SIGNAL_WEIGHT)
     penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None
     for _, v in _restart_minima(fn, dim, restarts, seed):

@@ -92,6 +92,8 @@ def _span_report(
     mats = [as_matrix(a) for a in ops]
     if any(m.shape != gm.shape for m in mats):
         raise ValidationError("generator and noise operators must share one dimension")
+    if criterion is Criterion.QUADRATIC_COMPLEX:  # a real span checks its own generators
+        require_hermitian(np.array(mats, dtype=complex).reshape(-1, *gm.shape), "a coupling", tol)
     span = orthonormal_span(generators(mats, gm.shape[0]), field, tol=tol)
     _, perp = project_decompose(gm, span, tol=tol)
     residual = frobenius(perp.entries)
@@ -140,12 +142,10 @@ def quadratic_generators(couplings, dim: int) -> np.ndarray:
     """Identity, couplings, and all ordered pairwise products.
 
     The products are ``A_alpha^dag A_beta``, which equal ``A_alpha A_beta``
-    only for Hermitian couplings, so other couplings raise
-    :class:`ValidationError`, as they do for :func:`linear_generators`' span.
+    only for Hermitian couplings; :func:`quadratic_span_condition` checks
+    them.
     """
-    errs = error_set(couplings, dim)
-    require_hermitian(errs[: len(couplings)], "the quadratic span requires Hermitian couplings")
-    return np.concatenate([np.eye(dim, dtype=complex)[None], errs])
+    return np.concatenate([np.eye(dim, dtype=complex)[None], error_set(couplings, dim)])
 
 
 def quadratic_span_condition(g, couplings, *, tol: Tolerances = TOL) -> CriterionReport:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .jsonio import check_keys, finite_number
-from .operators import HermitianOperator, as_matrix, frobenius
+from .operators import HermitianOperator, as_matrix, frobenius, require_hermitian
 from .tolerances import TOL, Tolerances
 
 
@@ -60,23 +60,20 @@ class BathSpectrum:
     descriptor: Optional[dict] = None
 
     def _coefficients(self, what: str, fn: Callable, nu: float, tol: Tolerances) -> np.ndarray:
-        """``fn(nu)`` as a finite ``k x k`` matrix, ``(1, 1)`` broadcast to ``gamma I``.
+        """``fn(nu)`` as a ``k x k`` matrix, ``(1, 1)`` broadcast to ``gamma I``.
 
-        Returns its Hermitian part; an anti-Hermitian part above
-        ``tol.hermiticity`` relative to the norm is an error.
+        Returns its Hermitian part once it passes :func:`.operators.require_hermitian`
+        at ``tol``.
         """
         k = self.n_couplings
         mat = np.atleast_2d(np.asarray(fn(nu), dtype=complex))
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"{what} matrix at nu={nu} has non-finite entries")
-        if mat.shape == (1, 1) and k > 1:
-            mat = mat[0, 0] * np.eye(k, dtype=complex)
-        if mat.shape != (k, k):
+        if mat.shape not in ((1, 1), (k, k)):
             raise ValidationError(
                 f"{what} matrix at nu={nu} has shape {mat.shape}, expected ({k}, {k})"
             )
-        if frobenius(mat - mat.conj().T) / max(1.0, frobenius(mat)) > tol.hermiticity:
-            raise ValidationError(f"{what} matrix at nu={nu} is not Hermitian")
+        require_hermitian(mat, f"{what} matrix at nu={nu}", tol)
+        if mat.shape != (k, k):
+            mat = mat[0, 0] * np.eye(k, dtype=complex)
         return 0.5 * (mat + mat.conj().T)
 
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
@@ -106,7 +103,7 @@ class BathSpectrum:
         regime: Regime = Regime.LOW_TEMPERATURE,
     ) -> "BathSpectrum":
         """Constant rate at every frequency the regime admits."""
-        g = float(rate)
+        g = _rate(rate)
 
         def gamma(nu: float) -> np.ndarray:
             return g * np.eye(n_couplings)
@@ -123,9 +120,9 @@ class BathSpectrum:
         regime: Regime = Regime.LOW_TEMPERATURE,
     ) -> "BathSpectrum":
         """Linear-in-frequency rate with exponential cutoff, zero at nu <= 0."""
-        g, nu_c = float(rate), float(cutoff)
-        if nu_c <= 0:
-            raise ValidationError("ohmic cutoff must be positive")
+        g, nu_c = _rate(rate), float(cutoff)
+        if not nu_c > 0:
+            raise ValidationError(f"ohmic cutoff must be positive, got {nu_c}")
 
         def gamma(nu: float) -> np.ndarray:
             val = g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0
@@ -145,13 +142,20 @@ class BathSpectrum:
         regime: Regime = Regime.DEPHASING_ONLY,
     ) -> "BathSpectrum":
         """Rate concentrated at nu = 0: pure dephasing in every regime."""
-        g = float(rate)
+        g = _rate(rate)
 
         def gamma(nu: float) -> np.ndarray:
             return (g if nu == 0 else 0.0) * np.eye(n_couplings)
 
         desc = {"regime": regime.value, "gamma": {"kind": "peak0", "rate": g}}
         return cls(regime, gamma, n_couplings, descriptor=desc)
+
+
+def _rate(rate: float) -> float:
+    """``rate`` as a float, refused unless it is >= 0 (NaN is refused too)."""
+    if not float(rate) >= 0:
+        raise ValidationError(f"bath rate must be >= 0, got {rate}")
+    return float(rate)
 
 
 def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
@@ -289,17 +293,15 @@ def jump_operators(
     """
     dim = h.dim
     mats = [as_matrix(a) for a in couplings]
-    for a in mats:
-        if a.shape != (dim, dim):
-            raise ValidationError("coupling dimension mismatch with Hamiltonian")
-        if frobenius(a - a.conj().T) > tol.hermiticity * max(1.0, frobenius(a)):
-            raise ValidationError("couplings must be Hermitian")
+    if any(a.shape != (dim, dim) for a in mats):
+        raise ValidationError("coupling dimension mismatch with Hamiltonian")
+    stack = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+    require_hermitian(stack, "a coupling", tol)
     if gap_tol is None:
         gap_tol = grouping_tolerance(float(np.abs(np.linalg.eigvalsh(h.entries)).max()), tol)
     groups = eigendecompose_grouped(h, gap_tol)
     energies = np.array([e for e, _ in groups])
     projs = np.array([p for _, p in groups])
-    stack = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
 
     # pair (e, f) in row-major order, e the source eigenspace
     nu = _bin_gaps(energies[None, :] - energies[:, None], gap_tol).reshape(-1)

@@ -182,16 +182,15 @@ def protected_model(
     """
     couplings = nv_couplings()
     g = signal_generator()
+    spectrum = BathSpectrum.peak0(gamma, len(couplings))
     if not ancilla:
         code = nv_bare_code()
         h = nv_dressed_hamiltonian(ratio=ratio)
-        spectrum = BathSpectrum.peak0(gamma, len(couplings))
     else:
         code = nv_ancilla_code()
         couplings = tuple(HermitianOperator(lift(c.entries, 2)) for c in couplings)
         g = HermitianOperator(lift(g.entries, 2))
         h, _ = two_level_dressing(code, couplings, nu0)
-        spectrum = BathSpectrum.peak0(gamma, len(couplings))
     psi = (code.psi0.amplitudes + code.psi1.amplitudes) / np.sqrt(2.0)
     rho0 = np.outer(psi, psi.conj())
     return ProbeModel(h=h, g=g, couplings=couplings, spectrum=spectrum,

@@ -12,6 +12,9 @@ Conventions used throughout the package:
 Eigendecompositions returned by :func:`eigh_fixed` are made deterministic
 (phase fixed, degenerate columns ordered) so downstream golden tests are
 stable run to run.
+
+:func:`require_hermitian` is the one check of every matrix input that must be
+finite and Hermitian.
 """
 from __future__ import annotations
 
@@ -62,15 +65,11 @@ def as_matrix(op) -> np.ndarray:
     return m
 
 
-def _hermiticity_error(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A validated Hermitian matrix.
 
-    Wrapping asserts Hermiticity entrywise; the stored array is read-only.
+    Wrapping applies :func:`require_hermitian`; the stored Hermitian part is read-only.
     Most functions accept plain ndarrays too and only return this type where
     Hermiticity is part of their contract.
     """
@@ -81,12 +80,7 @@ class HermitianOperator:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
-        size = float(np.max(np.abs(m)))
-        if not math.isfinite(size):
-            raise ValidationError("operator entries must be finite")
-        err = _hermiticity_error(m)
-        if err > TOL.hermiticity * max(1.0, size):
-            raise ValidationError(f"matrix is not Hermitian (deviation {err:.3e})")
+        require_hermitian(m, "operator")
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -168,8 +162,8 @@ class OperatorSpan:
         except ValueError:
             raise ValidationError("span basis has inconsistent dimensions") from None
         mats = flat.reshape(n, d, d)
-        if self.field is ScalarField.REAL and _hermiticity_error(mats) > 1e-9:
-            raise ValidationError("a real-field span requires Hermitian basis elements")
+        if self.field is ScalarField.REAL:
+            require_hermitian(mats, "a real-field span basis element")
         if n and np.abs(flat.conj() @ flat.T - np.eye(n)).max() > TOL.orthonormality:
             raise ValidationError("span basis is not orthonormal")
         mats.setflags(write=False)
@@ -198,14 +192,17 @@ def lift(op, ancilla_dim: int) -> np.ndarray:
     return np.kron(m, np.eye(ancilla_dim, dtype=complex))
 
 
-def require_hermitian(stack: np.ndarray, message: str) -> None:
-    """Raise ``ValidationError(message)`` unless each matrix of an ``(n, d, d)`` stack is Hermitian.
-
-    Entrywise, to 1e-9 of the matrix's largest entry (or of 1 if larger).
+def require_hermitian(stack: np.ndarray, what: str, tol: Tolerances = TOL) -> None:
+    """Raise :class:`ValidationError`, naming ``what``, unless a ``(d, d)`` matrix or
+    each of an ``(n, d, d)`` stack is finite with an entrywise ``|m - m^dag|`` of at
+    most ``tol.hermiticity`` times its largest entry (or 1 if larger).
     """
-    err = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    if np.any(err > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))):
-        raise ValidationError(message)
+    size = np.abs(stack).max(axis=(-2, -1), initial=0.0)  # NaN and inf survive the max
+    if not np.isfinite(size).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    err = np.abs(stack - np.swapaxes(stack, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    if (err > tol.hermiticity * np.maximum(1.0, size)).any():
+        raise ValidationError(f"{what} is not Hermitian (deviation {err.max():.3e})")
 
 
 def orthonormal_span(
@@ -219,7 +216,8 @@ def orthonormal_span(
     Gram-Schmidt with one re-orthogonalization pass, each pass projecting
     against the whole basis at once; generators whose residual after
     projection falls below ``tol.span_drop`` (relative to their own norm) are
-    dropped as linearly dependent.
+    dropped as linearly dependent.  A REAL span requires generators that
+    pass :func:`require_hermitian` at ``tol`` and spans their Hermitian parts.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -229,7 +227,8 @@ def orthonormal_span(
         raise ValidationError("span generators have inconsistent dimensions")
     stack = np.array(mats)
     if field is ScalarField.REAL:
-        require_hermitian(stack, "field=REAL requires Hermitian generators")
+        require_hermitian(stack, "a real-field span generator", tol)
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
     flat = stack.reshape(len(stack), dim * dim)
     basis = np.empty_like(flat)
     n = 0
@@ -256,19 +255,18 @@ def project_decompose(g, span: OperatorSpan, *, tol: Tolerances = TOL):
     Returns ``(g_par, g_perp)`` with ``g = g_par + g_perp`` exactly and
     ``g_perp`` orthogonal to every basis element.  Both parts are Hermitian;
     this requires the span to be closed under the adjoint (always true for the
-    spans built by this package), which is verified numerically.
+    spans built by this package), which is verified numerically: the
+    remainder must be orthogonal to the span to ``tol.decomposition``.
     """
     m = as_matrix(g)
-    if _hermiticity_error(m) > TOL.hermiticity * max(1.0, float(np.max(np.abs(m)))):
-        raise ValidationError("project_decompose expects a Hermitian operator")
+    require_hermitian(m, "the operator to decompose", tol)
     par = span.project(m)
-    scale = max(1.0, frobenius(m))
-    if _hermiticity_error(par) > tol.decomposition * scale:
-        raise ValidationError(
-            "projection is not Hermitian; the span is not closed under the adjoint"
-        )
     par = (par + dagger(par)) / 2.0
     perp = m - par
+    if frobenius(span.project(perp)) > tol.decomposition * max(1.0, frobenius(m)):
+        raise ValidationError(
+            "remainder is not orthogonal to the span; the span is not closed under the adjoint"
+        )
     return HermitianOperator(par), HermitianOperator(perp)
 
 
@@ -281,8 +279,7 @@ def positive_negative_split(g_perp, *, tol: Tolerances = TOL):
     within ``tol.rank`` (relative) of zero join neither support.
     """
     m = as_matrix(g_perp)
-    if _hermiticity_error(m) > TOL.hermiticity * max(1.0, float(np.max(np.abs(m)))):
-        raise ValidationError("positive_negative_split expects a Hermitian operator")
+    require_hermitian(m, "the operator to split", tol)
     scale = frobenius(m)
     if scale < tol.span_drop:
         raise ValidationError("cannot split an operator that is numerically zero")

@@ -41,7 +41,7 @@ import numpy as np
 from .criteria import linear_span_condition
 from .errors import NumericalError, ValidationError
 from .jsonio import operator_to_json
-from .operators import HermitianOperator, as_matrix, dagger, positive_negative_split
+from .operators import HermitianOperator, as_matrix, positive_negative_split, require_hermitian
 from .tolerances import TOL, Tolerances
 
 __all__ = [
@@ -69,13 +69,10 @@ class SdpProblem:
             raise ValidationError("constraint list must at least contain the identity")
         if not np.allclose(mats[0], np.eye(gm.shape[0]), atol=1e-12):
             raise ValidationError("the first constraint must be the identity matrix")
-        for name, m in [("generator", gm)] + [("constraints", m) for m in mats]:
-            if m.shape != gm.shape:
-                raise ValidationError("constraints must match the generator dimension")
-            if not np.isfinite(m).all():
-                raise ValidationError(f"{name} must have finite entries")
-            if np.max(np.abs(m - dagger(m))) > 1e-10 * max(1.0, np.max(np.abs(m))):
-                raise ValidationError(f"{name} must be Hermitian")
+        if any(m.shape != gm.shape for m in mats):
+            raise ValidationError("constraints must match the generator dimension")
+        require_hermitian(gm, "generator")
+        require_hermitian(np.array(mats), "a constraint")
         object.__setattr__(self, "g", gm)
         object.__setattr__(self, "constraints", mats)
 

@@ -39,7 +39,9 @@ from .lindblad import (
     spectrum_from_json,
     superoperator,
 )
-from .operators import HermitianOperator, as_matrix, eigh_fixed, first_order_mixing
+from .operators import (
+    HermitianOperator, as_matrix, eigh_fixed, first_order_mixing, require_hermitian,
+)
 from .tolerances import TOL, Tolerances
 
 
@@ -107,6 +109,17 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
     bad = np.flatnonzero(low < tol.positivity_floor)
     if bad.size:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
+
+
+def _step_counts(spans: Sequence[float], dt: float) -> List[int]:
+    """Fewest equal steps no longer than ``dt`` per span, none for an empty one; a
+    ``span / dt`` that is not finite, or a total past int64, is refused."""
+    if not all(math.isfinite(span / dt) for span in spans):
+        raise ValidationError(f"at dt = {dt:g} a step count is not finite")
+    counts = [max(1, math.ceil(span / dt - 1e-12)) if span > 0 else 0 for span in spans]
+    if sum(counts) > np.iinfo(np.int64).max:
+        raise ValidationError(f"at dt = {dt:g} the run needs {sum(counts):.3e} steps, past int64")
+    return counts
 
 
 def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
@@ -188,12 +201,9 @@ def _propagate(
     ``M v`` for the renormalized ``v``.
     """
     rho0 = as_matrix(rho0)
-    if not np.isfinite(rho0).all():
-        raise ValidationError("initial state must be finite")
+    require_hermitian(rho0, "initial state", tol)
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ValidationError("initial state must have unit trace")
-    if np.abs(rho0 - rho0.conj().T).max() > tol.hermiticity:
-        raise ValidationError("initial state must be Hermitian")
     _check_states(rho0[None, None], tol)
     dim = rho0.shape[0]
     trace_row = np.eye(dim).reshape(-1)
@@ -263,7 +273,7 @@ def evolve(
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
     dt = cfg.dt if cfg.dt is not None else _default_dt(h_s, lset, spectrum, tol)
     _check_stability(gens, dt, tol)
-    n_steps = max(1, int(math.ceil(cfg.t_final / dt - 1e-12)))
+    (n_steps,) = _step_counts([cfg.t_final], dt)
     dt = cfg.t_final / n_steps
     full, rest = divmod(n_steps, cfg.record_stride)
     chunks = [cfg.record_stride] * full + ([rest] if rest else [])
@@ -514,13 +524,8 @@ def _grid_states(
         lset = model.jump_set(tol)
         dt = min(_default_dt(model.hamiltonian(d), lset, model.spectrum, tol) for d in offsets)
     _check_stability(gens, dt, tol)
-    legs = []
-    t_prev = 0.0
-    for t in tgrid:
-        span = t - t_prev
-        n = max(1, int(math.ceil(span / dt - 1e-12))) if span > 0 else 0
-        legs.append((span / max(n, 1), n))
-        t_prev = t
+    spans = np.diff(tgrid, prepend=0.0).tolist()
+    legs = [(span / max(n, 1), n) for span, n in zip(spans, _step_counts(spans, dt))]
     return _propagate(gens, model.rho0, legs, tol)[0]
 
 
@@ -556,7 +561,7 @@ def scaling_sweep(
             qfi_protected=qp[i],
             qfi_unprotected=qu[i],
             coherence=float(coh),
-            crlb=crlb(qp[i], 1) if qp[i] > 0 else math.inf,
+            crlb=crlb(qp[i], 1),
         )
         for i, (t, coh) in enumerate(zip(tgrid, protected.coherences(center_p)))
     ]

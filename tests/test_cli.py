@@ -343,6 +343,15 @@ class TestManifest:
         assert out == ""
         assert not list(mdir.glob("*"))
 
+    def test_negative_gamma_emits_no_model(self, capsys, tmp_path):
+        mdir = tmp_path / "models"
+        rc = dispatch(["nv-demo", "--emit-models", str(mdir), "--gamma", "-1"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dressedmet: bath rate must be >= 0")
+        assert not list(mdir.glob("*"))
+
     def test_sidecars_of_one_run_share_one_manifest(self, capsys, tmp_path):
         mdir = tmp_path / "models"
         assert run(capsys, ["nv-demo", "--emit-models", str(mdir)])[0] == EXIT_OK
@@ -505,6 +514,31 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("dressedmet: ")
 
 
+    def test_overflowing_step_count_is_usage_error(self, capsys, tmp_path):
+        # t_final / dt is inf; it used to raise OverflowError out of evolve
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"t_final": 1e300, "dt": 1e-300}')
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert "step count is not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.json"]
+
+    def test_negative_bath_rate_is_usage_error(self, capsys, tmp_path):
+        # the protected model never evaluates its nu = 0 rate while it runs
+        doc = protected_model().to_json_dict()
+        doc["spectrum"]["gamma"]["rate"] = -1.0
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        (tmp_path / "cfg.json").write_text('{"t_final": 0.1, "dt": 0.01}')
+        rc = dispatch(["simulate", "--model", str(model_path), "--config",
+                       str(tmp_path / "cfg.json"), "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("dressedmet: bad spectrum: bath rate must be >= 0")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_gap_tol_is_usage_error(self, capsys, tmp_path):
         # the JSON reader takes the NaN literal; a NaN tolerance used to merge
         # the whole spectrum into one zero-frequency jump
@@ -565,6 +599,20 @@ class TestSweep:
                        "--tgrid", grid, "--out", str(csv_path)])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("dressedmet: ")
+        assert not csv_path.exists()
+
+    def test_overflowing_step_count_is_usage_error(self, capsys, tmp_path):
+        # 1e302 steps at dt 0.01 used to overflow the int64 step total
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"t_final": 1.0, "dt": 0.01}')
+        csv_path = tmp_path / "x.csv"
+        rc = dispatch(["sweep", "--protected", str(model_path), "--unprotected", str(model_path),
+                       "--tgrid", "1e-300:1e300:3log", "--config", str(cfg_path),
+                       "--out", str(csv_path)])
+        assert rc == EXIT_USAGE
+        assert "past int64" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_jobs_flag_is_gone(self, capsys, tmp_path):

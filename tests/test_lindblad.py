@@ -175,6 +175,23 @@ class TestBathSpectrum:
         with pytest.raises(ValidationError):
             BathSpectrum.ohmic(1.0, 0.0, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda rate: BathSpectrum.flat(rate, 1),
+        lambda rate: BathSpectrum.ohmic(rate, 5.0, 1),
+        lambda rate: BathSpectrum.peak0(rate, 1),
+    ], ids=["flat", "ohmic", "peak0"])
+    @pytest.mark.parametrize("rate", [-1.0, np.nan])
+    def test_built_in_shapes_refuse_a_rate_below_zero(self, build, rate):
+        # a peak0 model used to run, since no nu = 0 rate was ever evaluated
+        with pytest.raises(ValidationError, match="bath rate must be >= 0"):
+            build(rate)
+        assert build(0.0).rate(0.0)[0, 0] == 0.0
+
+    @pytest.mark.parametrize("cutoff", [-1.0, np.nan])
+    def test_ohmic_refuses_a_cutoff_not_above_zero(self, cutoff):
+        with pytest.raises(ValidationError, match="ohmic cutoff must be positive"):
+            BathSpectrum.ohmic(1.0, cutoff, 1)
+
     def test_scalar_rate_broadcasts_to_matrix(self):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(1) * 0.4, 3)
         np.testing.assert_allclose(spec.rate(1.0), 0.4 * np.eye(3))

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from dressedmet.codespace import code_search, no_go_search, purify_pair
+from dressedmet.criteria import linear_span_condition, quadratic_span_condition
 from dressedmet.errors import ValidationError
 from dressedmet.jsonio import operator_from_json, state_from_json
+from dressedmet.lindblad import BathSpectrum, Regime, jump_operators
 from dressedmet.operators import (
     HermitianOperator,
     OperatorSpan,
@@ -17,6 +20,9 @@ from dressedmet.operators import (
     project_decompose,
     spin_matrices,
 )
+from dressedmet.sdp import SdpProblem
+from dressedmet.simulate import SimConfig, evolve
+from dressedmet.tolerances import TOL, Tolerances
 
 from conftest import random_hermitian
 
@@ -201,3 +207,65 @@ class TestEighFixed:
         m = random_hermitian(rng, 6)
         vals, vecs = eigh_fixed(m)
         assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - m) < 1e-12
+
+
+def test_projection_onto_a_span_not_closed_under_the_adjoint_is_refused():
+    # span_C{|0><1|} holds no Hermitian part of sigma_x but its own projection
+    span = orthonormal_span([np.array([[0.0, 1.0], [0.0, 0.0]])], ScalarField.COMPLEX)
+    with pytest.raises(ValidationError, match="not closed under the adjoint"):
+        project_decompose(PAULI_X, span)
+
+
+SZSQ1 = SZ1 @ SZ1
+_DEPHASING = jump_operators(HermitianOperator(SZ1), [SZ1])
+
+# Each entry point of a Hermitian matrix input, called with ``plant`` applied
+# to that input, and whether it takes a ``tol``.
+ONE_RULE = {
+    "HermitianOperator": (lambda plant, tol: HermitianOperator(plant(SZ1)), False),
+    "linear_span_condition": (
+        lambda plant, tol: linear_span_condition(SZSQ1, [plant(SZ1)], tol=tol), True),
+    "quadratic_span_condition": (
+        lambda plant, tol: quadratic_span_condition(SZSQ1, [plant(SZ1)], tol=tol), True),
+    "SdpProblem.from_couplings": (
+        lambda plant, tol: SdpProblem.from_couplings(SZSQ1, [plant(SZ1)]), False),
+    "jump_operators": (
+        lambda plant, tol: jump_operators(HermitianOperator(SZSQ1), [plant(SZ1)], tol=tol), True),
+    "no_go_search": (lambda plant, tol: no_go_search([plant(SZ1)], 3, restarts=1), False),
+    "code_search": (lambda plant, tol: code_search(SZSQ1, [plant(SZ1)], 3, restarts=1), False),
+    "purify_pair": (
+        lambda plant, tol: purify_pair(plant(np.diag([1.0, 0.0, 0.0])),
+                                       np.diag([0.0, 0.0, 1.0]), tol=tol), True),
+    "BathSpectrum.rate": (
+        lambda plant, tol: BathSpectrum(
+            Regime.FULL_THERMAL, lambda nu: plant(np.eye(3)), 3).rate(1.0, tol=tol), True),
+    "evolve": (
+        lambda plant, tol: evolve(plant(np.diag([0.5, 0.0, 0.5])), HermitianOperator(SZ1),
+                                  _DEPHASING, BathSpectrum.flat(1.0, 1),
+                                  SimConfig(t_final=0.01, dt=0.001), tol=tol), True),
+}
+
+
+def _skew(m):
+    # an entrywise anti-Hermitian deviation of 1e-11, between the 1e-12 rule
+    # and the 1e-9 thresholds some entry points used to apply
+    out = np.array(m, dtype=complex)
+    out[0, 1] += 1e-11
+    return out
+
+
+def _nan(m):
+    out = np.array(m, dtype=complex)
+    out[0, 1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("name", ONE_RULE)
+def test_every_matrix_input_follows_one_hermiticity_rule(name):
+    call, takes_tol = ONE_RULE[name]
+    with pytest.raises(ValidationError, match=r"is not Hermitian \(deviation 1\.000e-11\)"):
+        call(_skew, TOL)
+    if takes_tol:
+        call(_skew, Tolerances(hermiticity=1e-6))
+    with pytest.raises(ValidationError, match="has non-finite entries"):
+        call(_nan, TOL)

@@ -253,13 +253,13 @@ class TestProblemValidation:
     # non-Hermitian g once got the dual value 4e-16 certified
     @pytest.mark.parametrize("g, match", [
         (np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
-         "generator must be Hermitian"),
-        (np.diag([np.nan, 0.0, -1.0]), "generator must have finite entries"),
+         "generator is not Hermitian"),
+        (np.diag([np.nan, 0.0, -1.0]), "generator has non-finite entries"),
     ])
     def test_generator_is_validated(self, g, match):
         with pytest.raises(ValidationError, match=match):
             SdpProblem.from_couplings(g, [SZ])
 
     def test_constraints_must_be_finite(self):
-        with pytest.raises(ValidationError, match="constraints must have finite entries"):
+        with pytest.raises(ValidationError, match="a constraint has non-finite entries"):
             SdpProblem.from_couplings(SZSQ, [np.diag([np.inf, 0.0, 0.0])])
