@@ -219,7 +219,6 @@ def _cmd_nv_demo(args: argparse.Namespace) -> Result:
         raise ValidationError("nv-demo needs --table, --regime, or --emit-models")
     outputs: Outputs = []
     if args.emit_models:
-        os.makedirs(args.emit_models, exist_ok=True)
         pm = protected_model(gamma=args.gamma, ratio=args.ratio, ancilla=args.ancilla)
         um = unprotected_model(gamma=args.gamma)
         for name, model in (("protected_model", pm), ("unprotected_model", um)):
@@ -236,6 +235,8 @@ def _cmd_nv_demo(args: argparse.Namespace) -> Result:
             cell = next((c for c in cells if c.ancilla == args.ancilla), cells[0])
             doc = dataclasses.asdict(cell)
         outputs.append((args.out, doc))
+    if args.emit_models:  # only once every document is built: a refused run leaves no directory
+        os.makedirs(args.emit_models, exist_ok=True)
     return EXIT_OK, outputs
 
 

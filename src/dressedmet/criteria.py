@@ -92,8 +92,12 @@ def _span_report(
     mats = [as_matrix(a) for a in ops]
     if any(m.shape != gm.shape for m in mats):
         raise ValidationError("generator and noise operators must share one dimension")
+    stack = np.array(mats, dtype=complex).reshape(-1, *gm.shape)
     if criterion is Criterion.QUADRATIC_COMPLEX:  # a real span checks its own generators
-        require_hermitian(np.array(mats, dtype=complex).reshape(-1, *gm.shape), "a coupling", tol)
+        require_hermitian(stack, "a coupling", tol)
+    elif criterion is Criterion.HNLS and not np.isfinite(stack).all():
+        # jump operators need not be Hermitian: finiteness is all that is checked
+        raise ValidationError("a jump operator has non-finite entries")
     span = orthonormal_span(generators(mats, gm.shape[0]), field, tol=tol)
     _, perp = project_decompose(gm, span, tol=tol)
     residual = frobenius(perp.entries)

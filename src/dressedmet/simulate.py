@@ -9,10 +9,11 @@ renormalized once per block; a step's drift is the ratio of consecutive
 traces, ``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
 renormalized ``v``.  ``Trajectory.trace_drift`` is the largest step drift;
 the first step past ``tol.trace_drift`` aborts the run.  All records are
-checked for positivity in one stack.  Fisher information follows the convention
-``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity finite
-differences, and a symmetric-logarithmic-derivative estimator used where
-fidelities underflow) are scaled to match it.
+checked for positivity by one stacked Cholesky factorization; ``eigvalsh``
+runs only to name a failing record's minimum.  Fisher information follows
+the convention ``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity
+finite differences, and a symmetric-logarithmic-derivative estimator used
+where fidelities underflow) are scaled to match it.
 """
 
 from __future__ import annotations
@@ -102,11 +103,37 @@ def _check_stability(gens: np.ndarray, dt: float, tol: Tolerances) -> None:
         raise ValidationError(f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard")
 
 
+def _hermitian_part(records: np.ndarray) -> np.ndarray:
+    return 0.5 * (records + np.swapaxes(records, -2, -1).conj())
+
+
 def _check_states(records: np.ndarray, tol: Tolerances) -> None:
-    """Positivity of ``(records, offsets, d, d)``; reports the first failing record's minimum."""
-    herm = 0.5 * (records + np.swapaxes(records, -2, -1).conj())
+    """Positivity of ``(records, offsets, d, d)``: no eigenvalue of a record's
+    Hermitian part below ``floor = tol.positivity_floor``.
+
+    A finite stack is tested by one stacked Cholesky factorization of
+    ``herm - floor I``, which succeeds exactly when every record clears the
+    floor, up to a backward error of order ``d eps |rho|`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 10).  A floor of ``-inf``
+    passes every finite stack.  Only a non-finite stack or a failed
+    factorization takes the stacked ``eigvalsh``, which names the first
+    failing record's minimum over the offsets.
+    """
+    floor = tol.positivity_floor
+    herm = _hermitian_part(records)
+    if np.isfinite(herm).all():
+        if floor == -math.inf:
+            return
+        diag = np.arange(herm.shape[-1])
+        herm[..., diag, diag] -= floor  # in place: no second copy of the stack
+        try:
+            np.linalg.cholesky(herm)
+            return
+        except np.linalg.LinAlgError:
+            # rebuilt, not shifted back: x - floor + floor need not be x
+            herm = _hermitian_part(records)
     low = np.linalg.eigvalsh(herm).min(axis=(-2, -1))
-    bad = np.flatnonzero(low < tol.positivity_floor)
+    bad = np.flatnonzero(low < floor)
     if bad.size:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 

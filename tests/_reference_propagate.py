@@ -3,6 +3,9 @@
 One stacked matmul per RK4 step, with the trace renormalized and its drift
 checked after every step.  ``tests/test_trajectory_output.py`` and
 ``tests/test_blocked_propagation.py`` pin ``simulate._propagate`` against it.
+``_check_states`` is the positivity check of that core, one stacked
+``eigvalsh`` over all records, kept verbatim as the oracle of the Cholesky
+check that replaced it (``tests/test_positivity_check.py``).
 """
 
 from typing import Sequence, Tuple
@@ -11,8 +14,17 @@ import numpy as np
 
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.operators import as_matrix
-from dressedmet.simulate import _check_states, _step_increment
+from dressedmet.simulate import _step_increment
 from dressedmet.tolerances import Tolerances
+
+
+def _check_states(records: np.ndarray, tol: Tolerances) -> None:
+    """Positivity of ``(records, offsets, d, d)``; reports the first failing record's minimum."""
+    herm = 0.5 * (records + np.swapaxes(records, -2, -1).conj())
+    low = np.linalg.eigvalsh(herm).min(axis=(-2, -1))
+    bad = np.flatnonzero(low < tol.positivity_floor)
+    if bad.size:
+        raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 
 
 def _propagate(

@@ -341,7 +341,7 @@ class TestManifest:
                                "--restarts", "0"])
         assert rc == EXIT_USAGE
         assert out == ""
-        assert not list(mdir.glob("*"))
+        assert not mdir.exists()
 
     def test_negative_gamma_emits_no_model(self, capsys, tmp_path):
         mdir = tmp_path / "models"
@@ -350,7 +350,7 @@ class TestManifest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("dressedmet: bath rate must be >= 0")
-        assert not list(mdir.glob("*"))
+        assert not mdir.exists()
 
     def test_sidecars_of_one_run_share_one_manifest(self, capsys, tmp_path):
         mdir = tmp_path / "models"

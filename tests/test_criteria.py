@@ -137,6 +137,14 @@ class TestHnlsCondition:
         rep = hnls_condition(g, [lowering])
         assert rep.verdict
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_jump_operator_is_refused(self, bad):
+        lowering = np.zeros((3, 3))
+        lowering[0, 1] = 1.0
+        lowering[2, 2] = bad
+        with pytest.raises(ValidationError, match="^a jump operator has non-finite entries$"):
+            hnls_condition(np.diag([1.0, 0.0, -1.0]), [np.eye(3), lowering])
+
 
 class TestDispatchAndReport:
     def test_names(self):
