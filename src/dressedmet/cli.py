@@ -195,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Result:
     model = ProbeModel.from_json_dict(load_json(args.model))
     cfg = SimConfig.from_json_dict(load_json(args.config))
     traj = model.evolve(args.delta_omega, cfg)
-    purity = np.trace(traj.states @ traj.states, axis1=-2, axis2=-1).real
+    purity = (np.abs(traj.states) ** 2).sum(axis=(-2, -1))  # tr rho^2 of a Hermitian rho
     drift = np.abs(np.trace(traj.states, axis1=-2, axis2=-1).real - 1.0)
     cols = np.stack([traj.times, model.coherences(traj.states), purity, drift], axis=1)
     return EXIT_OK, [(args.out, _csv_text("t,coherence,purity,trace_drift", cols))]

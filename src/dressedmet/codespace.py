@@ -305,12 +305,11 @@ def _retract(v: np.ndarray) -> np.ndarray:
 
 def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     a = v.conj().T @ grad
-    return grad - v @ (0.5 * (a + a.conj().T))
+    return grad - v @ (0.5 * (a + a.conj().swapaxes(-1, -2)))
 
 
-_STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp on every Barzilai-Borwein step
 _SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
-_ZH_ETA, _ZH_RHO = 0.85, 1e-4  # Zhang-Hager memory and sufficient decrease
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 
 
 def stiefel_minimize(
@@ -318,65 +317,63 @@ def stiefel_minimize(
     v0: np.ndarray,
     max_iter: int = 400,
 ) -> Tuple[float, np.ndarray]:
-    """Projected gradient descent on d x 2 frames with Barzilai-Borwein steps.
+    """Riemannian BFGS on d x 2 frames (Huang, Gallivan & Absil 2015).
 
-    ``fn`` returns the objective and its conjugate-coordinate gradient; the
-    descent direction is the gradient projected onto the tangent space of the
-    orthonormal-frame constraint.  Steps alternate the two Barzilai-Borwein
-    lengths, clamped, and halve until the value is ``_ZH_RHO step |grad|^2``
-    below the Zhang-Hager average of the values so far (Wen & Yin 2013).
-    Two stop rules, the first to hold ends the descent: the rounding floor,
-    a trial step whose predicted decrease ``step |grad|^2 / 2`` is at most
-    ``16 eps max(1, |f|)``, which floating point cannot confirm (a zero
-    tangent gradient meets it at once); and ``max_iter`` accepted steps.  It
-    returns the lowest-valued frame visited.
+    ``fn`` gives the objective and its conjugate-coordinate gradient; ``g``
+    is that gradient projected onto the frame's tangent space.  Steps go
+    along ``-g / 2`` until a curvature pair exists, then along ``-H g``
+    projected, for a dense inverse-Hessian model ``H`` on the 4d real
+    coordinates (``-g / 2`` again if that does not descend); a monotone
+    Armijo search halves a unit step.  Transport is by projection ``P``
+    (Absil, Mahony & Sepulchre 2008, ch. 4 and 8): the pair ``s = P(v+ - v)``,
+    ``y = g+ - P(g)`` updates ``H`` by BFGS from ``(s.y / y.y) I``, unless
+    ``s.y <= 0``.  The descent stops at the rounding floor, a trial step
+    whose predicted decrease ``-step g.p / 2`` is at most ``16 eps max(1,
+    |f|)`` (a zero tangent gradient meets it at once), or after ``max_iter``
+    accepted steps.  Each accepted step lowers the value, so the last frame
+    is the lowest visited.
     """
     v = np.asarray(v0, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValidationError(f"expected a d x 2 frame, got shape {v.shape}")
     v = _retract(v)
     f, grad = fn(v)
-    gt = _tangent(v, grad)
-    best = (f, v)
-    c, q, step = f, 1.0, 0.5
-    for k in range(max_iter):
-        gn2 = float(np.vdot(gt, gt).real)
-        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
-        while 0.5 * step * gn2 > floor:
-            cand = _retract(v - step * gt)
+    gt, h = _tangent(v, grad), None
+    for _ in range(max_iter):
+        g = gt.view(float).ravel()
+        p = -0.5 * gt if h is None else _tangent(v, (h @ -g).view(complex).reshape(v.shape))
+        slope = float(p.view(float).ravel() @ g)
+        if not slope < 0.0:  # a model gone indefinite in rounding
+            p, slope = -0.5 * gt, -0.5 * float(g @ g)
+        floor, step = 16.0 * np.finfo(float).eps * max(1.0, abs(f)), 1.0
+        while -0.5 * step * slope > floor:
+            cand = _retract(v + step * p)
             f_new, grad_new = fn(cand)
-            if f_new <= c - _ZH_RHO * step * gn2:
+            if f_new <= f + _ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             break
-        gt_new = _tangent(cand, grad_new)
-        s, y = cand - v, gt_new - gt
-        v, f, gt = cand, f_new, gt_new
-        if f < best[0]:
-            best = (f, v)
-        c, q = (_ZH_ETA * q * c + f) / (_ZH_ETA * q + 1.0), _ZH_ETA * q + 1.0
-        sy = abs(float(np.vdot(s, y).real))
-        if not sy:
-            step = _STEP_MAX
-        elif k % 2:  # BB1 and BB2 in turn
-            step = float(np.vdot(s, s).real) / sy
-        else:
-            step = sy / float(np.vdot(y, y).real)
-        step = min(max(step, _STEP_MIN), _STEP_MAX)
-    return best
+        # the new gradient, the old one and the step, transported to cand
+        gt_new, gt_old, moved = _tangent(cand, np.stack([grad_new, gt, cand - v]))
+        s, y = moved.view(float).ravel(), (gt_new - gt_old).view(float).ravel()
+        v, f, gt, sy = cand, f_new, gt_new, float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * np.eye(len(s))
+            hy = h @ y
+            z = (0.5 * (1.0 + float(y @ hy) / sy) * s - hy) / sy
+            h += np.outer(z, s) + np.outer(s, z)
+    return f, v
 
 
 def _restart_minima(fn, dim: int, restarts: int, seed: int) -> List[Tuple[float, np.ndarray]]:
     """:func:`stiefel_minimize` of ``fn`` from each restart's ``stream(seed, r)`` frame."""
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
-    runs = []
-    for r in range(restarts):
-        rng = stream(seed, r)
-        v0 = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-        runs.append(stiefel_minimize(fn, v0))
-    return runs
+    rngs = [stream(seed, r) for r in range(restarts)]
+    frames = [g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2)) for g in rngs]
+    return [stiefel_minimize(fn, v0) for v0 in frames]
 
 
 def _pair_penalty_terms(mats: Sequence[np.ndarray]):

@@ -28,7 +28,6 @@ from .operators import (
 )
 from .rand import stream
 from .simulate import ProbeModel
-from .tolerances import TOL
 
 # Smallest protected-pair penalty for the isotropic spin-1 triple on the bare
 # three-dimensional space, measured by exhaustive random-restart descent.

@@ -116,24 +116,27 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
     floor, up to a backward error of order ``d eps |rho|`` (Higham, *Accuracy
     and Stability of Numerical Algorithms*, ch. 10).  A floor of ``-inf``
     passes every finite stack.  Only a non-finite stack or a failed
-    factorization takes the stacked ``eigvalsh``, which names the first
-    failing record's minimum over the offsets.
+    factorization takes the stacked ``eigvalsh`` of the finite records, which
+    names the first failing record's minimum over the offsets; a record with
+    a non-finite entry fails with a minimum of ``nan``.
     """
     floor = tol.positivity_floor
-    herm = _hermitian_part(records)
-    if np.isfinite(herm).all():
+    finite = np.isfinite(records).all(axis=(-3, -2, -1))
+    if finite.all():
         if floor == -math.inf:
             return
+        herm = _hermitian_part(records)
         diag = np.arange(herm.shape[-1])
         herm[..., diag, diag] -= floor  # in place: no second copy of the stack
         try:
             np.linalg.cholesky(herm)
             return
         except np.linalg.LinAlgError:
-            # rebuilt, not shifted back: x - floor + floor need not be x
-            herm = _hermitian_part(records)
-    low = np.linalg.eigvalsh(herm).min(axis=(-2, -1))
-    bad = np.flatnonzero(low < floor)
+            pass
+    # rebuilt, not shifted back: x - floor + floor need not be x
+    low = np.full(len(records), np.nan)
+    low[finite] = np.linalg.eigvalsh(_hermitian_part(records[finite])).min(axis=(-2, -1))
+    bad = np.flatnonzero(~(low >= floor))
     if bad.size:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 

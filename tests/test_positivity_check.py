@@ -8,7 +8,9 @@ two must give the same verdict and the same message.  They may disagree
 within about 1e-15 of the floor: the factorization's backward error is of
 order ``d eps |rho|`` and ``eigvalsh``'s of ``eps |rho|``, so a plant that
 close could fall either way.  The nearest plant here, 1e-12, is far outside
-that band.
+that band.  One departure is declared: a record with a non-finite entry is
+refused as a failing record, which the oracle may raise ``LinAlgError`` for or
+pass.
 """
 
 import math
@@ -83,12 +85,25 @@ def test_the_first_of_two_failing_records_is_named(dim):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("also_failing", [False, True])
 def test_a_non_finite_stack_gets_the_reference_outcome(bad, also_failing):
+    # the declared departure from the oracle: a non-finite record fails with a
+    # minimum of nan, where the oracle's eigvalsh raises LinAlgError or passes
+    # it (nan < floor is false), and it is named before a later failing record
     rng = np.random.default_rng(3)
     plants = {RECORDS - 1: TOL.positivity_floor - 0.1} if also_failing else {}
     records = _planted(3, 2, plants, rng)
     records[WHERE["middle"], 1, 2, 2] = bad
-    assert (_outcome(simulate._check_states, records, TOL)
-            == _outcome(reference._check_states, records, TOL))
+    for floor in (TOL.positivity_floor, -math.inf):
+        assert (_outcome(simulate._check_states, records, Tolerances(positivity_floor=floor))
+                == "NumericalError: state lost positivity: min eigenvalue nan")
+
+
+def test_a_failing_record_before_a_non_finite_one_is_named():
+    rng = np.random.default_rng(4)
+    floor = TOL.positivity_floor
+    records = _planted(3, 2, {0: floor - 0.1}, rng)
+    records[WHERE["last"], 0, 1, 1] = math.nan
+    got = _outcome(simulate._check_states, records, TOL)
+    assert got == f"NumericalError: state lost positivity: min eigenvalue {floor - 0.1:.3e}"
 
 
 def test_an_empty_stack_passes():

@@ -5,10 +5,13 @@ sets were stacked: one Python-level pass per coupling (per coupling and pair
 product for the quadratic search), a sign-fixed QR retraction, and an Armijo
 steepest descent that halved its step fifty times before giving up.  The
 stacked objectives must match the loops to 1e-13 relative and the
-closed-form retraction must match QR to 1e-13.  The Barzilai-Borwein search
-takes other paths: no-go restarts must land on the same penalties in far
-fewer evaluations, and code-search restarts must reach at most the loop's
-objective, stopping by themselves where the loop ran into ``max_iter``.
+closed-form retraction must match QR to 1e-13.  The Riemannian BFGS search
+(Huang, Gallivan & Absil, SIAM J. Optim. 2015; transport by projection as in
+Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
+2008) takes other paths: no-go restarts must land on the same penalties in
+far fewer evaluations, and code-search restarts must reach at most the
+loop's objective, stopping at the rounding floor where the loop ran into
+``max_iter``; so must every restart of a sample of in-span instances.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedmet.codespace import (
+    _SIGNAL_WEIGHT,
     _better_restart,
     _pair_penalty_terms,
     _quadratic_search_terms,
@@ -25,6 +29,7 @@ from dressedmet.codespace import (
     code_search,
     stiefel_minimize,
 )
+from dressedmet.criteria import quadratic_span_condition
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import NO_GO_FLOOR, nv_couplings, rotated_couplings
 from dressedmet.operators import as_matrix, spin_matrices
@@ -294,6 +299,24 @@ class TestSearches:
         assert res.signal == pytest.approx(1.0, abs=1e-12)
         assert res.kl_penalty == min(pens) < 2.5000002
 
+    def test_in_span_restarts_stop_at_rounding_floor(self):
+        # code-search instances like the benchmark's: a random d in 3-6, two
+        # couplings, and a generator moved into their quadratic span
+        rng = np.random.default_rng(12345)
+        for instance in range(8):
+            dim = int(rng.integers(3, 7))
+            couplings = [random_hermitian(rng, dim) for _ in range(2)]
+            g = random_hermitian(rng, dim)
+            g = g - quadratic_span_condition(g, couplings).g_perp
+            g = 0.5 * (g + g.conj().T)
+            assert not quadratic_span_condition(g, couplings).verdict
+            fn = _quadratic_search_terms(g, couplings, _SIGNAL_WEIGHT)
+            for r in range(2):
+                v0 = random_frame(stream(instance, r), dim)
+                f, v = stiefel_minimize(fn, v0)
+                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+                assert f_long == f and np.array_equal(v_long, v)
+
     def test_converged_no_go_restart_stops_at_rounding_floor(self):
         mats = [as_matrix(a) for a in nv_couplings()]
         v0 = random_frame(stream(0, 0), 3)
@@ -345,12 +368,17 @@ class TestStopRules:
             assert f > NO_GO_FLOOR + 1e-6
 
     def test_returns_lowest_value_visited(self):
-        # the nonmonotone search can accept a rise (here the third step);
-        # a longer budget never returns a higher value
+        # every accepted step lowers the value, so a longer budget never
+        # returns a higher one; the restart ends at the rounding floor, where
+        # any longer budget returns the same frame
         fn, v0 = self.restart()
-        runs = [stiefel_minimize(fn, v0, max_iter=m) for m in range(10)]
+        runs = [stiefel_minimize(fn, v0, max_iter=m) for m in range(12)]
         values = [f for f, _ in runs]
         assert values == sorted(values, reverse=True)
-        assert values[2] == values[3]
+        stop = values.index(values[-1])  # accepted steps before the floor
+        assert 0 < stop < 11 and len(set(values)) == stop + 1
         for f, v in runs:
             assert fn(v)[0] == f
+        f, v = stiefel_minimize(fn, v0)
+        f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+        assert f_long == f and np.array_equal(v_long, v)
