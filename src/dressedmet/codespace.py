@@ -292,15 +292,23 @@ def two_level_dressing(
 # ---------------------------------------------------------------------------
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector by the same dot products, without its checks."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _retract(v: np.ndarray) -> np.ndarray:
-    """Q factor, with positive R diagonal, of a d x 2 frame by Gram-Schmidt."""
-    r00 = np.linalg.norm(v[:, 0])
+    """Q factor, with positive R diagonal, of a complex d x 2 frame by Gram-Schmidt."""
+    r00 = _norm(v[:, 0])
     q0 = v[:, 0] / (r00 or 1.0)
     w = v[:, 1] - q0 * np.vdot(q0, v[:, 1])
-    r11 = np.linalg.norm(w)
-    if not (r00 > 0.0 and r11 > TOL.span_drop * np.linalg.norm(v[:, 1])):
+    r11 = _norm(w)
+    if not (r00 > 0.0 and r11 > TOL.span_drop * _norm(v[:, 1])):
         raise NumericalError("cannot retract a rank-deficient frame")
-    return np.stack([q0, w / r11], axis=1)
+    q = np.empty(v.shape, dtype=q0.dtype)
+    q[:, 0] = q0
+    np.divide(w, r11, out=q[:, 1])
+    return q
 
 
 def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ subject to ``-tI <= G - sum_k c_k C_k <= tI``.  One barrier method brackets
 the optimum from both sides, and a closed form gives a third bound:
 
 * :func:`solve_dual` follows the central path of the eigenvalue problem by
-  Newton steps on its log-det barrier in the ``k + 2`` variables ``(c, t)``.
+  Newton steps on its log-det barrier in the ``k + 2`` variables ``(c, t)``,
+  cutting the barrier weight 20x per centered level, and names its exit.
   The center carries the primal multipliers ``Z+- = mu (tI -+ M)^-1``, and
   at the stop ``Z+ - Z-``, linearized along the last Newton step, projected
   off the constraint span and scaled to trace norm 2, is the primal ``Gt``;
@@ -99,6 +100,11 @@ class ConstructiveBound:
 class DualSolution:
     """Dual value and coefficients, plus what the barrier path read off.
 
+    ``stop`` names the exit: ``"path_end"`` when the central path was
+    followed to its end (or ``g`` is zero or inside the span),
+    ``"max_steps"`` at ``_MAX_STEPS`` Newton steps, and
+    ``"rounding_floor"`` when a line search found no representable decrease
+    down to a step of 1e-12.
     ``g_tilde`` is the feasible primal point read off the last center (zero
     when ``g`` is zero or inside the span) and ``duality_measure`` is
     ``2 d mu`` there, in the units of ``g`` (zero when no barrier step ran).
@@ -108,9 +114,14 @@ class DualSolution:
     value: float
     coeffs: np.ndarray
     iterations: int
-    certified: bool
+    stop: str
     g_tilde: Optional[np.ndarray] = None
     duality_measure: float = 0.0
+
+    @property
+    def certified(self) -> bool:
+        """Whether the central path was followed to its end."""
+        return self.stop == "path_end"
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +135,7 @@ class SdpSolution:
     iterations: int
     duality_measure: float
     certified: bool
+    stop: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,6 +148,7 @@ class SdpSolution:
             "iterations": self.iterations,
             "duality_measure": self.duality_measure,
             "certified": self.certified,
+            "stop": self.stop,
         }
 
 
@@ -163,8 +176,11 @@ def constructive_bound(g, couplings, *, tol: Tolerances = TOL) -> ConstructiveBo
 
 
 # Newton steps after which the path is abandoned uncertified; a safeguard
-# only, the path ends within a hundred steps on the instances tried
+# only, the path ends within fifty steps on the instances tried
 _MAX_STEPS = 20000
+# factor by which mu falls at each center: long steps take fewer Newton steps
+# in total (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.3.3)
+_MU_SHRINK = 20.0
 
 
 def solve_dual(problem: SdpProblem) -> DualSolution:
@@ -177,16 +193,20 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     ``t - mu (log det(tI - M) + log det(tI + M))`` over the ``k + 2``
     variables ``(c, t)``, each from one eigendecomposition of ``M``, with an
     Armijo backtrack that reads a step leaving the interior as ``+inf``.
-    ``mu`` starts at 0.1 and shrinks 5x once the Newton decrement is at
-    ``1e-3 mu`` scale, until the duality measure ``2 d mu`` is below 1e-11.
+    ``mu`` starts at 0.1 and shrinks 20x (``_MU_SHRINK``) once the point is
+    centered, until the duality measure ``2 d mu`` is below 1e-11.  A point
+    is centered once half the squared Newton decrement, ``-slope / 2``, is
+    at most ``max(1e-3 mu, 16 eps max(1, |phi|))``, with ``phi`` the barrier
+    value ``t - mu log det``: at the last levels ``1e-3 mu`` falls below the
+    rounding of ``phi``, and Armijo would accept noise until ``_MAX_STEPS``.
     Generators inside the span, to 1e-12 of their own scale, stop at their
     least-squares projection.
 
     Whatever the iterate, the value is one ``eigvalsh`` of
     ``g - sum c_k C_k`` at the returned coefficients, mapped back onto
     ``problem.constraints``, so it is a valid upper bound by weak duality.
-    ``iterations`` counts Newton steps, capped by ``_MAX_STEPS``, and
-    ``certified`` means the central path was followed to its end.
+    ``iterations`` counts Newton steps, and ``stop`` names the exit, as
+    :class:`DualSolution` lists them.
 
     Where the path stops, the primal point ``g_tilde`` is read off its last
     center ``(y, t, mu)``: the barrier's multipliers ``Z+- = mu S+-^-1`` of
@@ -203,7 +223,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     zero = np.zeros((dim, dim), dtype=complex)
     scale = float(np.linalg.norm(np.linalg.eigvalsh(g), np.inf))
     if scale == 0.0:
-        return DualSolution(0.0, np.zeros(len(cons)), 0, True, zero)
+        return DualSolution(0.0, np.zeros(len(cons)), 0, "path_end", zero)
     gn = g / scale
 
     # orthonormal basis of span_R{C_k} in real coordinates; dropping the
@@ -223,17 +243,16 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
         m = gn - np.tensordot(coeffs, cons, axes=1)
         return 2.0 * float(np.abs(np.linalg.eigvalsh(m)).max()), coeffs
 
-    def result(y, steps, done, g_tilde=zero, mu=0.0):
+    def result(y, steps, stop, g_tilde=zero, mu=0.0):
         f, coeffs = value(y)
-        return DualSolution(f * scale, coeffs * scale, steps, bool(done), g_tilde,
-                            2 * dim * mu * scale)
+        return DualSolution(f * scale, coeffs * scale, steps, stop, g_tilde, 2 * dim * mu * scale)
 
     # the least-squares projection onto the span is optimal when g lies in
     # it, to the rounding at which dependent constraint directions drop; the
     # test is relative, so that a small g keeps its primal point
     y = vt[keep, :n] @ gn.real.ravel() + vt[keep, n:] @ gn.imag.ravel()
     if value(y)[0] <= 1e-12:
-        return result(y, 0, True)
+        return result(y, 0, "path_end")
 
     def spectrum(yy, tt):
         """Eigenpairs of M(yy) and log det(tI - M) + log det(tI + M), -inf outside."""
@@ -273,14 +292,15 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
             grad[-1] += 1.0
             step = -np.linalg.solve(mu * hess, grad)
             slope = float(grad @ step)
-            if -slope / 2.0 > 1e-3 * mu:
+            phi = t - mu * logdet
+            # the rounding of phi bounds the decrease a step can show
+            if -slope / 2.0 > max(1e-3 * mu, 16 * np.finfo(float).eps * max(1.0, abs(phi))):
                 break
             if 2 * dim * mu < 1e-11:
-                return result(y, steps, True, primal(wa, wb, vecs, yb, step), mu)
-            mu /= 5.0
+                return result(y, steps, "path_end", primal(wa, wb, vecs, yb, step), mu)
+            mu /= _MU_SHRINK
         if steps >= _MAX_STEPS:
-            return result(y, steps, False, primal(wa, wb, vecs, yb, step), mu)
-        phi = t - mu * logdet
+            return result(y, steps, "max_steps", primal(wa, wb, vecs, yb, step), mu)
         alpha = 1.0
         while alpha > 1e-12:
             trial = spectrum(y + alpha * step[:-1], t + alpha * step[-1])
@@ -290,7 +310,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
         else:
             # no representable decrease along the Newton direction: the
             # centering has hit the rounding floor before the path's end
-            return result(y, steps, False, primal(wa, wb, vecs, yb, step), mu)
+            return result(y, steps, "rounding_floor", primal(wa, wb, vecs, yb, step), mu)
         y, t = y + alpha * step[:-1], t + alpha * step[-1]
         logdet, lam, vecs = trial
 
@@ -314,8 +334,9 @@ def solve_primal(problem: SdpProblem) -> SdpSolution:
     feasibility to rounding (orthogonal to every constraint, trace norm 2
     unless it is zero), forms ``X = |Gt|`` and reports the primal value
     ``tr(G Gt)`` next to the dual value.  ``certified`` means the two pass
-    :func:`_certifies`.  ``iterations`` counts the path's Newton steps, and
-    ``duality_measure`` is its ``2 d mu`` at the stop, in the units of ``G``.
+    :func:`_certifies`.  ``iterations`` counts the path's Newton steps,
+    ``duality_measure`` is its ``2 d mu`` at the stop, in the units of ``G``,
+    and ``stop`` names the path's exit (:class:`DualSolution`).
     """
     dual = solve_dual(problem)
     cons = np.array(problem.constraints)
@@ -341,4 +362,5 @@ def solve_primal(problem: SdpProblem) -> SdpSolution:
         iterations=dual.iterations,
         duality_measure=dual.duality_measure,
         certified=_certifies(dual.value, primal_value, scale),
+        stop=dual.stop,
     )

@@ -4,7 +4,10 @@ Kept verbatim as the reference for ``test_dual_newton.py``: Polyak-style
 subgradient descent on ``2 min_c ||G - sum_k c_k C_k||_op`` with a min-norm
 eps-subgradient direction (Wolfe's algorithm plus an exact linear oracle on
 the near-active eigenspaces).  Every iterate is a valid upper bound, so the
-new solver's value must never sit above this one's.
+new solver's value must never sit above this one's.  One edit: the two
+returns pass ``"path_end"`` or ``"max_steps"`` where they passed the boolean
+``certified``, since ``DualSolution`` names its exit and derives
+``certified`` from it.
 """
 from __future__ import annotations
 
@@ -168,7 +171,7 @@ def solve_dual(
     cons = problem.constraints
     scale = float(np.linalg.norm(np.linalg.eigvalsh(g), np.inf))
     if scale == 0.0:
-        return DualSolution(0.0, np.zeros(len(cons)), 0, True)
+        return DualSolution(0.0, np.zeros(len(cons)), 0, "path_end")
     gn = g / scale
     tgt = None if target is None else max(0.0, target / scale)
     tol_n = max(tol / scale, 1e-15)
@@ -249,4 +252,4 @@ def solve_dual(
             eps = min(2.0 * eps, 0.5 * f_best)
     if tgt is not None and f_best - tgt <= max(10 * tol_n, cert_tol):
         certified = True
-    return DualSolution(f_best * scale, c_best * scale, it, certified)
+    return DualSolution(f_best * scale, c_best * scale, it, "path_end" if certified else "max_steps")

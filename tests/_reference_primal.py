@@ -4,10 +4,11 @@ Kept verbatim as the reference for ``test_primal_readoff.py``: an
 equality-constrained Newton method on the log-det barrier of the primal SDP
 in real coordinates of Herm(d), with its own Hermitian basis, KKT system and
 backtracking line search, warm-started at the constructive-bound states.
-Its dual side calls the package's ``solve_dual``.  Two edits: the default
-``tol``, which read ``TOL.sdp`` (1e-8) before that field was deleted, and the
+Its dual side calls the package's ``solve_dual``.  Three edits: the default
+``tol``, which read ``TOL.sdp`` (1e-8) before that field was deleted; the
 ``solve_dual`` call, which passed ``tol=min(tol * 0.1, 1e-9)`` and
-``target=primal_value`` before those arguments were deleted.  Neither moved
+``target=primal_value`` before those arguments were deleted; and
+``stop=dual.stop``, added when ``SdpSolution`` gained that field.  None moved
 the dual's path or value, so ``gap`` is as it was; ``certified`` now only
 records that the dual's path reached its end.
 """
@@ -245,4 +246,5 @@ def solve_primal(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         iterations=newton_steps,
         duality_measure=mu * nu * scale,
         certified=bool(dual.certified),
+        stop=dual.stop,
     )

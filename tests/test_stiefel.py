@@ -34,6 +34,7 @@ from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import NO_GO_FLOOR, nv_couplings, rotated_couplings
 from dressedmet.operators import as_matrix, spin_matrices
 from dressedmet.rand import stream
+from dressedmet.tolerances import TOL
 
 from conftest import random_hermitian
 
@@ -131,6 +132,17 @@ def random_matrix(rng, dim, hermitian):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
+def norm_stack_retract(v):
+    """``_retract`` as it stood with ``np.linalg.norm`` and ``np.stack``."""
+    r00 = np.linalg.norm(v[:, 0])
+    q0 = v[:, 0] / (r00 or 1.0)
+    w = v[:, 1] - q0 * np.vdot(q0, v[:, 1])
+    r11 = np.linalg.norm(w)
+    if not (r00 > 0.0 and r11 > TOL.span_drop * np.linalg.norm(v[:, 1])):
+        raise NumericalError("cannot retract a rank-deficient frame")
+    return np.stack([q0, w / r11], axis=1)
+
+
 def random_frame(rng, dim):
     return rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
 
@@ -213,6 +225,20 @@ class TestRetraction:
         q = _retract(v)
         np.testing.assert_allclose(q, qr_retract(v), rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        fortran=st.booleans(),
+    )
+    def test_bitwise_equal_to_norm_and_stack_retraction(self, dim, seed, scale, fortran):
+        v = scale * random_frame(np.random.default_rng(seed), dim)
+        v = np.asfortranarray(v) if fortran else v
+        got, want = _retract(v), norm_stack_retract(v)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_rank_deficient_frame_raises(self, rng):
         col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
