@@ -2,9 +2,10 @@
 
 One propagation core serves every trajectory: fixed-step classical 4th order
 as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
-kept as the increment ``M - I`` and built once per run of steps of one dt.
-One stacked matmul advances a block of steps for all signal offsets of an
-estimate, through the increments ``M^j - I`` of its powers.  The trace is
+kept as the increment ``M - I`` and built once per run, which steps at one
+dt; a time off the dt lattice is reached by one shorter step.  One stacked
+matmul advances a block of steps for all signal offsets of an estimate,
+through the increments ``M^j - I`` of its powers.  The trace is
 renormalized once per block; a step's drift is the ratio of consecutive
 traces, ``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
 renormalized ``v``.  ``Trajectory.trace_drift`` is the largest step drift;
@@ -88,9 +89,11 @@ class Trajectory:
 
 
 def _default_dt(
-    h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
+    hams: Sequence[HermitianOperator], lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
 ) -> float:
-    hnorm = float(np.abs(np.linalg.eigvalsh(h_s.entries)).max())
+    """1e-3 over the larger of the largest norm of ``hams`` and the total bath rate: the
+    smallest of the ``hams``' own defaults, with the bath rates evaluated once."""
+    hnorm = max(float(np.abs(np.linalg.eigvalsh(h.entries)).max()) for h in hams)
     total_rate = sum(
         float(np.trace(spectrum.rate(nu, tol=tol)).real) for nu in lset.frequencies
     )
@@ -141,15 +144,15 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 
 
-def _step_counts(spans: Sequence[float], dt: float) -> List[int]:
-    """Fewest equal steps no longer than ``dt`` per span, none for an empty one; a
-    ``span / dt`` that is not finite, or a total past int64, is refused."""
-    if not all(math.isfinite(span / dt) for span in spans):
+def _step_count(span: float, dt: float) -> int:
+    """Fewest equal steps no longer than ``dt`` over ``span > 0``; a ``span / dt``
+    that is not finite, or a count past int64, is refused."""
+    if not math.isfinite(span / dt):
         raise ValidationError(f"at dt = {dt:g} a step count is not finite")
-    counts = [max(1, math.ceil(span / dt - 1e-12)) if span > 0 else 0 for span in spans]
-    if sum(counts) > np.iinfo(np.int64).max:
-        raise ValidationError(f"at dt = {dt:g} the run needs {sum(counts):.3e} steps, past int64")
-    return counts
+    count = max(1, math.ceil(span / dt - 1e-12))
+    if count > np.iinfo(np.int64).max:
+        raise ValidationError(f"at dt = {dt:g} the run needs {count:.3e} steps, past int64")
+    return count
 
 
 def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
@@ -217,16 +220,19 @@ def _drift_abort(err: float, records: np.ndarray, tol: Tolerances) -> None:
 
 
 def _propagate(
-    gens: np.ndarray, rho0: np.ndarray, legs: Sequence[Tuple[float, int]], tol: Tolerances
+    gens: np.ndarray, rho0: np.ndarray, dt: float, marks: Sequence[Tuple[int, float]],
+    tol: Tolerances,
 ) -> Tuple[np.ndarray, float]:
-    """Advance ``rho0`` under each stacked generator through ``legs`` of ``(dt, steps)``.
+    """Advance ``rho0`` under each stacked generator in steps of ``dt``, recording at ``marks``.
 
-    Returns the states after each leg, ``(legs, generators, d, d)``, and the drift.
-    Consecutive legs of one ``dt`` form a run, advanced up to ``_block_size``
-    steps per numpy call.  A run of several legs records inside its blocks, so
-    it applies a table of the increments ``M^j - I``; a run of one leg records
-    once, so it takes its step traces from the trace rows ``1^T (M^j - I)`` and
-    advances by the squarings ``M^(2^i) - I``.  A step's drift is
+    Mark ``(k, r)``, ``k`` nondecreasing, records the state after ``k`` steps
+    advanced by one RK4 step of length ``r`` in ``[0, dt)``, which the run does
+    not continue from.  Returns the records, ``(marks, generators, d, d)``,
+    and the drift.  The set-up is built once; a numpy call advances up to
+    ``_block_size`` steps.  Several records all on the lattice (``evolve``'s)
+    are made inside the blocks from a table of the increments ``M^j - I``;
+    other runs advance by the squarings ``M^(2^i) - I`` and take step traces
+    from the trace rows ``1^T (M^j - I)``.  A step's drift is
     ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``: the trace error of
     ``M v`` for the renormalized ``v``.
     """
@@ -238,54 +244,59 @@ def _propagate(
     dim = rho0.shape[0]
     trace_row = np.eye(dim).reshape(-1)
     vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
-    records = np.empty((len(legs), len(gens), dim, dim), dtype=complex)
-    ends = np.cumsum([n for _, n in legs], dtype=np.int64)
+    records = np.empty((len(marks), len(gens), dim, dim), dtype=complex)
+    ends = np.array([k for k, _ in marks], dtype=np.int64)
     block = _block_size(gens.shape[-1])
     drift = 0.0
-    lo = 0
-    while lo < len(legs):
-        dt = legs[lo][0]
-        hi = lo + 1
-        while hi < len(legs) and legs[hi][0] == dt:
-            hi += 1
-        run_ends = ends[lo:hi] - (ends[lo - 1] if lo else 0)
-        total = int(run_ends[-1])
-        span = min(block, total)
-        at_start = int(np.searchsorted(run_ends, 0, side="right"))
-        records[lo:lo + at_start] = vecs.reshape(-1, dim, dim)
-        if total and hi - lo > 1:  # records inside the blocks: a table of increments
-            table = _doubled(_step_increment(gens, dt), span)
-            for done in range(0, total, block):
-                n = min(block, total - done)
-                states = vecs + np.matmul(table[:n], vecs[..., None])[..., 0]
-                traces = (states @ trace_row).real
-                err, passed = _step_drift((vecs @ trace_row).real, traces, tol)
-                k0, k1 = np.searchsorted(run_ends, (done, done + passed), side="right")
-                at = run_ends[k0:k1] - done - 1
-                records[lo + k0:lo + k1] = (
-                    states[at] / traces[at][..., None]).reshape(-1, len(gens), dim, dim)
-                if passed < n:
-                    _drift_abort(err[passed], records[:lo + k1], tol)
-                drift = max(drift, float(err.max()))
-                vecs = states[-1] / traces[-1][:, None]
-        elif total:  # one record at the end: trace rows and squarings
+    if len(marks) > 1 and not any(r for _, r in marks):  # records inside the blocks
+        total = int(ends[-1])
+        records[:np.searchsorted(ends, 0, side="right")] = vecs.reshape(-1, dim, dim)
+        table = _doubled(_step_increment(gens, dt), min(block, total)) if total else None
+        for done in range(0, total, block):
+            n = min(block, total - done)
+            states = vecs + np.matmul(table[:n], vecs[..., None])[..., 0]
+            traces = (states @ trace_row).real
+            err, passed = _step_drift((vecs @ trace_row).real, traces, tol)
+            k0, k1 = np.searchsorted(ends, (done, done + passed), side="right")
+            at = ends[k0:k1] - done - 1
+            records[k0:k1] = (states[at] / traces[at][..., None]).reshape(-1, len(gens), dim, dim)
+            if passed < n:
+                _drift_abort(err[passed], records[:k1], tol)
+            drift = max(drift, float(err.max()))
+            vecs = states[-1] / traces[-1][:, None]
+    else:  # from mark to mark: trace rows and squarings
+        flat = records.reshape(len(marks), len(gens), dim * dim)
+        span = min(block, int(np.diff(ends, prepend=0).max(initial=0)))
+        if span:
             inc = _step_increment(gens, dt)
             squares = _squarings(inc, span.bit_length())
             rows = _doubled((trace_row @ inc)[:, None], span, squares)
-            for done in range(0, total, block):
-                n = min(block, total - done)
+        done = 0
+        for i, (end, (_, rest)) in enumerate(zip(ends.tolist(), marks)):
+            while done < end:
+                n = min(block, end - done)
                 before = (vecs @ trace_row).real
                 traces = before + (rows[:n] @ vecs[..., None])[..., 0, 0].real
                 err, passed = _step_drift(before, traces, tol)
                 if passed < n:
-                    _drift_abort(err[passed], records[:lo], tol)
+                    _drift_abort(err[passed], records[:i], tol)
                 drift = max(drift, float(err.max()))
-                for i in range(n.bit_length()):
-                    if n >> i & 1:
-                        vecs = vecs + np.matmul(squares[i], vecs[..., None])[..., 0]
+                for b in range(n.bit_length()):
+                    if n >> b & 1:
+                        vecs = vecs + np.matmul(squares[b], vecs[..., None])[..., 0]
                 vecs = vecs / (vecs @ trace_row).real[:, None]
-            records[lo] = vecs.reshape(-1, dim, dim)
-        lo = hi
+                done += n
+            flat[i] = vecs
+            if rest:  # v + a (v + a/2 (v + a/3 (v + a/4 v))) with a = rest L: no D x D product
+                stage = vecs
+                for j in (4.0, 3.0, 2.0, 1.0):
+                    stage = vecs + (rest / j) * np.matmul(gens, stage[..., None])[..., 0]
+                traces = (stage @ trace_row).real
+                err, passed = _step_drift((vecs @ trace_row).real, traces[None], tol)
+                if not passed:
+                    _drift_abort(err[0], records[:i], tol)
+                drift = max(drift, float(err[0]))
+                flat[i] = stage / traces[:, None]
     _check_states(records, tol)
     return records, drift
 
@@ -301,14 +312,13 @@ def evolve(
     """Integrate the master equation from ``rho0`` over ``cfg.t_final``."""
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
-    dt = cfg.dt if cfg.dt is not None else _default_dt(h_s, lset, spectrum, tol)
+    dt = cfg.dt if cfg.dt is not None else _default_dt([h_s], lset, spectrum, tol)
     _check_stability(gens, dt, tol)
-    (n_steps,) = _step_counts([cfg.t_final], dt)
+    n_steps = _step_count(cfg.t_final, dt)
     dt = cfg.t_final / n_steps
-    full, rest = divmod(n_steps, cfg.record_stride)
-    chunks = [cfg.record_stride] * full + ([rest] if rest else [])
-    states, drift = _propagate(gens, rho0, [(dt, n) for n in chunks], tol)
-    times = np.cumsum([0] + chunks) * dt
+    ends = list(range(cfg.record_stride, n_steps, cfg.record_stride)) + [n_steps]
+    states, drift = _propagate(gens, rho0, dt, [(k, 0.0) for k in ends], tol)
+    times = np.array([0] + ends) * dt
     return Trajectory(times, np.concatenate([rho0[None], states[:, 0]]), drift)
 
 
@@ -350,9 +360,7 @@ class ProbeModel:
 
     def generators(self, offsets: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
         """Stacked ``superoperator(h) + delta K_g``, ``K_g = -i[g, .]`` row-major."""
-        base = superoperator(self.h, self.jump_set(tol), self.spectrum, tol=tol)
-        k_g = commutator_superoperator(self.g.entries)
-        return base + np.asarray(offsets, dtype=float)[:, None, None] * k_g
+        return _offset_generators(self, self.jump_set(tol), offsets, tol)
 
     def hamiltonian(self, delta_omega: float) -> HermitianOperator:
         return HermitianOperator(self.h.entries + delta_omega * self.g.entries)
@@ -411,6 +419,14 @@ class ProbeModel:
             gap_tol=(finite_number(obj["gap_tol"], "model gap_tol")
                      if obj.get("gap_tol") is not None else None),
         )
+
+
+def _offset_generators(
+    model: ProbeModel, lset: LindbladSet, offsets: Sequence[float], tol: Tolerances
+) -> np.ndarray:
+    base = superoperator(model.h, lset, model.spectrum, tol=tol)
+    k_g = commutator_superoperator(model.g.entries)
+    return base + np.asarray(offsets, dtype=float)[:, None, None] * k_g
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +549,16 @@ class ScalingRecord:
             raise ValidationError(f"coherence {self.coherence} outside [0, 1/2]")
 
 
+def _grid_marks(tgrid: Sequence[float], dt: float) -> List[Tuple[int, float]]:
+    """Each time as ``_propagate``'s mark ``(k, r)``: ``k`` whole steps of ``dt`` at or
+    before it, with ``_step_count``'s 1e-12 slack, and ``r = t - k dt``, 0 within
+    ``1e-12 dt``; a grid whose step count is not finite, or past int64, is refused."""
+    if len(tgrid):
+        _step_count(tgrid[-1], dt)
+    ks = [math.floor(t / dt + 1e-12) for t in tgrid]
+    return [(k, t - k * dt if t - k * dt > 1e-12 * dt else 0.0) for t, k in zip(tgrid, ks)]
+
+
 def _grid_states(
     model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
     cfg: Optional[SimConfig], tol: Tolerances,
@@ -540,23 +566,24 @@ def _grid_states(
     """States at every grid time and offset from one continuous batched run.
 
     Shape ``(len(tgrid), len(offsets), d, d)``.  Grid times must be
-    positive, finite and nondecreasing; only ``cfg.dt`` is read.  Each grid
-    interval takes the fewest equal steps no longer than dt; a defaulted dt
+    positive, finite and nondecreasing; only ``cfg.dt`` is read.  The run
+    steps at dt, and a grid time off the dt lattice is reached by one shorter
+    step from the lattice state before it (``_grid_marks``).  A defaulted dt
     is the smallest of the offsets' defaults, so every offset takes the same
-    steps.
+    steps; the jump set is built once for it and for the generators.
     """
     if not (all(0 < t < math.inf for t in tgrid) and all(a <= b for a, b in zip(tgrid, tgrid[1:]))):
         raise ValidationError("time grid must be positive, finite and nondecreasing")
-    gens = model.generators(offsets, tol)
+    lset = model.jump_set(tol)
     if cfg is not None and cfg.dt is not None:
         dt = cfg.dt
     else:
-        lset = model.jump_set(tol)
-        dt = min(_default_dt(model.hamiltonian(d), lset, model.spectrum, tol) for d in offsets)
+        hams = [model.hamiltonian(d) for d in offsets]
+        dt = _default_dt(hams, lset, model.spectrum, tol)
+    marks = _grid_marks(tgrid, dt)
+    gens = _offset_generators(model, lset, offsets, tol)
     _check_stability(gens, dt, tol)
-    spans = np.diff(tgrid, prepend=0.0).tolist()
-    legs = [(span / max(n, 1), n) for span, n in zip(spans, _step_counts(spans, dt))]
-    return _propagate(gens, model.rho0, legs, tol)[0]
+    return _propagate(gens, model.rho0, dt, marks, tol)[0]
 
 
 def _sld_series(

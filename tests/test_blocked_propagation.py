@@ -1,12 +1,15 @@
 """Blocked propagation against the per-step core it replaced.
 
 ``_reference_propagate`` is ``simulate._propagate`` as it stood before
-blocking: one matmul per RK4 step, with the trace renormalized and checked
-after every step.  The blocked core advances a block of steps per numpy
-call.  It must record every leg of a run (zero-step legs, remainder legs,
-runs longer than a block) within 1e-12 of the per-step core, give sweep
-Fisher values within 1e-9 relative, and abort at the same step with the same
-message when a generator leaks trace.
+blocking: one matmul per RK4 step over legs of ``(dt, steps)``, with the
+trace renormalized and checked after every step.  The blocked core steps at
+one dt and records at marks ``(k, r)``: the state after ``k`` steps,
+advanced by one step of length ``r``.  Record ``i`` must match the per-step
+core run on the legs ``[(dt, k_i), (r_i, 1)]`` within 1e-12 on states, for
+strided records, zero-step marks, runs longer than a block, repeated and
+off-lattice grid times and a first time below dt; sweep Fisher values must
+match within 1e-9 relative; and a generator that leaks trace must abort at
+the same step, full or shorter, with the same message.
 """
 
 import math
@@ -17,7 +20,9 @@ import pytest
 from dressedmet import simulate
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import protected_model, unprotected_model
-from dressedmet.simulate import SimConfig, _block_size, _grid_states, _propagate, _sld_series
+from dressedmet.simulate import (
+    SimConfig, _block_size, _grid_marks, _grid_states, _propagate, _sld_series, _sld_value,
+)
 from dressedmet.tolerances import TOL, Tolerances
 
 import _reference_propagate as per_step
@@ -30,52 +35,99 @@ MODELS = {
 }
 
 DT = 0.01
-LEGS = {
-    "stride 1": [(DT, 1)] * 300,
-    "stride 7 and a remainder": [(DT, 7)] * 42 + [(DT, 6)],
-    "one leg": [(DT, 300)],
-    "zero-step legs in a run": [(DT, 0), (DT, 5), (DT, 0), (DT, 295), (DT, 0)],
-    "own dt per leg": [(0.5 / 50, 50), (0.0, 0), (0.7 / 71, 71), (1.8 / 179, 179)],
+
+
+def strided(ends):
+    return [(k, 0.0) for k in ends]
+
+
+def reference_records(gens, rho0, dt, marks, tol=TOL):
+    """Record ``i`` of the per-step core on the legs ``[(dt, k_i), (r_i, 1)]``; the lattice
+    records come from one run through their ends, which takes the same steps."""
+    ends = [k for k, _ in marks]
+    out, _ = per_step._propagate(gens, rho0, [(dt, b - a) for a, b in zip([0] + ends, ends)], tol)
+    for i, (k, r) in enumerate(marks):
+        if r:
+            out[i] = per_step._propagate(gens, rho0, [(dt, k), (r, 1)], tol)[0][-1]
+    return out
+
+
+def placement(tgrid, dt):
+    """Whole steps at or before each time, with 1e-12 slack, and the rest, 0 within 1e-12 dt."""
+    marks = []
+    for t in tgrid:
+        k = int(math.floor(t / dt + 1e-12))
+        r = t - k * dt
+        marks.append((k, r if r > 1e-12 * dt else 0.0))
+    return marks
+
+
+CASES = {
+    "stride 1": strided(range(1, 301)),
+    "stride 7 and a remainder": strided(list(range(7, 295, 7)) + [300]),
+    "one leg": strided([300]),
+    "zero-step legs in a run": strided([0, 5, 5, 300, 300]),
+    "partial steps": [(0, 0.4 * DT), (270, 0.0), (270, 0.0), (289, 0.7 * DT), (289, 0.7 * DT),
+                      (299, 0.25 * DT)],
 }
 
 
-@pytest.mark.parametrize("legs", sorted(LEGS))
+@pytest.mark.parametrize("marks", sorted(CASES))
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_runs_match_the_per_step_core(name, legs):
+def test_runs_match_the_per_step_core(name, marks):
     model = MODELS[name]()
     gens = model.generators((0.0, 0.02, -0.02))
-    assert 300 > _block_size(gens.shape[-1])  # every run spans more than one block
-    got, drift = _propagate(gens, model.rho0, LEGS[legs], TOL)
-    want, _ = per_step._propagate(gens, model.rho0, LEGS[legs], TOL)
+    assert 270 > _block_size(gens.shape[-1])  # every run spans more than one block
+    got, drift = _propagate(gens, model.rho0, DT, CASES[marks], TOL)
+    want = reference_records(gens, model.rho0, DT, CASES[marks])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
     assert 0.0 <= drift < 1e-12
 
 
+def test_grid_times_are_placed_on_the_dt_lattice():
+    # 0.29 / 0.01 and 0.57 / 0.01 round to just below 29 and 57: the slack puts them
+    # on the lattice, where 0.57 - 57 * 0.01 is -1.1e-16
+    tgrid = [0.004, 0.29, 0.3, 0.3, 0.57, 1.0, 1.2345, 10.0]
+    marks = _grid_marks(tgrid, DT)
+    assert marks == placement(tgrid, DT)
+    assert [k for k, _ in marks] == [0, 29, 30, 30, 57, 100, 123, 1000]
+    assert [r == 0.0 for _, r in marks] == [False, True, True, True, True, True, False, True]
+    assert all(0.0 <= r < DT for _, r in marks)
+    assert abs(marks[0][1] - 0.004) < 1e-18 and abs(marks[6][1] - 0.0045) < 1e-15
+
+
+GRIDS = {
+    "on the lattice": [0.3, 0.3, 1.0, 2.5, 2.5, 2.5],
+    "off the lattice": [0.004, 0.3, 0.3, 1.0, 1.2345, 1.2345, 2.5, 2.5, 2.5],
+}
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_a_repeated_grid_time_records_the_current_state(name, monkeypatch):
+def test_a_repeated_grid_time_records_the_current_state(name):
     model = MODELS[name]()
-    tgrid = [0.3, 0.3, 1.0, 2.5, 2.5, 2.5]
     cfg = SimConfig(t_final=2.5, dt=DT)
-    states = _grid_states(model, (0.0, 1e-4), tgrid, cfg, TOL)
-    assert np.array_equal(states[0], states[1])
-    assert np.array_equal(states[3], states[4]) and np.array_equal(states[3], states[5])
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_propagate", per_step._propagate)
-        ref = _grid_states(model, (0.0, 1e-4), tgrid, cfg, TOL)
-    assert np.abs(states - ref).max() <= 1e-12
+    offsets = (0.0, 1e-4)
+    gens = model.generators(offsets)
+    for tgrid in GRIDS.values():
+        states = _grid_states(model, offsets, tgrid, cfg, TOL)
+        for i in np.flatnonzero(np.diff(tgrid) == 0.0):
+            assert np.array_equal(states[i], states[i + 1])
+        ref = reference_records(gens, model.rho0, DT, placement(tgrid, DT))
+        assert np.abs(states - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tgrid", [list(np.geomspace(0.5, 10.0, 12)), [10.0]])
 @pytest.mark.parametrize("ancilla", [False, True])
-def test_sweep_grids_match_the_per_step_core(ancilla, tgrid, monkeypatch):
+def test_sweep_grids_match_the_per_step_core(ancilla, tgrid):
     cfg = SimConfig(t_final=10.0, dt=DT)
     for model in (protected_model(ancilla=ancilla), unprotected_model()):
-        qfi, states = _sld_series(model, tgrid, cfg, TOL)
-        with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_propagate", per_step._propagate)
-            ref_qfi, ref_states = _sld_series(model, tgrid, cfg, TOL)
-        assert np.abs(states - ref_states).max() <= 1e-12
+        qfi, center = _sld_series(model, tgrid, cfg, TOL)
+        d = simulate._default_delta(model)
+        ref = reference_records(model.generators((0.0, d, -d)), model.rho0, DT,
+                                placement(tgrid, DT))
+        assert np.abs(center - ref[:, 0]).max() <= 1e-12
+        ref_qfi = [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in ref]
         np.testing.assert_allclose(qfi, ref_qfi, rtol=1e-9, atol=0.0)
 
 
@@ -84,9 +136,9 @@ def test_sweep_grids_match_the_per_step_core(ancilla, tgrid, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _outcome(propagate, gens, legs, tol):
+def _outcome(propagate, gens, *run):
     try:
-        propagate(gens, RHO0, legs, tol)
+        propagate(gens, RHO0, *run)
     except NumericalError as exc:
         return str(exc)
     return "ok"
@@ -94,11 +146,23 @@ def _outcome(propagate, gens, legs, tol):
 
 LEAKING = growing_coherence((0.0, 0.1), feed=1e-4)
 LEAKING_BLOCK = _block_size(LEAKING.shape[-1])
+LENIENT = Tolerances(trace_drift=math.inf, positivity_floor=-math.inf)
+NO_POSITIVITY = Tolerances(positivity_floor=-math.inf)
 
 
 def _drift_after(steps):
-    lenient = Tolerances(trace_drift=math.inf, positivity_floor=-math.inf)
-    return per_step._propagate(LEAKING, RHO0, [(DT, steps)], lenient)[1] if steps else 0.0
+    return per_step._propagate(LEAKING, RHO0, [(DT, steps)], LENIENT)[1] if steps else 0.0
+
+
+def _first_over_the_default_threshold():
+    lo, hi = 0, 4000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(per_step._propagate, LEAKING, [(DT, mid)], NO_POSITIVITY) == "ok":
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @pytest.mark.parametrize("first_over", [None, 1, LEAKING_BLOCK, LEAKING_BLOCK + 1])
@@ -107,17 +171,11 @@ def test_a_leaking_generator_aborts_at_the_first_step_over_the_threshold(first_o
     # coherence; the positivity guard is off, so the drift guard alone decides.
     # None keeps the default threshold; otherwise the threshold sits between the
     # drifts of steps first_over - 1 and first_over: the first and last steps of a
-    # block, and the first of the next.
-    tol = Tolerances(positivity_floor=-math.inf)
+    # block, and the first of the next.  The grid's shorter steps, a quarter step
+    # from an earlier state, drift less than the threshold.
+    tol = NO_POSITIVITY
     if first_over is None:
-        lo, hi = 0, 4000
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _outcome(per_step._propagate, LEAKING, [(DT, mid)], tol) == "ok":
-                lo = mid
-            else:
-                hi = mid
-        first_over = hi
+        first_over = _first_over_the_default_threshold()
         assert first_over > LEAKING_BLOCK
     else:
         threshold = 0.5 * (_drift_after(first_over - 1) + _drift_after(first_over))
@@ -126,21 +184,80 @@ def test_a_leaking_generator_aborts_at_the_first_step_over_the_threshold(first_o
     assert message.startswith("trace drift")
     assert _outcome(per_step._propagate, LEAKING, [(DT, first_over - 1)], tol) == "ok"
     runs = {
-        "one leg": lambda n: [(DT, n)],
-        "stride 1": lambda n: [(DT, 1)] * n,
-        "stride 7": lambda n: [(DT, 7)] * (n // 7) + [(DT, n % 7)],
+        "one leg": lambda n: strided([n]),
+        "stride 1": lambda n: strided(range(1, n + 1)),
+        "stride 7": lambda n: strided(list(range(7, n + 1, 7)) + [n]),
+        "grid": lambda n: [(n // 3, 0.25 * DT), (n // 2, 0.0), (n, 0.0)],
     }
-    for legs in runs.values():
-        assert _outcome(_propagate, LEAKING, legs(first_over - 1), tol) == "ok"
-        assert _outcome(_propagate, LEAKING, legs(first_over), tol) == message
-        assert _outcome(_propagate, LEAKING, legs(first_over + 500), tol) == message
+    for marks in runs.values():
+        assert _outcome(_propagate, LEAKING, DT, marks(first_over - 1), tol) == "ok"
+        assert _outcome(_propagate, LEAKING, DT, marks(first_over), tol) == message
+        assert _outcome(_propagate, LEAKING, DT, marks(first_over + 500), tol) == message
+
+
+def test_a_shorter_step_over_the_threshold_aborts_the_run():
+    # the whole steps before it pass the default threshold, and a step just short
+    # of dt from there is the first over it, ahead of the whole steps that follow
+    steps = _first_over_the_default_threshold() - 1
+    rest = np.nextafter(DT, 0.0)
+    message = _outcome(per_step._propagate, LEAKING, [(DT, steps), (rest, 1)], NO_POSITIVITY)
+    assert message.startswith("trace drift") and message.endswith("exceeds 1e-06")
+    for marks in ([(steps, rest)], [(steps // 2, 0.0), (steps, rest), (steps + 10, 0.0)]):
+        assert _outcome(_propagate, LEAKING, DT, marks, NO_POSITIVITY) == message
+    assert _outcome(_propagate, LEAKING, DT, [(steps, 0.0)], NO_POSITIVITY) == "ok"
+
+
+def test_shorter_steps_count_in_the_drift():
+    rest = 0.6 * DT
+    assert _propagate(LEAKING, RHO0, DT, [(0, 0.0)], LENIENT)[1] == 0.0
+    got = _propagate(LEAKING, RHO0, DT, [(0, rest)], LENIENT)[1]
+    want = per_step._propagate(LEAKING, RHO0, [(DT, 0), (rest, 1)], LENIENT)[1]
+    assert got > 0.0 and abs(got - want) <= 1e-9 * want
+    steps = 40
+    whole = _propagate(LEAKING, RHO0, DT, [(steps, 0.0)], LENIENT)[1]
+    got = _propagate(LEAKING, RHO0, DT, [(steps, np.nextafter(DT, 0.0))], LENIENT)[1]
+    assert got > whole
+
+
+def test_a_shorter_step_that_loses_positivity_is_named():
+    # the coherence 0.1 e^t passes 1/2 at t = ln 5 = 1.609: the shorter step to
+    # t = 1.635 is the first record that fails, ahead of the whole-step one at t = 2
+    gens = growing_coherence((0.0, 1.0))
+    dt = 0.05
+    marks = [(20, 0.0), (32, 0.0), (32, 0.7 * dt), (40, 0.0)]
+    lenient = Tolerances(positivity_floor=-math.inf)
+    ref = reference_records(gens, RHO0, dt, marks, lenient)
+    with pytest.raises(NumericalError) as want:
+        per_step._check_states(ref, TOL)
+    with pytest.raises(NumericalError) as first:
+        per_step._check_states(ref[:3], TOL)
+    assert str(first.value) == str(want.value)
+    assert _outcome(_propagate, gens, dt, marks, TOL) == str(want.value)
+    assert _outcome(_propagate, gens, dt, marks[:2], TOL) == "ok"
+
+
+@pytest.mark.parametrize("tgrid, dt, message", [
+    ([1e-300, 1.0, 1e300], DT, "past int64"),
+    ([1.0, 1e300], 1e-300, "a step count is not finite"),
+])
+def test_a_grid_past_the_step_count_is_refused_before_any_assembly(tgrid, dt, message,
+                                                                   monkeypatch):
+    def assemble(*args, **kwargs):
+        raise AssertionError("a generator was assembled")
+
+    monkeypatch.setattr(simulate, "superoperator", assemble)
+    cfg = SimConfig(t_final=max(tgrid), dt=dt)
+    for model in (protected_model(), protected_model(ancilla=True)):
+        with pytest.raises(ValidationError, match=message):
+            _grid_states(model, (0.0, 1e-4), tgrid, cfg, TOL)
 
 
 @pytest.mark.parametrize("legs", [[(0.05, 10)], [(0.05, 1)] * 10])
 def test_a_nan_trace_aborts(legs):
     gens = growing_coherence((0.0, 1.0))
     gens[1, 0, 0] = np.nan
-    assert _outcome(_propagate, gens, legs, TOL) == "trace drift nan exceeds 1e-06"
+    marks = strided(np.cumsum([n for _, n in legs]).tolist())
+    assert _outcome(_propagate, gens, 0.05, marks, TOL) == "trace drift nan exceeds 1e-06"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dressedmet import simulate
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
 from dressedmet.nv import protected_model, unprotected_model
@@ -85,18 +86,20 @@ def reference_evolve(model, delta_omega, cfg):
 
 
 def reference_grid_states(model, delta_omega, tgrid, dt0):
+    """The loop stepping at ``dt0`` through the grid; a time off the ``dt0`` lattice is
+    the lattice state before it advanced by one shorter step, not continued from."""
     sop = superoperator(model.hamiltonian(delta_omega), model.jump_set(), model.spectrum)
     vec = model.rho0.reshape(-1).astype(complex)
     dim = model.dim
     out = []
-    t_prev = 0.0
+    done = 0
     for t in tgrid:
-        span = t - t_prev
-        if span > 0:
-            n = max(1, int(math.ceil(span / dt0 - 1e-12)))
-            vec, _ = reference_rk4_run(sop, vec, span / n, n)
-        t_prev = t
-        out.append(vec.reshape(dim, dim).copy())
+        steps = int(math.floor(t / dt0 + 1e-12))
+        vec, _ = reference_rk4_run(sop, vec, dt0, steps - done)
+        done = steps
+        rest = t - steps * dt0
+        rec = reference_rk4_run(sop, vec, rest, 1)[0] if rest > 1e-12 * dt0 else vec
+        out.append(rec.reshape(dim, dim).copy())
     return out
 
 
@@ -143,7 +146,7 @@ class TestCoreMatchesLoop:
     def test_batched_offsets_match_single_runs(self, name):
         model = MODELS[name]()
         offsets = (0.0, 1e-4, -1e-4, 5e-5)
-        tgrid = [0.3, 0.3, 1.0, 2.5]
+        tgrid = [0.004, 0.3, 0.3, 1.0, 1.2345, 2.5]
         cfg = SimConfig(t_final=2.5, dt=0.01)
         batched = _grid_states(model, offsets, tgrid, cfg, TOL)
         assert batched.shape == (len(tgrid), len(offsets), model.dim, model.dim)
@@ -193,6 +196,53 @@ def test_generator_is_affine_in_the_offset(dim, n_couplings, seed, delta):
     assembled = superoperator(model.hamiltonian(delta), model.jump_set(), model.spectrum)
     affine = model.generators([delta])[0]
     assert np.abs(affine - assembled).max() < 1e-12 * max(1.0, np.abs(assembled).max())
+
+
+def old_default_dt(model, offsets):
+    """The defaulted dt as each offset computed it, jump set and bath rates included."""
+    def one(h):
+        lset = model.jump_set()
+        hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
+        total_rate = sum(float(np.trace(model.spectrum.rate(nu)).real) for nu in lset.frequencies)
+        return 1e-3 / max(hnorm, total_rate, 1e-3)
+    return min(one(model.hamiltonian(d)) for d in offsets)
+
+
+@pytest.mark.parametrize("name", ["bare", "unprotected", "thermal"])
+def test_a_defaulted_dt_builds_the_jump_set_and_the_rates_once(name, monkeypatch):
+    model = {
+        "bare": protected_model,
+        "unprotected": unprotected_model,
+        "thermal": lambda: dataclasses.replace(
+            protected_model(), spectrum=BathSpectrum.flat(0.3, 3, regime=Regime.FULL_THERMAL)),
+    }[name]()
+    tgrid = [0.01, 0.02]
+    offsets = (0.0, 1e-4, -1e-4)
+    dt = old_default_dt(model, offsets)
+    pinned = _grid_states(model, offsets, tgrid, SimConfig(t_final=0.02, dt=dt), TOL)
+    qfi = qfi_numeric(model, 0.02, cfg=SimConfig(t_final=0.02, dt=old_default_dt(
+        model, (1e-4, -1e-4, 5e-5, -5e-5))), delta=1e-4)
+    assembly = len(model.jump_set().frequencies)  # superoperator's own rate calls
+    jumps, rates = [], []
+    counted_jumps = simulate.jump_operators
+    counted_rate = BathSpectrum.rate
+
+    def jump_operators(*args, **kwargs):
+        jumps.append(1)
+        return counted_jumps(*args, **kwargs)
+
+    def rate(self, *args, **kwargs):
+        rates.append(1)
+        return counted_rate(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "jump_operators", jump_operators)
+    monkeypatch.setattr(BathSpectrum, "rate", rate)
+    assert np.array_equal(_grid_states(model, offsets, tgrid, None, TOL), pinned)
+    assert len(jumps) == 1 and len(rates) == 2 * assembly
+    assert qfi_numeric(model, 0.02, delta=1e-4) == qfi
+    assert len(jumps) == 2 and len(rates) == 4 * assembly
+    scaling_sweep(model, model, tgrid)
+    assert len(jumps) == 4 and len(rates) == 8 * assembly
 
 
 # ---------------------------------------------------------------------------

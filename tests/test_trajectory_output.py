@@ -18,7 +18,7 @@ import pytest
 
 from dressedmet import cli, simulate
 from dressedmet.errors import NumericalError, ValidationError
-from dressedmet.lindblad import BathSpectrum, Regime
+from dressedmet.lindblad import BathSpectrum, Regime, superoperator
 from dressedmet.nv import (
     nv_bare_code, nv_couplings, nv_dressed_hamiltonian, protected_model, signal_generator,
     unprotected_model,
@@ -99,17 +99,19 @@ def _columns(text):
 
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_stacked_records_match_the_per_record_path(name, stride, tmp_path, monkeypatch):
+def test_stacked_records_match_the_per_record_path(name, stride, tmp_path):
     model = MODELS[name]()
     cfg = SimConfig(t_final=0.5, dt=0.005, record_stride=stride)
     delta = 0.03
     traj = model.evolve(delta, cfg)
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_propagate", per_step._propagate)
-        ref = model.evolve(delta, cfg)
+    # the per-step core on evolve's legs: strides of 0.5 / 100, then the remainder
+    gens = superoperator(model.hamiltonian(delta), model.jump_set(), model.spectrum)
+    chunks = [stride] * (100 // stride) + ([100 % stride] if 100 % stride else [])
+    ref, _ = per_step._propagate(gens[None], model.rho0, [(0.5 / 100, n) for n in chunks], TOL)
     assert traj.states.shape[0] == (101 if stride == 1 else 16)
-    assert np.abs(traj.states - ref.states).max() <= 1e-12
-    assert np.array_equal(traj.times, ref.times)
+    assert np.abs(traj.states[1:] - ref[:, 0]).max() <= 1e-12
+    assert np.array_equal(traj.states[0], model.rho0)
+    assert np.array_equal(traj.times, np.cumsum([0] + chunks) * (0.5 / 100))
     assert 0.0 <= traj.trace_drift < 1e-12
 
     model_path, cfg_path, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "t.csv"
@@ -172,11 +174,17 @@ def _error(fn, *args):
     return str(info.value)
 
 
+def _strided(legs):
+    """``_propagate``'s dt and marks for legs of one dt: each leg's end, on the lattice."""
+    ends = np.cumsum([n for _, n in legs]).tolist()
+    return legs[0][0], [(k, 0.0) for k in ends]
+
+
 @pytest.mark.parametrize("rates", [(0.0, 1.0), (1.0, 0.5), (0.5, 1.0, 0.0)])
 def test_positivity_error_names_the_first_failing_record(rates):
     gens = growing_coherence(rates)
     legs = [(0.05, 1)] * 60
-    got = _error(simulate._propagate, gens, RHO0, legs, TOL)
+    got = _error(simulate._propagate, gens, RHO0, *_strided(legs), TOL)
     assert got == _error(_reference_propagate, gens, RHO0, legs, TOL)
     assert got.startswith("state lost positivity: min eigenvalue")
 
@@ -184,9 +192,10 @@ def test_positivity_error_names_the_first_failing_record(rates):
 def test_positivity_error_comes_before_a_later_drift_abort():
     gens = growing_coherence((0.2, 1.0), feed=1e-5)
     legs = [(0.05, 3)] * 40
-    got = _error(simulate._propagate, gens, RHO0, legs, TOL)
+    got = _error(simulate._propagate, gens, RHO0, *_strided(legs), TOL)
     assert got == _error(_reference_propagate, gens, RHO0, legs, TOL)
     assert got.startswith("state lost positivity")
     # without the guard, the same run ends in a drift abort
     lenient = Tolerances(positivity_floor=-math.inf)
-    assert _error(simulate._propagate, gens, RHO0, legs, lenient).startswith("trace drift")
+    assert _error(simulate._propagate, gens, RHO0, *_strided(legs), lenient).startswith(
+        "trace drift")
