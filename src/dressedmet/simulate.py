@@ -2,12 +2,12 @@
 
 One propagation core serves every trajectory: fixed-step classical 4th order
 as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
-kept as the increment ``M - I`` and built once per run, which steps at one
-dt; a time off the dt lattice is reached by one shorter step.  One stacked
-matmul advances a block of steps for all signal offsets of an estimate,
-through the increments ``M^j - I`` of its powers.  The trace is
-renormalized once per block; a step's drift is the ratio of consecutive
-traces, ``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
+kept as the increment ``M - I`` and built once per run with its squarings
+``M^(2^i) - I``.  A run steps at one dt; a time off the dt lattice is
+reached by one shorter step.  Stacked matmuls advance a block of steps for
+all signal offsets of an estimate, by doubling.  The trace is renormalized
+once per block; a step's drift is the ratio of consecutive traces,
+``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
 renormalized ``v``.  ``Trajectory.trace_drift`` is the largest step drift;
 the first step past ``tol.trace_drift`` aborts the run.  All records are
 checked for positivity by one stacked Cholesky factorization; ``eigvalsh``
@@ -166,9 +166,9 @@ def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
     return a @ poly
 
 
-def _block_size(gen_dim: int) -> int:
-    """Steps per block: the largest power of two ``B`` with ``B * D^2 <= 2^15``, at least 1."""
-    return 1 << max(0, ((1 << 15) // gen_dim ** 2).bit_length() - 1)
+def _block_size(entries: int) -> int:
+    """Steps per block: the largest power of two ``B`` with ``B * entries <= 2^15``, at least 1."""
+    return 1 << max(0, ((1 << 15) // entries).bit_length() - 1)
 
 
 def _squarings(inc: np.ndarray, count: int) -> List[np.ndarray]:
@@ -179,38 +179,37 @@ def _squarings(inc: np.ndarray, count: int) -> List[np.ndarray]:
     return out
 
 
-def _doubled(
-    first: np.ndarray, n: int, squares: Optional[Sequence[np.ndarray]] = None
-) -> np.ndarray:
-    """``X_j`` for ``j = 1..n`` from ``X_1 = first``, by ``X_{j+k} = X_j + X_k + X_j D_k``
-    at ``k = 2^i``, with ``D_k = squares[i]``.
+def _doubled(first: np.ndarray, n: int, squares: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows ``X_j``, ``j = 1..n``, on axis -2, from ``X_1 = first`` by
+    ``X_{j+k} = X_j + X_k + X_j D_k`` at ``k = 2^i``, with ``D_k = squares[i]``.
 
-    With ``first = M - I`` the ``X_j`` are the increments ``M^j - I``, and
-    ``D_k`` is ``X_k`` itself unless ``squares`` are given; with the trace row
-    ``1^T (M - I)`` and the squarings of ``M`` they are the trace rows
-    ``1^T (M^j - I)``.
+    With the trace row ``1^T (M - I)`` and the squarings ``M^k - I`` the
+    ``X_j`` are the trace rows ``1^T (M^j - I)``; with ``(M - I) v`` and the
+    transposed squarings they are the state increments ``(M^j - I) v``.
     """
-    out = np.empty((n,) + first.shape, dtype=complex)
-    out[0] = first
+    out = np.empty(first.shape[:-1] + (n, first.shape[-1]), dtype=complex)
+    out[..., 0, :] = first
     k = 1
     while k < n:
         m = min(k, n - k)
-        square = out[k - 1] if squares is None else squares[k.bit_length() - 1]
-        np.matmul(out[:m], square, out=out[k:k + m])
-        out[k:k + m] += out[:m]
-        out[k:k + m] += out[k - 1]
+        new = out[..., k:k + m, :]
+        np.matmul(out[..., :m, :], squares[k.bit_length() - 1], out=new)
+        new += out[..., :m, :]
+        new += out[..., k - 1:k, :]
         k *= 2
     return out
 
 
 def _step_drift(before: np.ndarray, traces: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, int]:
     """Each step's drift ``|T_j / T_(j-1) - 1|``, the largest over the generators,
-    from the step traces ``(steps, generators)`` and the traces ``before`` them;
+    from the step traces ``(generators, steps)`` and the traces ``before`` them;
     and how many steps come before the first not within ``tol.trace_drift``
     (a NaN drift is not)."""
-    err = np.abs(traces / np.vstack([before, traces[:-1]]) - 1.0).max(axis=1)
-    bad = np.flatnonzero(~(err <= tol.trace_drift))
-    return err, int(bad[0]) if bad.size else len(err)
+    ratio = np.empty_like(traces)
+    ratio[:, 0] = traces[:, 0] / before
+    np.divide(traces[:, 1:], traces[:, :-1], out=ratio[:, 1:])
+    err = np.abs(ratio - 1.0).max(axis=0)
+    return err, len(err) if err.max() <= tol.trace_drift else int(np.argmin(err <= tol.trace_drift))
 
 
 def _drift_abort(err: float, records: np.ndarray, tol: Tolerances) -> None:
@@ -228,12 +227,12 @@ def _propagate(
     Mark ``(k, r)``, ``k`` nondecreasing, records the state after ``k`` steps
     advanced by one RK4 step of length ``r`` in ``[0, dt)``, which the run does
     not continue from.  Returns the records, ``(marks, generators, d, d)``,
-    and the drift.  The set-up is built once; a numpy call advances up to
-    ``_block_size`` steps.  Several records all on the lattice (``evolve``'s)
-    are made inside the blocks from a table of the increments ``M^j - I``;
-    other runs advance by the squarings ``M^(2^i) - I`` and take step traces
-    from the trace rows ``1^T (M^j - I)``.  A step's drift is
-    ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``: the trace error of
+    and the drift.  The set-up, ``M - I`` and the squarings ``M^(2^i) - I``, is
+    built once.  Several records all on the lattice (``evolve``'s) are made in
+    blocks of ``B D <= 2^15`` steps, by doubling on ``(M^j - I) v``; other runs
+    advance from mark to mark by the squarings, ``B D^2 <= 2^15`` steps at a
+    time, with step traces from the trace rows ``1^T (M^j - I)``.  A step's drift
+    is ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``: the trace error of
     ``M v`` for the renormalized ``v``.
     """
     rho0 = as_matrix(rho0)
@@ -245,38 +244,39 @@ def _propagate(
     trace_row = np.eye(dim).reshape(-1)
     vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
     records = np.empty((len(marks), len(gens), dim, dim), dtype=complex)
+    flat = records.reshape(len(marks), len(gens), dim * dim)
     ends = np.array([k for k, _ in marks], dtype=np.int64)
-    block = _block_size(gens.shape[-1])
+    dense = len(marks) > 1 and not any(r for _, r in marks)  # records inside the blocks
+    block = _block_size(gens.shape[-1] if dense else gens.shape[-1] ** 2)
+    span = min(block, int(ends[-1] if dense else np.diff(ends, prepend=0).max(initial=0)))
+    if span:
+        inc = _step_increment(gens, dt)
+        squares = _squarings(inc, span.bit_length())
     drift = 0.0
-    if len(marks) > 1 and not any(r for _, r in marks):  # records inside the blocks
-        total = int(ends[-1])
-        records[:np.searchsorted(ends, 0, side="right")] = vecs.reshape(-1, dim, dim)
-        table = _doubled(_step_increment(gens, dt), min(block, total)) if total else None
-        for done in range(0, total, block):
-            n = min(block, total - done)
-            states = vecs + np.matmul(table[:n], vecs[..., None])[..., 0]
+    if dense:
+        flat[:np.searchsorted(ends, 0, side="right")] = vecs
+        for done in range(0, int(ends[-1]), block):
+            n = min(block, int(ends[-1]) - done)
+            first = np.matmul(inc, vecs[..., None])[..., 0]
+            states = vecs[:, None] + _doubled(first, n, [np.swapaxes(s, -2, -1) for s in squares])
             traces = (states @ trace_row).real
             err, passed = _step_drift((vecs @ trace_row).real, traces, tol)
             k0, k1 = np.searchsorted(ends, (done, done + passed), side="right")
             at = ends[k0:k1] - done - 1
-            records[k0:k1] = (states[at] / traces[at][..., None]).reshape(-1, len(gens), dim, dim)
+            flat[k0:k1] = np.swapaxes(states[:, at] / traces[:, at, None], 0, 1)
             if passed < n:
                 _drift_abort(err[passed], records[:k1], tol)
             drift = max(drift, float(err.max()))
-            vecs = states[-1] / traces[-1][:, None]
+            vecs = states[:, -1] / traces[:, -1, None]
     else:  # from mark to mark: trace rows and squarings
-        flat = records.reshape(len(marks), len(gens), dim * dim)
-        span = min(block, int(np.diff(ends, prepend=0).max(initial=0)))
         if span:
-            inc = _step_increment(gens, dt)
-            squares = _squarings(inc, span.bit_length())
-            rows = _doubled((trace_row @ inc)[:, None], span, squares)
+            rows = _doubled(trace_row @ inc, span, squares)
         done = 0
         for i, (end, (_, rest)) in enumerate(zip(ends.tolist(), marks)):
             while done < end:
                 n = min(block, end - done)
                 before = (vecs @ trace_row).real
-                traces = before + (rows[:n] @ vecs[..., None])[..., 0, 0].real
+                traces = before[:, None] + (rows[:, :n] @ vecs[..., None])[..., 0].real
                 err, passed = _step_drift(before, traces, tol)
                 if passed < n:
                     _drift_abort(err[passed], records[:i], tol)
@@ -292,7 +292,7 @@ def _propagate(
                 for j in (4.0, 3.0, 2.0, 1.0):
                     stage = vecs + (rest / j) * np.matmul(gens, stage[..., None])[..., 0]
                 traces = (stage @ trace_row).real
-                err, passed = _step_drift((vecs @ trace_row).real, traces[None], tol)
+                err, passed = _step_drift((vecs @ trace_row).real, traces[:, None], tol)
                 if not passed:
                     _drift_abort(err[0], records[:i], tol)
                 drift = max(drift, float(err[0]))

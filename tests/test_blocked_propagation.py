@@ -6,10 +6,13 @@ trace renormalized and checked after every step.  The blocked core steps at
 one dt and records at marks ``(k, r)``: the state after ``k`` steps,
 advanced by one step of length ``r``.  Record ``i`` must match the per-step
 core run on the legs ``[(dt, k_i), (r_i, 1)]`` within 1e-12 on states, for
-strided records, zero-step marks, runs longer than a block, repeated and
-off-lattice grid times and a first time below dt; sweep Fisher values must
-match within 1e-9 relative; and a generator that leaks trace must abort at
-the same step, full or shorter, with the same message.
+strided records, zero-step marks, runs longer than a block (both block
+sizes: ``B D^2 <= 2^15`` from mark to mark, ``B D <= 2^15`` for records
+inside the blocks), repeated and off-lattice grid times and a first time
+below dt; sweep Fisher values must match within 1e-9 relative; a generator
+that leaks trace must abort at the same step, full or shorter, with the
+same message; and a record that loses positivity past the first block must
+be named as the per-step core names it.
 """
 
 import math
@@ -62,8 +65,13 @@ def placement(tgrid, dt):
     return marks
 
 
+# 2 B + 301 steps: records inside three blocks of B = 2048 at D = 9, nine of 512 at D = 36
+DENSE_STEPS = 4397
+
 CASES = {
     "stride 1": strided(range(1, 301)),
+    "stride 1 over three dense blocks": strided(range(1, DENSE_STEPS + 1)),
+    "stride 7 over three dense blocks": strided(list(range(7, DENSE_STEPS, 7)) + [DENSE_STEPS]),
     "stride 7 and a remainder": strided(list(range(7, 295, 7)) + [300]),
     "one leg": strided([300]),
     "zero-step legs in a run": strided([0, 5, 5, 300, 300]),
@@ -77,7 +85,8 @@ CASES = {
 def test_runs_match_the_per_step_core(name, marks):
     model = MODELS[name]()
     gens = model.generators((0.0, 0.02, -0.02))
-    assert 270 > _block_size(gens.shape[-1])  # every run spans more than one block
+    assert 270 > _block_size(gens.shape[-1] ** 2)  # every run from mark to mark spans blocks
+    assert DENSE_STEPS > 2 * _block_size(gens.shape[-1]) and DENSE_STEPS % 7
     got, drift = _propagate(gens, model.rho0, DT, CASES[marks], TOL)
     want = reference_records(gens, model.rho0, DT, CASES[marks])
     assert got.shape == want.shape
@@ -145,7 +154,8 @@ def _outcome(propagate, gens, *run):
 
 
 LEAKING = growing_coherence((0.0, 0.1), feed=1e-4)
-LEAKING_BLOCK = _block_size(LEAKING.shape[-1])
+LEAKING_BLOCK = _block_size(LEAKING.shape[-1] ** 2)  # from mark to mark
+LEAKING_DENSE_BLOCK = _block_size(LEAKING.shape[-1])  # records inside the blocks
 LENIENT = Tolerances(trace_drift=math.inf, positivity_floor=-math.inf)
 NO_POSITIVITY = Tolerances(positivity_floor=-math.inf)
 
@@ -165,14 +175,15 @@ def _first_over_the_default_threshold():
     return hi
 
 
-@pytest.mark.parametrize("first_over", [None, 1, LEAKING_BLOCK, LEAKING_BLOCK + 1])
+@pytest.mark.parametrize("first_over", [None, 1, LEAKING_BLOCK, LEAKING_BLOCK + 1,
+                                        LEAKING_DENSE_BLOCK, LEAKING_DENSE_BLOCK + 1])
 def test_a_leaking_generator_aborts_at_the_first_step_over_the_threshold(first_over):
     # the off-diagonal feeds rho_00, so the trace error of a step grows with the
     # coherence; the positivity guard is off, so the drift guard alone decides.
     # None keeps the default threshold; otherwise the threshold sits between the
     # drifts of steps first_over - 1 and first_over: the first and last steps of a
-    # block, and the first of the next.  The grid's shorter steps, a quarter step
-    # from an earlier state, drift less than the threshold.
+    # block, and the first of the next, for both block sizes.  The grid's shorter
+    # steps, a quarter step from an earlier state, drift less than the threshold.
     tol = NO_POSITIVITY
     if first_over is None:
         first_over = _first_over_the_default_threshold()
@@ -234,6 +245,25 @@ def test_a_shorter_step_that_loses_positivity_is_named():
     assert str(first.value) == str(want.value)
     assert _outcome(_propagate, gens, dt, marks, TOL) == str(want.value)
     assert _outcome(_propagate, gens, dt, marks[:2], TOL) == "ok"
+
+
+@pytest.mark.parametrize("feed", [0.0, 1.8e-4])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_a_record_past_the_first_dense_block_that_loses_positivity_is_named(stride, feed):
+    # the coherence 0.1 e^(0.0175 t) passes 1/2 at t = ln 5 / 0.0175 = 91.97, step 9197,
+    # in the second block of 8192 steps; with the feed, a drift abort follows in that
+    # block, near step 9820, and the records that lost positivity are named first
+    gens = growing_coherence((0.0, 0.0175), feed=feed)
+    steps = 10400
+    assert _block_size(gens.shape[-1]) < 9197 < steps < 2 * _block_size(gens.shape[-1])
+    ends = list(range(stride, steps, stride)) + [steps]
+    legs = [(DT, b - a) for a, b in zip([0] + ends, ends)]
+    message = _outcome(per_step._propagate, gens, legs, TOL)
+    assert message.startswith("state lost positivity")
+    assert _outcome(_propagate, gens, DT, strided(ends), TOL) == message
+    lenient = _outcome(per_step._propagate, gens, legs, NO_POSITIVITY)
+    assert lenient.startswith("trace drift" if feed else "ok")
+    assert _outcome(_propagate, gens, DT, strided(ends), NO_POSITIVITY) == lenient
 
 
 @pytest.mark.parametrize("tgrid, dt, message", [
