@@ -143,13 +143,11 @@ def purify_pair(
     anc_dim = 2 * rank
 
     states = []
-    for side, (vals, vecs) in enumerate(spectra):
-        psi = np.zeros(sys_dim * anc_dim, dtype=complex)
+    for side, (vals, vecs) in enumerate(spectra):  # sqrt(p_k) |v_k> (x) |side * rank + slot>
         order = np.argsort(vals)[::-1]
-        for slot, k in enumerate(order):
-            anc_index = side * rank + slot
-            psi += np.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(anc_dim)[anc_index])
-        states.append(StateVector(psi / np.linalg.norm(psi)))
+        psi = np.zeros((sys_dim, anc_dim), dtype=complex)
+        psi[:, side * rank:side * rank + len(order)] = np.sqrt(vals[order]) * vecs[:, order]
+        states.append(StateVector(psi.reshape(-1) / np.linalg.norm(psi)))
 
     code = CodeSpace(states[0], states[1], sys_dim, anc_dim)
     for m, psi in zip(mats, states):

@@ -346,10 +346,18 @@ def lamb_shift(
     return HermitianOperator(_weigh(lset, spectrum, lambda nu: spectrum.lamb(nu, tol=tol))[2])
 
 
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a (x) I + I (x) b``, entry ``(ik, jl) = a_ij d_kl + d_ij b_kl``, without ``np.kron``."""
+    d, idx = len(a), np.arange(len(a))
+    out = np.zeros((d, d, d, d), dtype=complex)
+    out[:, idx, :, idx] = a
+    out[idx, :, idx, :] += b
+    return out.reshape(d * d, d * d)
+
+
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     """``-i[h, .]`` on row-major flattened densities: ``-i(h (x) I - I (x) h^T)``."""
-    eye = np.eye(len(h))
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return -1j * _kron_sum(h, -h.T)
 
 
 def superoperator(
@@ -367,7 +375,6 @@ def superoperator(
     """
     dim = h_s.dim
     jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
-    eye = np.eye(dim)
     feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
     h = h_s.entries + lamb_shift(lset, spectrum, tol=tol).entries
-    return commutator_superoperator(h) + feed - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+    return commutator_superoperator(h) + feed - 0.5 * _kron_sum(k, k.T)

@@ -110,12 +110,8 @@ def nv_bx_discrepancy(bx: float, d_split: float = 1.0, gamma_e: float = 1.0) -> 
     rot = _first_order_rotation(h0, gamma_e * bx * _SX)
     _, v_eff = eigh_fixed(h_eff)
     _, v_exact = eigh_fixed(h_exact)
-    dressed = rot @ v_eff
-    worst = 0.0
-    for k in range(3):
-        overlaps = np.abs(v_exact.conj().T @ dressed[:, k])
-        worst = max(worst, 1.0 - float(overlaps.max()))
-    return worst
+    overlaps = np.abs(v_exact.conj().T @ (rot @ v_eff))  # (exact, dressed)
+    return float(1.0 - overlaps.max(axis=0).min())
 
 
 def nv_couplings() -> Tuple[HermitianOperator, ...]:

@@ -334,15 +334,12 @@ def eigh_fixed(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(m)
     vals, vecs = np.linalg.eigh(a)
-    vecs = vecs.copy()
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)
-        if idx.size == 0:
-            continue
-        ph = col[idx[0]]
-        vecs[:, j] = col * (ph.conj() / abs(ph))
+    if not vals.size:
+        return vals, vecs
+    scale = float(np.max(np.abs(vals)))
+    big = np.abs(vecs) > 1e-9
+    ph = vecs[big.argmax(axis=0), np.arange(len(vals))]  # each column's first large entry
+    vecs = vecs * np.where(big.any(axis=0), ph.conj() / np.hypot(ph.real, ph.imag), 1.0)
     # order exact ties deterministically
     tie_tol = max(1e-12, 1e-12 * scale)
     order = list(range(len(vals)))

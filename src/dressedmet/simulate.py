@@ -3,18 +3,17 @@
 One propagation core serves every trajectory: fixed-step classical 4th order
 as the step matrix ``M = I + A + A^2/2 + A^3/6 + A^4/24`` (``A = dt L``),
 kept as the increment ``M - I`` and built once per run with its squarings
-``M^(2^i) - I``.  A run steps at one dt; a time off the dt lattice is
-reached by one shorter step.  Stacked matmuls advance a block of steps for
-all signal offsets of an estimate, by doubling.  The trace is renormalized
-once per block; a step's drift is the ratio of consecutive traces,
-``|T_j / T_(j-1) - 1|``, which is the trace error of ``M v`` for the
-renormalized ``v``.  ``Trajectory.trace_drift`` is the largest step drift;
-the first step past ``tol.trace_drift`` aborts the run.  All records are
-checked for positivity by one stacked Cholesky factorization; ``eigvalsh``
-runs only to name a failing record's minimum.  Fisher information follows
-the convention ``F_Q = t^2 Var(G_eff)``; the numeric routes (Bures fidelity
-finite differences, and a symmetric-logarithmic-derivative estimator used
-where fidelities underflow) are scaled to match it.
+``M^(2^i) - I``.  A run steps at one dt; stacked matmuls advance a block of
+steps for all signal offsets of an estimate, by doubling, and the times off
+the dt lattice are reached by shorter steps from the lattice states, all in
+one stacked pass.  The trace is renormalized once per block; a step's drift
+is ``|T_j / T_(j-1) - 1|`` over consecutive traces.  ``Trajectory.trace_drift``
+is the largest; the first step past ``tol.trace_drift`` aborts the run.  All
+records are checked for positivity by one stacked Cholesky factorization.
+Fisher information follows the convention ``F_Q = t^2 Var(G_eff)``; the
+numeric routes (Bures fidelity finite differences, and a symmetric-logarithmic-
+derivative estimator, one stacked ``eigh`` over the grid, used where fidelities
+underflow) are scaled to match it.
 """
 
 from __future__ import annotations
@@ -167,8 +166,8 @@ def _step_increment(gens: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _block_size(entries: int) -> int:
-    """Steps per block: the largest power of two ``B`` with ``B * entries <= 2^15``, at least 1."""
-    return 1 << max(0, ((1 << 15) // entries).bit_length() - 1)
+    """Steps per block: the largest power of two ``B`` with ``B * entries <= 2^15``, at least 64."""
+    return 1 << max(6, ((1 << 15) // entries).bit_length() - 1)
 
 
 def _squarings(inc: np.ndarray, count: int) -> List[np.ndarray]:
@@ -218,22 +217,45 @@ def _drift_abort(err: float, records: np.ndarray, tol: Tolerances) -> None:
     raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
 
 
+def _shorter_steps(
+    gens: np.ndarray, records: np.ndarray, rests: np.ndarray, tol: Tolerances
+) -> float:
+    """Advance each record with ``rests[i] > 0`` in place by one RK4 step of that length in one
+    stacked pass, ``v + a (v + a/2 (v + a/3 (v + a/4 v)))``, ``a = r L``; return the largest drift.
+    The first step over ``tol.trace_drift`` aborts, after the positivity of the earlier records."""
+    at = np.flatnonzero(rests)
+    if not at.size:
+        return 0.0
+    flat = records.reshape(len(records), len(gens), -1)
+    vecs, rest, trace_row = flat[at], rests[at, None, None], np.eye(records.shape[-1]).reshape(-1)
+    stage = vecs
+    for j in (4.0, 3.0, 2.0, 1.0):
+        stage = vecs + (rest / j) * np.matmul(gens, stage[..., None])[..., 0]
+    traces = (stage @ trace_row).real
+    err = np.abs(traces / (vecs @ trace_row).real - 1.0).max(axis=1)
+    flat[at] = stage / traces[..., None]
+    bad = np.flatnonzero(~(err <= tol.trace_drift))
+    if bad.size:
+        _drift_abort(err[bad[0]], records[:at[bad[0]]], tol)
+    return float(err.max())
+
+
 def _propagate(
-    gens: np.ndarray, rho0: np.ndarray, dt: float, marks: Sequence[Tuple[int, float]],
+    gens: np.ndarray, rho0: np.ndarray, dt: float, ends: np.ndarray, rests: np.ndarray,
     tol: Tolerances,
 ) -> Tuple[np.ndarray, float]:
-    """Advance ``rho0`` under each stacked generator in steps of ``dt``, recording at ``marks``.
+    """Advance ``rho0`` under each stacked generator in steps of ``dt``, recording at marks.
 
-    Mark ``(k, r)``, ``k`` nondecreasing, records the state after ``k`` steps
-    advanced by one RK4 step of length ``r`` in ``[0, dt)``, which the run does
-    not continue from.  Returns the records, ``(marks, generators, d, d)``,
-    and the drift.  The set-up, ``M - I`` and the squarings ``M^(2^i) - I``, is
-    built once.  Several records all on the lattice (``evolve``'s) are made in
-    blocks of ``B D <= 2^15`` steps, by doubling on ``(M^j - I) v``; other runs
-    advance from mark to mark by the squarings, ``B D^2 <= 2^15`` steps at a
-    time, with step traces from the trace rows ``1^T (M^j - I)``.  A step's drift
-    is ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``: the trace error of
-    ``M v`` for the renormalized ``v``.
+    Mark ``i`` records the state after ``ends[i]`` steps (nondecreasing) advanced by
+    one RK4 step of length ``rests[i]`` in ``[0, dt)``, which the run does not
+    continue from.  Returns the records, ``(marks, generators, d, d)``, and the
+    drift.  The set-up, ``M - I`` and the squarings ``M^(2^i) - I``, is built once.
+    Several records all on the lattice (``evolve``'s) are made in blocks of
+    ``B D <= 2^15`` steps, by doubling on ``(M^j - I) v``; other runs advance from
+    mark to mark by the squarings, ``B D^2 <= 2^15`` but at least 64 steps at a
+    time, with step traces from the trace rows ``1^T (M^j - I)``, and take the shorter
+    steps after the lattice run, or, before a lattice drift abort, those of the marks
+    before it.  A step's drift is ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``.
     """
     rho0 = as_matrix(rho0)
     require_hermitian(rho0, "initial state", tol)
@@ -243,10 +265,9 @@ def _propagate(
     dim = rho0.shape[0]
     trace_row = np.eye(dim).reshape(-1)
     vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
-    records = np.empty((len(marks), len(gens), dim, dim), dtype=complex)
-    flat = records.reshape(len(marks), len(gens), dim * dim)
-    ends = np.array([k for k, _ in marks], dtype=np.int64)
-    dense = len(marks) > 1 and not any(r for _, r in marks)  # records inside the blocks
+    records = np.empty((len(ends), len(gens), dim, dim), dtype=complex)
+    flat = records.reshape(len(ends), len(gens), dim * dim)
+    dense = len(ends) > 1 and not rests.any()  # records inside the blocks
     block = _block_size(gens.shape[-1] if dense else gens.shape[-1] ** 2)
     span = min(block, int(ends[-1] if dense else np.diff(ends, prepend=0).max(initial=0)))
     if span:
@@ -272,13 +293,14 @@ def _propagate(
         if span:
             rows = _doubled(trace_row @ inc, span, squares)
         done = 0
-        for i, (end, (_, rest)) in enumerate(zip(ends.tolist(), marks)):
+        for i, end in enumerate(ends.tolist()):
             while done < end:
                 n = min(block, end - done)
                 before = (vecs @ trace_row).real
                 traces = before[:, None] + (rows[:, :n] @ vecs[..., None])[..., 0].real
                 err, passed = _step_drift(before, traces, tol)
                 if passed < n:
+                    _shorter_steps(gens, records[:i], rests[:i], tol)
                     _drift_abort(err[passed], records[:i], tol)
                 drift = max(drift, float(err.max()))
                 for b in range(n.bit_length()):
@@ -287,16 +309,7 @@ def _propagate(
                 vecs = vecs / (vecs @ trace_row).real[:, None]
                 done += n
             flat[i] = vecs
-            if rest:  # v + a (v + a/2 (v + a/3 (v + a/4 v))) with a = rest L: no D x D product
-                stage = vecs
-                for j in (4.0, 3.0, 2.0, 1.0):
-                    stage = vecs + (rest / j) * np.matmul(gens, stage[..., None])[..., 0]
-                traces = (stage @ trace_row).real
-                err, passed = _step_drift((vecs @ trace_row).real, traces[:, None], tol)
-                if not passed:
-                    _drift_abort(err[0], records[:i], tol)
-                drift = max(drift, float(err[0]))
-                flat[i] = stage / traces[:, None]
+        drift = max(drift, _shorter_steps(gens, records, rests, tol))
     _check_states(records, tol)
     return records, drift
 
@@ -316,9 +329,9 @@ def evolve(
     _check_stability(gens, dt, tol)
     n_steps = _step_count(cfg.t_final, dt)
     dt = cfg.t_final / n_steps
-    ends = list(range(cfg.record_stride, n_steps, cfg.record_stride)) + [n_steps]
-    states, drift = _propagate(gens, rho0, dt, [(k, 0.0) for k in ends], tol)
-    times = np.array([0] + ends) * dt
+    ends = np.append(np.arange(cfg.record_stride, n_steps, cfg.record_stride), n_steps)
+    states, drift = _propagate(gens, rho0, dt, ends, np.zeros(len(ends)), tol)
+    times = np.concatenate([[0], ends]) * dt
     return Trajectory(times, np.concatenate([rho0[None], states[:, 0]]), drift)
 
 
@@ -507,15 +520,17 @@ def qfi_sld(
     formula; unlike the fidelity route this stays accurate when the states
     are nearly orthogonal or the fidelity deficit underflows.
     """
-    return _sld_series(model, [t], cfg, tol)[0][0]
+    return float(_sld_series(model, [t], cfg, tol)[0][0])
 
 
-def _sld_value(rho: np.ndarray, drho: np.ndarray, floor: float = 1e-12) -> float:
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    d = vecs.conj().T @ drho @ vecs
-    w = vals[:, None] + vals[None, :]
-    keep = w > floor
-    return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / w[keep])) / 4.0
+def _sld_values(rhos: np.ndarray, drhos: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """Spectral Fisher values ``sum 2 |<j| drho |k>|^2 / (p_j + p_k) / 4`` over eigenpairs of
+    the Hermitian parts with ``p_j + p_k > floor``: one stacked ``eigh``, one masked sum."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(rhos))
+    d = np.swapaxes(vecs.conj(), -2, -1) @ drhos @ vecs
+    w = vals[..., :, None] + vals[..., None, :]
+    terms = np.divide(2.0 * np.abs(d) ** 2, w, out=np.zeros_like(w), where=w > floor)
+    return terms.sum(axis=(-2, -1)) / 4.0
 
 
 def crlb(qfi: float, k: int) -> float:
@@ -549,14 +564,15 @@ class ScalingRecord:
             raise ValidationError(f"coherence {self.coherence} outside [0, 1/2]")
 
 
-def _grid_marks(tgrid: Sequence[float], dt: float) -> List[Tuple[int, float]]:
-    """Each time as ``_propagate``'s mark ``(k, r)``: ``k`` whole steps of ``dt`` at or
-    before it, with ``_step_count``'s 1e-12 slack, and ``r = t - k dt``, 0 within
-    ``1e-12 dt``; a grid whose step count is not finite, or past int64, is refused."""
+def _grid_marks(tgrid: Sequence[float], dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each time as ``_propagate``'s mark: the ends ``k``, whole steps of ``dt`` at or
+    before it, with ``_step_count``'s 1e-12 slack, and the rests ``r = t - k dt``, 0
+    within ``1e-12 dt``; a grid whose step count is not finite, or past int64, is refused."""
     if len(tgrid):
         _step_count(tgrid[-1], dt)
-    ks = [math.floor(t / dt + 1e-12) for t in tgrid]
-    return [(k, t - k * dt if t - k * dt > 1e-12 * dt else 0.0) for t, k in zip(tgrid, ks)]
+    ends = np.floor(np.asarray(tgrid, dtype=float) / dt + 1e-12).astype(np.int64)
+    rests = np.asarray(tgrid, dtype=float) - ends * dt
+    return ends, np.where(rests > 1e-12 * dt, rests, 0.0)
 
 
 def _grid_states(
@@ -580,20 +596,20 @@ def _grid_states(
     else:
         hams = [model.hamiltonian(d) for d in offsets]
         dt = _default_dt(hams, lset, model.spectrum, tol)
-    marks = _grid_marks(tgrid, dt)
+    ends, rests = _grid_marks(tgrid, dt)
     gens = _offset_generators(model, lset, offsets, tol)
     _check_stability(gens, dt, tol)
-    return _propagate(gens, model.rho0, dt, marks, tol)[0]
+    return _propagate(gens, model.rho0, dt, ends, rests, tol)[0]
 
 
 def _sld_series(
     model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
-) -> Tuple[List[float], np.ndarray]:
-    """Spectral Fisher values at every grid time, from offsets 0 and +-d
-    (``_default_delta``) integrated together, and the offset-0 states."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectral Fisher values at every grid time, by one ``_sld_values`` call, and the
+    offset-0 states, from offsets 0 and +-d (``_default_delta``) integrated together."""
     d = _default_delta(model)
     states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
-    return [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states], states[:, 0]
+    return _sld_values(states[:, 0], (states[:, 1] - states[:, 2]) / (2.0 * d)), states[:, 0]
 
 
 def scaling_sweep(
@@ -612,15 +628,10 @@ def scaling_sweep(
     tgrid = [float(t) for t in tgrid]
     qp, center_p = _sld_series(protected, tgrid, cfg, tol)
     qu, _ = _sld_series(unprotected, tgrid, cfg, tol)
+    cols = zip(tgrid, qp.tolist(), qu.tolist(), protected.coherences(center_p).tolist())
     return [
-        ScalingRecord(
-            t=t,
-            qfi_protected=qp[i],
-            qfi_unprotected=qu[i],
-            coherence=float(coh),
-            crlb=crlb(qp[i], 1),
-        )
-        for i, (t, coh) in enumerate(zip(tgrid, protected.coherences(center_p)))
+        ScalingRecord(t=t, qfi_protected=p, qfi_unprotected=u, coherence=coh, crlb=crlb(p, 1))
+        for t, p, u, coh in cols
     ]
 
 
@@ -677,25 +688,16 @@ def perturbation_leakage(
         raise ValidationError("gap_tol must be finite and positive")
     if len(vals) > 1 and np.diff(vals).min() < gap_tol:
         raise ValidationError("spectrum is degenerate at the grouping tolerance")
-    dim = len(vals)
-    corrections = tuple(
-        float(delta_omega * np.linalg.norm(coeff[:, n])) for n in range(dim)
-    )
+    corrections = tuple((delta_omega * np.linalg.norm(coeff, axis=0)).tolist())
     max_ratio = float(delta_omega * np.abs(coeff).max())
-
     errs = []
     deltas = [delta_omega, delta_omega / 2.0, delta_omega / 4.0]
-    for d in deltas:
-        exact_vals, exact_vecs = eigh_fixed(h0.entries + d * g.entries)
-        worst = 0.0
-        for n in range(dim):
-            pred = vecs[:, n] + d * (vecs @ coeff[:, n])
-            pred = pred / np.linalg.norm(pred)
-            overlaps = np.abs(exact_vecs.conj().T @ pred)
-            j = int(np.argmax(overlaps))
-            phase = np.vdot(exact_vecs[:, j], pred)
-            phase = phase / abs(phase)
-            worst = max(worst, float(np.linalg.norm(exact_vecs[:, j] * phase - pred)))
-        errs.append(worst)
-    exponent = loglog_slope(deltas, errs)
-    return LeakageReport(corrections, max_ratio, float(exponent))
+    for d in deltas:  # every level at once, each against its closest exact eigenvector
+        exact = eigh_fixed(h0.entries + d * g.entries)[1]
+        pred = vecs + d * (vecs @ coeff)
+        pred = pred / np.linalg.norm(pred, axis=0)
+        overlaps = exact.conj().T @ pred
+        j = np.argmax(np.abs(overlaps), axis=0)
+        phase = overlaps[j, np.arange(len(vals))]
+        errs.append(float(np.linalg.norm(exact[:, j] * (phase / abs(phase)) - pred, axis=0).max()))
+    return LeakageReport(corrections, max_ratio, float(loglog_slope(deltas, errs)))

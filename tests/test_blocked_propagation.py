@@ -12,7 +12,13 @@ inside the blocks), repeated and off-lattice grid times and a first time
 below dt; sweep Fisher values must match within 1e-9 relative; a generator
 that leaks trace must abort at the same step, full or shorter, with the
 same message; and a record that loses positivity past the first block must
-be named as the per-step core names it.
+be named as the per-step core names it.  The core takes every shorter step
+in one stacked pass after the lattice run, so three cases pin the abort
+order where the steps' drifts differ: a shorter step over the threshold
+ahead of a whole step that drifts more, a whole step ahead of a later
+mark's shorter step, and a shorter step's record that lost positivity ahead
+of a later drift abort.  The stacked SLD values must match the per-state
+loop within 1e-13 relative.
 """
 
 import math
@@ -24,11 +30,12 @@ from dressedmet import simulate
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.simulate import (
-    SimConfig, _block_size, _grid_marks, _grid_states, _propagate, _sld_series, _sld_value,
+    SimConfig, _block_size, _grid_marks, _grid_states, _propagate, _sld_series,
 )
 from dressedmet.tolerances import TOL, Tolerances
 
 import _reference_propagate as per_step
+from test_propagator import reference_sld_value
 from test_trajectory_output import RHO0, growing_coherence
 
 MODELS = {
@@ -42,6 +49,12 @@ DT = 0.01
 
 def strided(ends):
     return [(k, 0.0) for k in ends]
+
+
+def propagate(gens, rho0, dt, marks, tol):
+    """``_propagate`` on marks given as ``(k, r)`` pairs."""
+    ends = np.array([k for k, _ in marks], dtype=np.int64)
+    return _propagate(gens, rho0, dt, ends, np.array([r for _, r in marks], dtype=float), tol)
 
 
 def reference_records(gens, rho0, dt, marks, tol=TOL):
@@ -87,7 +100,7 @@ def test_runs_match_the_per_step_core(name, marks):
     gens = model.generators((0.0, 0.02, -0.02))
     assert 270 > _block_size(gens.shape[-1] ** 2)  # every run from mark to mark spans blocks
     assert DENSE_STEPS > 2 * _block_size(gens.shape[-1]) and DENSE_STEPS % 7
-    got, drift = _propagate(gens, model.rho0, DT, CASES[marks], TOL)
+    got, drift = propagate(gens, model.rho0, DT, CASES[marks], TOL)
     want = reference_records(gens, model.rho0, DT, CASES[marks])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
@@ -98,7 +111,7 @@ def test_grid_times_are_placed_on_the_dt_lattice():
     # 0.29 / 0.01 and 0.57 / 0.01 round to just below 29 and 57: the slack puts them
     # on the lattice, where 0.57 - 57 * 0.01 is -1.1e-16
     tgrid = [0.004, 0.29, 0.3, 0.3, 0.57, 1.0, 1.2345, 10.0]
-    marks = _grid_marks(tgrid, DT)
+    marks = list(zip(*(a.tolist() for a in _grid_marks(tgrid, DT))))
     assert marks == placement(tgrid, DT)
     assert [k for k, _ in marks] == [0, 29, 30, 30, 57, 100, 123, 1000]
     assert [r == 0.0 for _, r in marks] == [False, True, True, True, True, True, False, True]
@@ -136,8 +149,23 @@ def test_sweep_grids_match_the_per_step_core(ancilla, tgrid):
         ref = reference_records(model.generators((0.0, d, -d)), model.rho0, DT,
                                 placement(tgrid, DT))
         assert np.abs(center - ref[:, 0]).max() <= 1e-12
-        ref_qfi = [_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in ref]
+        ref_qfi = [reference_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in ref]
         np.testing.assert_allclose(qfi, ref_qfi, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_sld_values_match_the_per_state_loop(name, grid):
+    # one stacked eigh and a masked sum against the loop over each state's eigenpairs;
+    # the models start pure, so the early states keep eigenvalue pairs below the floor
+    model = MODELS[name]()
+    cfg = SimConfig(t_final=2.5, dt=DT)
+    d = simulate._default_delta(model)
+    states = _grid_states(model, (0.0, d, -d), GRIDS[grid], cfg, TOL)
+    qfi, center = _sld_series(model, GRIDS[grid], cfg, TOL)
+    assert np.array_equal(center, states[:, 0])
+    want = [reference_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states]
+    np.testing.assert_allclose(qfi, want, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +229,9 @@ def test_a_leaking_generator_aborts_at_the_first_step_over_the_threshold(first_o
         "grid": lambda n: [(n // 3, 0.25 * DT), (n // 2, 0.0), (n, 0.0)],
     }
     for marks in runs.values():
-        assert _outcome(_propagate, LEAKING, DT, marks(first_over - 1), tol) == "ok"
-        assert _outcome(_propagate, LEAKING, DT, marks(first_over), tol) == message
-        assert _outcome(_propagate, LEAKING, DT, marks(first_over + 500), tol) == message
+        assert _outcome(propagate, LEAKING, DT, marks(first_over - 1), tol) == "ok"
+        assert _outcome(propagate, LEAKING, DT, marks(first_over), tol) == message
+        assert _outcome(propagate, LEAKING, DT, marks(first_over + 500), tol) == message
 
 
 def test_a_shorter_step_over_the_threshold_aborts_the_run():
@@ -214,19 +242,19 @@ def test_a_shorter_step_over_the_threshold_aborts_the_run():
     message = _outcome(per_step._propagate, LEAKING, [(DT, steps), (rest, 1)], NO_POSITIVITY)
     assert message.startswith("trace drift") and message.endswith("exceeds 1e-06")
     for marks in ([(steps, rest)], [(steps // 2, 0.0), (steps, rest), (steps + 10, 0.0)]):
-        assert _outcome(_propagate, LEAKING, DT, marks, NO_POSITIVITY) == message
-    assert _outcome(_propagate, LEAKING, DT, [(steps, 0.0)], NO_POSITIVITY) == "ok"
+        assert _outcome(propagate, LEAKING, DT, marks, NO_POSITIVITY) == message
+    assert _outcome(propagate, LEAKING, DT, [(steps, 0.0)], NO_POSITIVITY) == "ok"
 
 
 def test_shorter_steps_count_in_the_drift():
     rest = 0.6 * DT
-    assert _propagate(LEAKING, RHO0, DT, [(0, 0.0)], LENIENT)[1] == 0.0
-    got = _propagate(LEAKING, RHO0, DT, [(0, rest)], LENIENT)[1]
+    assert propagate(LEAKING, RHO0, DT, [(0, 0.0)], LENIENT)[1] == 0.0
+    got = propagate(LEAKING, RHO0, DT, [(0, rest)], LENIENT)[1]
     want = per_step._propagate(LEAKING, RHO0, [(DT, 0), (rest, 1)], LENIENT)[1]
     assert got > 0.0 and abs(got - want) <= 1e-9 * want
     steps = 40
-    whole = _propagate(LEAKING, RHO0, DT, [(steps, 0.0)], LENIENT)[1]
-    got = _propagate(LEAKING, RHO0, DT, [(steps, np.nextafter(DT, 0.0))], LENIENT)[1]
+    whole = propagate(LEAKING, RHO0, DT, [(steps, 0.0)], LENIENT)[1]
+    got = propagate(LEAKING, RHO0, DT, [(steps, np.nextafter(DT, 0.0))], LENIENT)[1]
     assert got > whole
 
 
@@ -243,8 +271,79 @@ def test_a_shorter_step_that_loses_positivity_is_named():
     with pytest.raises(NumericalError) as first:
         per_step._check_states(ref[:3], TOL)
     assert str(first.value) == str(want.value)
-    assert _outcome(_propagate, gens, dt, marks, TOL) == str(want.value)
-    assert _outcome(_propagate, gens, dt, marks[:2], TOL) == "ok"
+    assert _outcome(propagate, gens, dt, marks, TOL) == str(want.value)
+    assert _outcome(propagate, gens, dt, marks[:2], TOL) == "ok"
+
+
+# the coherence grows about sevenfold per step of 0.1, so half a step from step k
+# drifts more than whole step k and less than whole step k + 1
+FAST = growing_coherence((0.0, 20.0), feed=1e-4)
+FAST_DT = 0.1
+HALF = 0.5 * FAST_DT
+
+
+def _fast_drift(legs):
+    return per_step._propagate(FAST, RHO0, legs, LENIENT)[1]
+
+
+def _fast_tol(lower, upper):
+    """Positivity off, the drift threshold between the largest drifts of two leg sets."""
+    return Tolerances(trace_drift=0.5 * (_fast_drift(lower) + _fast_drift(upper)),
+                      positivity_floor=-math.inf)
+
+
+def test_a_shorter_step_aborts_ahead_of_a_later_whole_step_that_drifts_more():
+    # whole steps 1 and 2 pass, half a step from step 2 is the first over the threshold,
+    # and whole step 3 and later drift more: the shorter step's drift is reported
+    tol = _fast_tol([(FAST_DT, 2)], [(FAST_DT, 2), (HALF, 1)])
+    message = _outcome(per_step._propagate, FAST, [(FAST_DT, 2), (HALF, 1)], tol)
+    later = _outcome(per_step._propagate, FAST, [(FAST_DT, 3)], tol)
+    assert message.startswith("trace drift") and later.startswith("trace drift")
+    assert message != later
+    for marks in ([(2, HALF), (5, 0.0)], [(1, 0.0), (2, HALF), (2, 0.0), (5, HALF)]):
+        assert _outcome(propagate, FAST, FAST_DT, marks, tol) == message
+
+
+def test_a_whole_step_aborts_ahead_of_a_later_marks_shorter_step():
+    # whole step 5 is the first over the threshold; the shorter step from step 2
+    # passes, and the one from step 5, which drifts more, comes after it
+    tol = _fast_tol([(FAST_DT, 4)], [(FAST_DT, 5)])
+    message = _outcome(per_step._propagate, FAST, [(FAST_DT, 5)], tol)
+    assert message.startswith("trace drift")
+    assert _outcome(per_step._propagate, FAST, [(FAST_DT, 4)], tol) == "ok"
+    assert _outcome(per_step._propagate, FAST, [(FAST_DT, 2), (HALF, 1)], tol) == "ok"
+    assert _fast_drift([(FAST_DT, 5), (HALF, 1)]) > _fast_drift([(FAST_DT, 5)])
+    for marks in ([(2, HALF), (5, HALF), (7, 0.0)], [(2, HALF), (6, HALF)]):
+        assert _outcome(propagate, FAST, FAST_DT, marks, tol) == message
+
+
+@pytest.mark.parametrize("later", ["whole", "shorter"])
+def test_a_shorter_step_that_lost_positivity_is_named_ahead_of_a_later_drift_abort(later):
+    # as above, the shorter step to t = 1.635 is the first record that loses positivity,
+    # while the lattice record at t = 1.6 keeps it.  With a feed, a drift abort follows:
+    # at whole step 36, or at a step of 0.99 dt from step 36, which drifts more than
+    # whole step 36 and less than 37.  Either abort names the shorter step's record.
+    gens = growing_coherence((0.0, 1.0), feed=1e-4)
+    dt = 0.05
+    if later == "whole":
+        marks = [(32, 0.7 * dt), (40, 0.0)]
+        under, over = [(dt, 35)], [(dt, 36)]
+    else:
+        marks = [(32, 0.7 * dt), (36, 0.99 * dt), (40, 0.0)]
+        under, over = [(dt, 36)], [(dt, 36), (0.99 * dt, 1)]
+    threshold = 0.5 * sum(per_step._propagate(gens, RHO0, legs, LENIENT)[1] for legs in (under, over))
+    drift_only = Tolerances(trace_drift=threshold, positivity_floor=-math.inf)
+    message = _outcome(per_step._propagate, gens, over, drift_only)
+    assert message.startswith("trace drift")
+    assert _outcome(per_step._propagate, gens, under, drift_only) == "ok"
+    assert _outcome(per_step._propagate, gens, [(dt, 32), (0.7 * dt, 1)], drift_only) == "ok"
+    assert _outcome(propagate, gens, dt, marks, drift_only) == message
+    ref = reference_records(gens, RHO0, dt, marks[:1], LENIENT)
+    with pytest.raises(NumericalError) as want:
+        per_step._check_states(ref, TOL)
+    tol = Tolerances(trace_drift=threshold)
+    assert _outcome(propagate, gens, dt, marks, tol) == str(want.value)
+    assert _outcome(propagate, gens, dt, [(32, 0.0)] + marks[1:], tol) == message
 
 
 @pytest.mark.parametrize("feed", [0.0, 1.8e-4])
@@ -260,10 +359,10 @@ def test_a_record_past_the_first_dense_block_that_loses_positivity_is_named(stri
     legs = [(DT, b - a) for a, b in zip([0] + ends, ends)]
     message = _outcome(per_step._propagate, gens, legs, TOL)
     assert message.startswith("state lost positivity")
-    assert _outcome(_propagate, gens, DT, strided(ends), TOL) == message
+    assert _outcome(propagate, gens, DT, strided(ends), TOL) == message
     lenient = _outcome(per_step._propagate, gens, legs, NO_POSITIVITY)
     assert lenient.startswith("trace drift" if feed else "ok")
-    assert _outcome(_propagate, gens, DT, strided(ends), NO_POSITIVITY) == lenient
+    assert _outcome(propagate, gens, DT, strided(ends), NO_POSITIVITY) == lenient
 
 
 @pytest.mark.parametrize("tgrid, dt, message", [
@@ -287,7 +386,7 @@ def test_a_nan_trace_aborts(legs):
     gens = growing_coherence((0.0, 1.0))
     gens[1, 0, 0] = np.nan
     marks = strided(np.cumsum([n for _, n in legs]).tolist())
-    assert _outcome(_propagate, gens, 0.05, marks, TOL) == "trace drift nan exceeds 1e-06"
+    assert _outcome(propagate, gens, 0.05, marks, TOL) == "trace drift nan exceeds 1e-06"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -30,9 +30,8 @@ def test_records_match_the_increments_table(name, stride):
     model = MODELS[name]()
     gens = simulate._offset_generators(model, model.jump_set(), [0.03], TOL)
     ends = list(range(stride, 1000, stride)) + [1000]
-    marks = [(k, 0.0) for k in ends]
-    got, drift = _propagate(gens, model.rho0, DT, marks, TOL)
-    want, want_drift = table._propagate(gens, model.rho0, DT, marks, TOL)
+    got, drift = _propagate(gens, model.rho0, DT, np.array(ends), np.zeros(len(ends)), TOL)
+    want, want_drift = table._propagate(gens, model.rho0, DT, [(k, 0.0) for k in ends], TOL)
     assert got.shape == want.shape == (len(ends), 1, model.dim, model.dim)
     assert np.abs(got - want).max() <= 1e-13
     assert abs(drift - want_drift) <= 1e-15

@@ -7,7 +7,9 @@ must bin to bitwise the same frequencies, give the same blocks to
 ``1e-14 max(1, ||A||)`` and the same generator to 1e-14 relative.  The
 instances cover d in 2..6, k in 0..3, all three regimes, degenerate spectra
 with repeated gaps, and spectra with and without shift coefficients; the
-four NV probe models of the benchmark are pinned as well.
+four NV probe models of the benchmark are pinned as well.  The Kronecker
+sums ``A (x) I + I (x) B`` of the generator, written into a ``(d, d, d, d)``
+array, must equal those of ``np.kron`` bit for bit.
 """
 
 import dataclasses
@@ -15,9 +17,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dressedmet import lindblad
 from dressedmet.lindblad import (
     BathSpectrum,
     Regime,
+    commutator_superoperator,
     jump_operators,
     lamb_shift,
     superoperator,
@@ -127,3 +131,31 @@ def test_jump_set_is_two_stacked_fields():
     assert lset.blocks.shape == (len(lset.frequencies), len(couplings), h.dim, h.dim)
     with pytest.raises(ValueError):
         lset.blocks[0, 0, 0, 0] = 1.0
+
+
+def kron_superoperator(h, lset, spectrum):
+    """``superoperator`` with its Kronecker sums formed by ``np.kron``."""
+    dim = h.dim
+    jumps, weighted, k = lindblad._weigh(lset, spectrum, spectrum.rate)
+    eye = np.eye(dim)
+    feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
+    hs = h.entries + lamb_shift(lset, spectrum).entries
+    commutator = -1j * (np.kron(hs, eye) - np.kron(eye, hs.T))
+    return commutator + feed - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+
+
+@pytest.mark.parametrize("case", ["bare", "ancilla"] + [f"instance {i}" for i in range(0, 120, 7)])
+def test_kronecker_sums_equal_np_kron(case):
+    if case in NV_MODELS:
+        model = NV_MODELS[case]()
+        h, couplings, spectrum = model.h, list(model.couplings), model.spectrum
+        signal = model.g.entries
+    else:
+        h, couplings, spectrum = instance(int(case.split()[1]))
+        signal = random_hermitian(stream(9200, h.dim), h.dim)
+    lset = jump_operators(h, couplings)
+    assert np.array_equal(superoperator(h, lset, spectrum), kron_superoperator(h, lset, spectrum))
+    eye = np.eye(h.dim)
+    for g in (signal, h.entries):
+        assert np.array_equal(commutator_superoperator(g),
+                              -1j * (np.kron(g, eye) - np.kron(eye, g.T)))

@@ -175,9 +175,9 @@ def _error(fn, *args):
 
 
 def _strided(legs):
-    """``_propagate``'s dt and marks for legs of one dt: each leg's end, on the lattice."""
-    ends = np.cumsum([n for _, n in legs]).tolist()
-    return legs[0][0], [(k, 0.0) for k in ends]
+    """``_propagate``'s dt, ends and rests for legs of one dt: each leg's end, on the lattice."""
+    ends = np.cumsum([n for _, n in legs])
+    return legs[0][0], ends, np.zeros(len(ends))
 
 
 @pytest.mark.parametrize("rates", [(0.0, 1.0), (1.0, 0.5), (0.5, 1.0, 0.0)])
