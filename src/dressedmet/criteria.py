@@ -8,9 +8,9 @@ This module owns the criterion spans and the quadratic error set:
 :func:`error_set` builds ``[A_alpha] + [A_alpha^dag A_beta]`` as one stacked
 array for the span criteria here and for :mod:`.codespace`; the constructive
 bound in :mod:`.sdp` and the code construction take their orthogonal
-remainder ``g_perp`` from the criterion reports.  The one other span is the
-real SVD basis that :func:`.sdp.solve_dual` builds of its constraint span,
-for its Newton coordinates and for mapping back to constraint coefficients.
+remainder ``g_perp`` from the criterion reports.  Every span here, and the
+certified dual's basis of the :func:`linear_generators` span in :mod:`.sdp`,
+comes from :func:`.operators.orthonormal_span` and its one drop rule.
 
 * :func:`linear_span_condition` - real span of the identity and the Hermitian
   couplings.  Escaping it is what dephasing-plus-relaxation protection (with a
@@ -41,6 +41,7 @@ from .operators import (
     frobenius,
     orthonormal_span,
     project_decompose,
+    require_bounded,
     require_hermitian,
 )
 from .tolerances import TOL, Tolerances
@@ -95,9 +96,8 @@ def _span_report(
     stack = np.array(mats, dtype=complex).reshape(-1, *gm.shape)
     if criterion is Criterion.QUADRATIC_COMPLEX:  # a real span checks its own generators
         require_hermitian(stack, "a coupling", tol)
-    elif criterion is Criterion.HNLS and not np.isfinite(stack).all():
-        # jump operators need not be Hermitian: finiteness is all that is checked
-        raise ValidationError("a jump operator has non-finite entries")
+    elif criterion is Criterion.HNLS:  # jump operators need not be Hermitian
+        require_bounded(stack, "a jump operator")
     span = orthonormal_span(generators(mats, gm.shape[0]), field, tol=tol)
     _, perp = project_decompose(gm, span, tol=tol)
     residual = frobenius(perp.entries)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .jsonio import check_keys, finite_number
-from .operators import HermitianOperator, as_matrix, frobenius, require_hermitian
+from .operators import HermitianOperator, as_matrix, frobenius, hermitian_part, require_hermitian
 from .tolerances import TOL, Tolerances
 
 
@@ -74,7 +74,7 @@ class BathSpectrum:
         require_hermitian(mat, f"{what} matrix at nu={nu}", tol)
         if mat.shape != (k, k):
             mat = mat[0, 0] * np.eye(k, dtype=complex)
-        return 0.5 * (mat + mat.conj().T)
+        return hermitian_part(mat)
 
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
         """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``."""

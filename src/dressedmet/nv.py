@@ -61,17 +61,15 @@ def nv_hamiltonian(p: NvParams) -> HermitianOperator:
     return HermitianOperator(h)
 
 
-def nv_control_bx(bx: float, d_split: float = 1.0, gamma_e: float = 1.0) -> HermitianOperator:
-    """Effective control from a perpendicular field, valid to second order.
+def nv_control_bx(bx: float) -> HermitianOperator:
+    """Effective control from a perpendicular field ``bx``, valid to second order.
 
-    Requires the Zeeman-to-splitting ratio below 0.2 so the second-order
-    reduction stays accurate.
+    ``bx`` is the Zeeman energy in units of the splitting; it must stay below
+    0.2 so the second-order reduction stays accurate.
     """
-    ratio = abs(gamma_e * bx) / d_split
-    if ratio >= 0.2:
-        raise ValidationError(f"field ratio {ratio:.3f} too large for the reduction")
-    scale = 0.5 * (gamma_e * bx) ** 2 / d_split
-    return HermitianOperator(scale * (3.0 * (_SZ @ _SZ) - (_SX @ _SX - _SY @ _SY)))
+    if abs(bx) >= 0.2:
+        raise ValidationError(f"field ratio {abs(bx):.3f} too large for the reduction")
+    return HermitianOperator(0.5 * bx ** 2 * (3.0 * (_SZ @ _SZ) - (_SX @ _SX - _SY @ _SY)))
 
 
 def nv_dressed_basis() -> Tuple[StateVector, StateVector, StateVector]:
@@ -95,7 +93,7 @@ def _first_order_rotation(h0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return vecs @ expo @ vecs.conj().T
 
 
-def nv_bx_discrepancy(bx: float, d_split: float = 1.0, gamma_e: float = 1.0) -> float:
+def nv_bx_discrepancy(bx: float) -> float:
     """Worst eigenvector mismatch between the reduced and exact pictures.
 
     The reduced picture keeps the bare dressed triple as its eigenbasis; the
@@ -104,10 +102,10 @@ def nv_bx_discrepancy(bx: float, d_split: float = 1.0, gamma_e: float = 1.0) -> 
     rotation and returns max(1 - |overlap|) over the triple, so the result
     measures only what the second-order reduction fails to capture.
     """
-    h0 = d_split * (_SZ @ _SZ)
-    h_eff = h0 + nv_control_bx(bx, d_split, gamma_e).entries
-    h_exact = h0 + gamma_e * bx * _SX
-    rot = _first_order_rotation(h0, gamma_e * bx * _SX)
+    h0 = _SZ @ _SZ
+    h_eff = h0 + nv_control_bx(bx).entries
+    h_exact = h0 + bx * _SX
+    rot = _first_order_rotation(h0, bx * _SX)
     _, v_eff = eigh_fixed(h_eff)
     _, v_exact = eigh_fixed(h_exact)
     overlaps = np.abs(v_exact.conj().T @ (rot @ v_eff))  # (exact, dressed)
@@ -123,12 +121,9 @@ def nv_couplings() -> Tuple[HermitianOperator, ...]:
     )
 
 
-def nv_dressed_hamiltonian(ratio: float = 0.1, d_split: float = 1.0) -> HermitianOperator:
+def nv_dressed_hamiltonian(ratio: float = 0.1) -> HermitianOperator:
     """Splitting plus the perpendicular-field control at a given field ratio."""
-    bx = ratio * d_split
-    return HermitianOperator(
-        d_split * (_SZ @ _SZ) + nv_control_bx(bx, d_split, 1.0).entries
-    )
+    return HermitianOperator(_SZ @ _SZ + nv_control_bx(ratio).entries)
 
 
 def nv_bare_code() -> CodeSpace:
@@ -192,7 +187,7 @@ def protected_model(
                       rho0=rho0, code=code)
 
 
-def unprotected_model(gamma: float = 1.0, d_split: float = 1.0) -> ProbeModel:
+def unprotected_model(gamma: float = 1.0) -> ProbeModel:
     """Undressed baseline: bare splitting, same bath, superposition of +-1.
 
     The only surviving zero-frequency jump operator is S_z, so the +-1
@@ -207,7 +202,7 @@ def unprotected_model(gamma: float = 1.0, d_split: float = 1.0) -> ProbeModel:
     code = CodeSpace(StateVector(plus1), StateVector(minus1), 3, 1)
     psi = (plus1 + minus1) / np.sqrt(2.0)
     return ProbeModel(
-        h=HermitianOperator(d_split * (_SZ @ _SZ)),
+        h=HermitianOperator(_SZ @ _SZ),
         g=HermitianOperator(_SZ),
         couplings=couplings,
         spectrum=BathSpectrum.peak0(gamma, len(couplings)),
@@ -332,7 +327,6 @@ def rotated_couplings(seed: int) -> Tuple[HermitianOperator, ...]:
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    sx, sy, sz = _SX, _SY, _SZ
-    triple = np.stack([sx, sy, sz])
+    triple = np.stack([_SX, _SY, _SZ])
     rotated = np.einsum("ij,jab->iab", q, triple)
     return tuple(HermitianOperator(m) for m in rotated)

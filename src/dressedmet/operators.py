@@ -14,14 +14,14 @@ Eigendecompositions returned by :func:`eigh_fixed` are made deterministic
 stable run to run.
 
 :func:`require_hermitian` is the one check of every matrix input that must be
-finite and Hermitian.
+finite, bounded and Hermitian; :func:`orthonormal_span` is the one span builder.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "as_matrix",
     "dagger",
     "frobenius",
+    "hermitian_part",
     "lift",
     "orthonormal_span",
     "project_decompose",
@@ -49,6 +50,11 @@ __all__ = [
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dag) / 2`` of a matrix, or of each matrix of a stack."""
+    return (m + np.swapaxes(m, -2, -1).conj()) / 2.0
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -81,17 +87,13 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
         require_hermitian(m, "operator")
-        m = (m + m.conj().T) / 2.0
+        m = hermitian_part(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim, dtype=complex))
 
     def __array__(self, dtype=None, copy=None):
         arr = self.entries
@@ -132,8 +134,7 @@ class StateVector:
 def as_vector(state) -> np.ndarray:
     if isinstance(state, StateVector):
         return state.amplitudes
-    v = np.asarray(state, dtype=complex).reshape(-1)
-    return v
+    return np.asarray(state, dtype=complex).reshape(-1)
 
 
 class ScalarField(Enum):
@@ -148,12 +149,14 @@ class OperatorSpan:
     ``field`` records the scalars the span is closed under: REAL spans hold
     Hermitian elements with real coefficients, COMPLEX spans are ordinary
     subspaces of d x d complex matrices.  ``basis`` is one read-only
-    ``(n, d, d)`` array; ``n`` may be 0.
+    ``(n, d, d)`` array; ``n`` may be 0.  :func:`orthonormal_span` sets the
+    ``(k, n)`` map ``T`` with ``sum_k (T y)_k G_k = sum_j y_j B_j``.
     """
 
     dim: int
     field: ScalarField
     basis: np.ndarray
+    to_generators: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n, d = len(self.basis), self.dim
@@ -192,14 +195,27 @@ def lift(op, ancilla_dim: int) -> np.ndarray:
     return np.kron(m, np.eye(ancilla_dim, dtype=complex))
 
 
-def require_hermitian(stack: np.ndarray, what: str, tol: Tolerances = TOL) -> None:
-    """Raise :class:`ValidationError`, naming ``what``, unless a ``(d, d)`` matrix or
-    each of an ``(n, d, d)`` stack is finite with an entrywise ``|m - m^dag|`` of at
-    most ``tol.hermiticity`` times its largest entry (or 1 if larger).
-    """
+# Largest entry a checked matrix may hold: the criterion spans take norms of
+# products A^dag B, whose squared entries reach d^2 x^4 for entries x, and at
+# 1e64 that stays far below the float range (1.8e308) for any d used here.
+MAX_ENTRY = 1e64
+
+
+def require_bounded(stack: np.ndarray, what: str) -> np.ndarray:
+    """Each matrix's largest entry, once all are finite and at most ``MAX_ENTRY``."""
     size = np.abs(stack).max(axis=(-2, -1), initial=0.0)  # NaN and inf survive the max
     if not np.isfinite(size).all():
         raise ValidationError(f"{what} has non-finite entries")
+    if (size > MAX_ENTRY).any():
+        raise ValidationError(f"{what} has an entry above {MAX_ENTRY:.0e} in magnitude")
+    return size
+
+
+def require_hermitian(stack: np.ndarray, what: str, tol: Tolerances = TOL) -> None:
+    """Raise :class:`ValidationError`, naming ``what``, unless a ``(d, d)`` matrix or
+    each of an ``(n, d, d)`` stack is bounded with an entrywise ``|m - m^dag|`` of at
+    most ``tol.hermiticity`` times its largest entry (or 1 if larger)."""
+    size = require_bounded(stack, what)
     err = np.abs(stack - np.swapaxes(stack, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
     if (err > tol.hermiticity * np.maximum(1.0, size)).any():
         raise ValidationError(f"{what} is not Hermitian (deviation {err.max():.3e})")
@@ -213,11 +229,12 @@ def orthonormal_span(
 ) -> OperatorSpan:
     """Orthonormalize a generator list into an :class:`OperatorSpan`.
 
-    Gram-Schmidt with one re-orthogonalization pass, each pass projecting
-    against the whole basis at once; generators whose residual after
-    projection falls below ``tol.span_drop`` (relative to their own norm) are
-    dropped as linearly dependent.  A REAL span requires generators that
-    pass :func:`require_hermitian` at ``tol`` and spans their Hermitian parts.
+    One SVD of the generators scaled to unit norm, as rows, with a generator
+    of norm below ``tol.span_drop`` and a singular value at or below it
+    dropped; ``to_generators`` is ``conj(u) / s`` over the generators' norms.
+    A REAL span requires generators that pass :func:`require_hermitian` at
+    ``tol``, takes their Hermitian parts as real rows (real and imaginary
+    parts side by side) and keeps its basis elements' Hermitian parts.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -226,27 +243,25 @@ def orthonormal_span(
     if any(m.shape != (dim, dim) for m in mats):
         raise ValidationError("span generators have inconsistent dimensions")
     stack = np.array(mats)
-    if field is ScalarField.REAL:
+    real = field is ScalarField.REAL
+    if real:
         require_hermitian(stack, "a real-field span generator", tol)
-        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+        stack = hermitian_part(stack)
     flat = stack.reshape(len(stack), dim * dim)
-    basis = np.empty_like(flat)
-    n = 0
-    for m, nrm in zip(flat, np.linalg.norm(flat, axis=1)):
-        if nrm < tol.span_drop:
-            continue
-        w = m / nrm
-        for _ in range(2):
-            c = basis[:n].conj() @ w
-            if field is ScalarField.REAL:
-                c = c.real
-            w = w - c @ basis[:n]
-        r = float(np.linalg.norm(w))
-        if r < tol.span_drop:
-            continue
-        basis[n] = w / r
-        n += 1
-    return OperatorSpan(dim=dim, field=field, basis=basis[:n].reshape(n, dim, dim))
+    norms = np.linalg.norm(flat, axis=1)
+    live = norms >= tol.span_drop
+    rows = flat[live] / norms[live, None]
+    if real:
+        rows = np.hstack([rows.real, rows.imag])
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    keep = s > tol.span_drop
+    basis = (vh[keep, : dim * dim] + 1j * vh[keep, dim * dim :]) if real else vh[keep]
+    if real:  # a near-dependent direction leaves eps / sigma of anti-Hermitian rounding
+        basis = hermitian_part(basis.reshape(-1, dim, dim))
+    to_generators = np.zeros((len(flat), len(basis)), dtype=u.dtype)
+    to_generators[live] = u[:, keep].conj() / s[keep] / norms[live, None]
+    to_generators.setflags(write=False)
+    return OperatorSpan(dim, field, basis.reshape(-1, dim, dim), to_generators)
 
 
 def project_decompose(g, span: OperatorSpan, *, tol: Tolerances = TOL):
@@ -260,8 +275,7 @@ def project_decompose(g, span: OperatorSpan, *, tol: Tolerances = TOL):
     """
     m = as_matrix(g)
     require_hermitian(m, "the operator to decompose", tol)
-    par = span.project(m)
-    par = (par + dagger(par)) / 2.0
+    par = hermitian_part(span.project(m))
     perp = m - par
     if frobenius(span.project(perp)) > tol.decomposition * max(1.0, frobenius(m)):
         raise ValidationError(
@@ -293,12 +307,8 @@ def positive_negative_split(g_perp, *, tol: Tolerances = TOL):
         raise ValidationError("traceless operator lacks a two-sided spectrum after rank cut")
     p_part = (vecs[:, pos] * vals[pos]) @ dagger(vecs[:, pos])
     n_part = (vecs[:, neg] * (-vals[neg])) @ dagger(vecs[:, neg])
-    tr_p = float(np.trace(p_part).real)
-    tr_n = float(np.trace(n_part).real)
-    weight = 0.5 * (tr_p + tr_n)
-    rho1 = (p_part + dagger(p_part)) / (2.0 * tr_p)
-    rho0 = (n_part + dagger(n_part)) / (2.0 * tr_n)
-    return rho1, rho0, weight
+    tr_p, tr_n = float(np.trace(p_part).real), float(np.trace(n_part).real)
+    return hermitian_part(p_part) / tr_p, hermitian_part(n_part) / tr_n, 0.5 * (tr_p + tr_n)
 
 
 def spin_matrices(two_s: int):
@@ -311,13 +321,10 @@ def spin_matrices(two_s: int):
     if not isinstance(two_s, (int, np.integer)) or two_s < 1:
         raise ValidationError("two_s must be a positive integer")
     s = two_s / 2.0
-    dim = two_s + 1
-    m = s - np.arange(dim)
+    m = s - np.arange(two_s + 1)
     sz = np.diag(m).astype(complex)
-    s_plus = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        # raising S+|m> lands one basis index up (descending-m ordering)
-        s_plus[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+    # raising S+|m> lands one basis index up (descending-m ordering)
+    s_plus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     s_minus = s_plus.conj().T
     sx = (s_plus + s_minus) / 2.0
     sy = (s_plus - s_minus) / 2.0j
@@ -336,25 +343,23 @@ def eigh_fixed(m) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(a)
     if not vals.size:
         return vals, vecs
-    scale = float(np.max(np.abs(vals)))
     big = np.abs(vecs) > 1e-9
     ph = vecs[big.argmax(axis=0), np.arange(len(vals))]  # each column's first large entry
     vecs = vecs * np.where(big.any(axis=0), ph.conj() / np.hypot(ph.real, ph.imag), 1.0)
     # order exact ties deterministically
-    tie_tol = max(1e-12, 1e-12 * scale)
-    order = list(range(len(vals)))
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= tie_tol:
-            j += 1
-        if j > i:
-            def key(k):
-                col = np.round(vecs[:, k], 10)
-                return tuple(x for pair in zip(col.real, col.imag) for x in pair)
+    tie_tol = max(1e-12, 1e-12 * float(np.max(np.abs(vals))))
 
-            order[i : j + 1] = sorted(order[i : j + 1], key=key)
-        i = j + 1
+    def key(k):
+        col = np.round(vecs[:, k], 10)
+        return tuple(x for pair in zip(col.real, col.imag) for x in pair)
+
+    order, i = [], 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and abs(vals[j] - vals[i]) <= tie_tol:
+            j += 1
+        order += sorted(range(i, j), key=key) if j > i + 1 else [i]
+        i = j
     return vals[order].copy(), vecs[:, order]
 
 

@@ -12,6 +12,7 @@ the optimum from both sides, and a closed form gives a third bound:
 * :func:`solve_dual` follows the central path of the eigenvalue problem by
   Newton steps on its log-det barrier in the ``k + 2`` variables ``(c, t)``,
   cutting the barrier weight 20x per centered level, and names its exit.
+  Its basis of the constraint span comes from the criteria's span builder.
   The center carries the primal multipliers ``Z+- = mu (tI -+ M)^-1``, and
   at the stop ``Z+ - Z-``, linearized along the last Newton step, projected
   off the constraint span and scaled to trace norm 2, is the primal ``Gt``;
@@ -39,10 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import linear_span_condition
+from .criteria import linear_generators, linear_span_condition
 from .errors import NumericalError, ValidationError
 from .jsonio import operator_to_json
-from .operators import HermitianOperator, as_matrix, positive_negative_split, require_hermitian
+from .operators import (HermitianOperator, ScalarField, as_matrix, hermitian_part, orthonormal_span,
+                        positive_negative_split, require_hermitian)
 from .tolerances import TOL, Tolerances
 
 __all__ = [
@@ -80,7 +82,7 @@ class SdpProblem:
     @classmethod
     def from_couplings(cls, g, couplings) -> "SdpProblem":
         gm = as_matrix(g)
-        return cls(gm, tuple([np.eye(gm.shape[0], dtype=complex)] + [as_matrix(a) for a in couplings]))
+        return cls(gm, tuple(linear_generators(couplings, gm.shape[0])))
 
     @property
     def dim(self) -> int:
@@ -187,7 +189,9 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     """Minimize the dual objective ``2 ||g - sum c_k C_k||_op`` by a barrier method.
 
     With ``g`` scaled to unit operator norm and ``M(c) = g - sum_j c_j B_j``
-    over an orthonormal Hermitian basis ``B_j`` of the constraint span, the
+    over the basis ``B_j`` of :func:`.operators.orthonormal_span` of the
+    constraints (dropping a singular value at most ``TOL.span_drop`` of the
+    unit-norm constraints keeps the Newton system nonsingular), the
     solver follows the central path of ``min t`` subject to
     ``-tI <= M(c) <= tI``: Newton steps on
     ``t - mu (log det(tI - M) + log det(tI + M))`` over the ``k + 2``
@@ -204,7 +208,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
 
     Whatever the iterate, the value is one ``eigvalsh`` of
     ``g - sum c_k C_k`` at the returned coefficients, mapped back onto
-    ``problem.constraints``, so it is a valid upper bound by weak duality.
+    ``problem.constraints`` by the span's map: an upper bound by weak duality.
     ``iterations`` counts Newton steps, and ``stop`` names the exit, as
     :class:`DualSolution` lists them.
 
@@ -212,7 +216,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     center ``(y, t, mu)``: the barrier's multipliers ``Z+- = mu S+-^-1`` of
     ``S+- = tI -+ M``, linearized along the Newton step ``(dy, dt)`` just
     computed there, are ``mu (S^-1 - S^-1 dS S^-1)`` with
-    ``dS+- = dt I -+ dM``; ``W = Z+ - Z-`` projected off the ``B_j`` and
+    ``dS+- = dt I -+ dM``; ``W = Z+ - Z-`` projected off the span and
     scaled to ``tr|W| = 2`` is feasible to rounding (Boyd & Vandenberghe,
     *Convex Optimization*, ch. 11; Vandenberghe & Boyd, SIAM Review 1996).
     Without the step term the center alone left relative gaps up to 2e-3.
@@ -226,20 +230,11 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
         return DualSolution(0.0, np.zeros(len(cons)), 0, "path_end", zero)
     gn = g / scale
 
-    # orthonormal basis of span_R{C_k} in real coordinates; dropping the
-    # dependent directions keeps the Newton system nonsingular, and the
-    # rows' SVD maps basis coefficients y back by the least-squares
-    # solution x = U S^-1 y of sum x_k C_k = sum y_j B_j
-    flat = cons.reshape(len(cons), -1)
-    u, s, vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), full_matrices=False)
-    keep = s > 1e-12 * s[0]
-    to_cons = u[:, keep] / s[keep]
-    n = dim * dim
-    flat_basis = vt[keep, :n] + 1j * vt[keep, n:]
-    basis = flat_basis.reshape(-1, dim, dim)
+    span = orthonormal_span(cons, ScalarField.REAL)
+    basis, flat_basis = span.basis, span.basis.reshape(span.size, -1)
 
     def value(y):
-        coeffs = to_cons @ y
+        coeffs = span.to_generators @ y
         m = gn - np.tensordot(coeffs, cons, axes=1)
         return 2.0 * float(np.abs(np.linalg.eigvalsh(m)).max()), coeffs
 
@@ -250,7 +245,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     # the least-squares projection onto the span is optimal when g lies in
     # it, to the rounding at which dependent constraint directions drop; the
     # test is relative, so that a small g keeps its primal point
-    y = vt[keep, :n] @ gn.real.ravel() + vt[keep, n:] @ gn.imag.ravel()
+    y = (flat_basis.conj() @ gn.ravel()).real
     if value(y)[0] <= 1e-12:
         return result(y, 0, "path_end")
 
@@ -267,8 +262,8 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
         w = (np.outer(wa, wa) + np.outer(wb, wb)) * dm
         w[np.diag_indices(dim)] += wa - wb - step[-1] * (wa * wa - wb * wb)
         w = vecs @ w @ vecs.conj().T
-        w = (w + w.conj().T) / 2.0
-        w -= np.tensordot((flat_basis.conj() @ w.ravel()).real, basis, axes=1)
+        w = hermitian_part(w)
+        w -= span.project(w)
         return 2.0 * w / np.abs(np.linalg.eigvalsh(w)).sum()
 
     # ||g||_op = 1 puts the start strictly inside the feasible cone

@@ -41,7 +41,8 @@ from .lindblad import (
     superoperator,
 )
 from .operators import (
-    HermitianOperator, as_matrix, eigh_fixed, first_order_mixing, require_hermitian,
+    HermitianOperator, as_matrix, eigh_fixed, first_order_mixing, hermitian_part,
+    require_hermitian,
 )
 from .tolerances import TOL, Tolerances
 
@@ -105,10 +106,6 @@ def _check_stability(gens: np.ndarray, dt: float, tol: Tolerances) -> None:
         raise ValidationError(f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard")
 
 
-def _hermitian_part(records: np.ndarray) -> np.ndarray:
-    return 0.5 * (records + np.swapaxes(records, -2, -1).conj())
-
-
 def _check_states(records: np.ndarray, tol: Tolerances) -> None:
     """Positivity of ``(records, offsets, d, d)``: no eigenvalue of a record's
     Hermitian part below ``floor = tol.positivity_floor``.
@@ -127,7 +124,7 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
     if finite.all():
         if floor == -math.inf:
             return
-        herm = _hermitian_part(records)
+        herm = hermitian_part(records)
         diag = np.arange(herm.shape[-1])
         herm[..., diag, diag] -= floor  # in place: no second copy of the stack
         try:
@@ -137,7 +134,7 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
             pass
     # rebuilt, not shifted back: x - floor + floor need not be x
     low = np.full(len(records), np.nan)
-    low[finite] = np.linalg.eigvalsh(_hermitian_part(records[finite])).min(axis=(-2, -1))
+    low[finite] = np.linalg.eigvalsh(hermitian_part(records[finite])).min(axis=(-2, -1))
     bad = np.flatnonzero(~(low >= floor))
     if bad.size:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
@@ -447,21 +444,21 @@ def _offset_generators(
 # ---------------------------------------------------------------------------
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, rank_floor: float = 1e-14) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared Uhlmann fidelity; equals |<a|b>|^2 on pure states.
 
     The kernel is evaluated on the significant eigenspace of ``rho`` only:
-    populations below ``rank_floor`` (relative) are spectral noise whose
+    populations below 1e-14 (relative) are spectral noise whose
     square root would otherwise pollute the value at the 1e-8 scale, far
     above the cancellation budget of nearly identical states.
     """
     rho = as_matrix(rho)
     sigma = as_matrix(sigma)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    keep = vals > rank_floor * max(float(vals.max()), 1e-300)
+    vals, vecs = np.linalg.eigh(hermitian_part(rho))
+    keep = vals > 1e-14 * max(float(vals.max()), 1e-300)
     root = np.sqrt(vals[keep])
     sub = vecs[:, keep]
-    kernel = (root[:, None] * (sub.conj().T @ (0.5 * (sigma + sigma.conj().T)) @ sub)
+    kernel = (root[:, None] * (sub.conj().T @ hermitian_part(sigma) @ sub)
               * root[None, :])
     ev = np.clip(np.linalg.eigvalsh(kernel), 0.0, None)
     return float(np.sum(np.sqrt(ev)) ** 2)
@@ -523,13 +520,13 @@ def qfi_sld(
     return float(_sld_series(model, [t], cfg, tol)[0][0])
 
 
-def _sld_values(rhos: np.ndarray, drhos: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _sld_values(rhos: np.ndarray, drhos: np.ndarray) -> np.ndarray:
     """Spectral Fisher values ``sum 2 |<j| drho |k>|^2 / (p_j + p_k) / 4`` over eigenpairs of
-    the Hermitian parts with ``p_j + p_k > floor``: one stacked ``eigh``, one masked sum."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(rhos))
+    the Hermitian parts with ``p_j + p_k > 1e-12``: one stacked ``eigh``, one masked sum."""
+    vals, vecs = np.linalg.eigh(hermitian_part(rhos))
     d = np.swapaxes(vecs.conj(), -2, -1) @ drhos @ vecs
     w = vals[..., :, None] + vals[..., None, :]
-    terms = np.divide(2.0 * np.abs(d) ** 2, w, out=np.zeros_like(w), where=w > floor)
+    terms = np.divide(2.0 * np.abs(d) ** 2, w, out=np.zeros_like(w), where=w > 1e-12)
     return terms.sum(axis=(-2, -1)) / 4.0
 
 

@@ -1,8 +1,13 @@
 """Central tolerance configuration.
 
-Every numerical threshold used by the package lives in this one record so the
-test suite, the CLI and library callers agree on what "zero" means at each
-stage.  Functions take an optional ``tol`` argument defaulting to ``TOL``.
+The thresholds of validation, span membership, code protection and
+integrator aborts live in this one record, so the test suite, the CLI and
+library callers agree on what "zero" means at each stage; functions that
+apply them take an optional ``tol`` defaulting to ``TOL``.  Fixed constants
+of one algorithm stay in its module as literals or module constants: the
+barrier's stopping rules in ``sdp``, spectral floors in ``simulate``, descent
+settings in ``codespace``, the field-ratio limit in ``nv`` and the entry
+bound in ``operators``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ class Tolerances:
     state_norm: float = 1e-12
     # pairwise orthonormality deviation of span bases
     orthonormality: float = 1e-10
-    # Gram-Schmidt residual below which a generator counts as dependent
+    # spans drop a generator of smaller norm, and a direction whose singular
+    # value over the generators scaled to unit norm is at most this
     span_drop: float = 1e-10
     # Frobenius residual below which an operator counts as inside a span
     membership: float = 1e-9

@@ -105,6 +105,21 @@ class TestCheck:
         assert set(doc["manifest"]) == {
             "command", "config_hash", "seed", "tool_version", "wall_time"}
 
+    def test_huge_couplings_keep_the_verdict_or_are_refused(self, capsys, ops, tmp_path):
+        # couplings at 1e100 used to exit 0 with the residual of a smaller span
+        residuals = []
+        for scale in (1.0, 1e64, 1e65):
+            path = tmp_path / f"b{scale:g}.json"
+            dump_json(operator_to_json(scale * (SZ + 0.3 * SX)), path)
+            rc, out = run(capsys, ["check", "--criterion", "thm2",
+                                   "--generator", ops["sx"], "--couplings", str(path)])
+            if scale > 1e64:
+                assert rc == EXIT_USAGE and out == ""
+            else:
+                assert rc == EXIT_OK
+                residuals.append(json.loads(out)["residual_norm"])
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
+
     def test_gate_turns_negative_verdict_into_exit_3(self, capsys, ops):
         argv = ["check", "--criterion", "thm2", "--generator", ops["szsq"],
                 "--couplings", ops["sx"], ops["sy"], ops["sz"]]

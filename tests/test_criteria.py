@@ -21,7 +21,7 @@ from dressedmet.criteria import (
     quadratic_span_condition,
 )
 from dressedmet.errors import ValidationError
-from dressedmet.operators import HermitianOperator, spin_matrices
+from dressedmet.operators import MAX_ENTRY, HermitianOperator, spin_matrices
 from dressedmet.rand import stream
 
 from conftest import random_hermitian
@@ -144,6 +144,31 @@ class TestHnlsCondition:
         lowering[2, 2] = bad
         with pytest.raises(ValidationError, match="^a jump operator has non-finite entries$"):
             hnls_condition(np.diag([1.0, 0.0, -1.0]), [np.eye(3), lowering])
+
+
+class TestEntryBound:
+    # entries of 1e100 overflowed the norms of A^dag A: the span dropped those
+    # directions and read verdict True, residual 0.8165 and span_dim 2, with
+    # only a RuntimeWarning to show for it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [0, 8, 16, 32, 48, 56, 60, 64])
+    def test_quadratic_verdict_holds_at_every_scale_up_to_the_bound(self, exponent):
+        rep = quadratic_span_condition(SZSQ, [10.0 ** exponent * SZ])
+        assert not rep.verdict
+        assert rep.residual_norm < 1e-15
+        assert rep.span_dim == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_decade_above_the_bound_is_refused(self):
+        big = 10.0 * MAX_ENTRY
+        with pytest.raises(ValidationError, match="^a coupling has an entry above 1e\\+64 in magnitude$"):
+            quadratic_span_condition(SZSQ, [big * SZ])
+        lowering = np.zeros((3, 3))
+        lowering[0, 1] = big
+        with pytest.raises(ValidationError, match="^a jump operator has an entry above 1e\\+64"):
+            hnls_condition(np.diag([1.0, 0.0, -1.0]), [lowering])
+        with pytest.raises(ValidationError, match="^operator has an entry above 1e\\+64"):
+            HermitianOperator([[1e308, 1e308], [1e308, 0.0]])
 
 
 class TestDispatchAndReport:

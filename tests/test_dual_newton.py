@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from dressedmet import sdp
+from dressedmet.operators import ScalarField, orthonormal_span
 from dressedmet.rand import stream
 from dressedmet.sdp import SdpProblem, solve_dual, solve_primal
 
@@ -115,3 +116,19 @@ def test_every_sampled_path_ends_within_45_steps():
     duals = [solve_dual(instance(i)) for i in range(200)]
     assert {d.stop for d in duals} == {"path_end"}
     assert max(d.iterations for d in duals) <= 45
+
+
+@pytest.mark.parametrize("i", [i for i in range(60) if i % 4 == 1 or i % 6 == 3])
+def test_dual_basis_maps_back_to_the_constraints(i):
+    # the dual's Newton basis B_j and its map T to constraint coefficients
+    # come from the span layer: sum_k (T y)_k C_k = sum_j y_j B_j, also
+    # where a coupling depends on the identity and the others
+    problem = instance(i)
+    cons = np.array(problem.constraints)
+    span = orthonormal_span(cons, ScalarField.REAL)
+    if i % 4 == 1 and len(cons) > 1:
+        assert span.size == min(len(cons) - 1, problem.dim ** 2)
+    y = stream(6300, i).standard_normal(span.size)
+    back = np.tensordot(span.to_generators @ y, cons, axes=1)
+    want = np.tensordot(y, span.basis, axes=1)
+    assert np.abs(back - want).max() <= 1e-13 * max(1.0, float(np.linalg.norm(y)))

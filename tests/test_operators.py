@@ -269,3 +269,18 @@ def test_every_matrix_input_follows_one_hermiticity_rule(name):
         call(_skew, Tolerances(hermiticity=1e-6))
     with pytest.raises(ValidationError, match="has non-finite entries"):
         call(_nan, TOL)
+
+
+def _huge(m):
+    # one decade above the entry bound, where the norms of products overflow
+    out = np.array(m, dtype=complex)
+    out[0, 0] = 1e65
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ONE_RULE)
+def test_every_matrix_input_refuses_entries_above_the_bound(name):
+    call, _ = ONE_RULE[name]
+    with pytest.raises(ValidationError, match=r"has an entry above 1e\+64 in magnitude"):
+        call(_huge, TOL)

@@ -11,7 +11,7 @@ from the criterion reports, must match the sequence they used to repeat.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dressedmet.codespace import (
@@ -151,6 +151,62 @@ def test_span_matches_reference(seed, dim, k, field, with_identity, dependents, 
     for m in probes + gens:
         scale = max(1.0, float(np.linalg.norm(m)))
         assert np.abs(span.project(m) - reference_project(basis, field, m)).max() <= 1e-13 * scale
+
+
+def unit_row_singular_values(gens, field):
+    """Singular values of the nonzero generators scaled to unit norm, as rows."""
+    flat = np.array(gens).reshape(len(gens), -1)
+    norms = np.linalg.norm(flat, axis=1)
+    rows = flat[norms > 0] / norms[norms > 0, None]
+    if field is ScalarField.REAL:
+        rows = np.concatenate([rows.real, rows.imag], axis=1)
+    return np.linalg.svd(rows, compute_uv=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 6),
+    k=st.integers(0, 4),
+    field=st.sampled_from([ScalarField.REAL, ScalarField.COMPLEX]),
+    with_identity=st.booleans(),
+    dependents=st.integers(0, 2),
+    zeros=st.integers(0, 2),
+)
+def test_span_matches_reference_at_mixed_scales(seed, dim, k, field, with_identity,
+                                                 dependents, zeros):
+    # the drop rule sees every generator at unit norm, so rescaling one by
+    # 10^U(-8, 8) changes no span size and moves no projection
+    gens = generator_list(seed, dim, k, field, with_identity, dependents, zeros)
+    rng = stream(seed, 2)
+    gens = [10.0 ** rng.uniform(-8.0, 8.0) * g for g in gens]
+    assume(gens)
+    # near-dependent draws, a smallest singular value between rounding and
+    # 1e-6, leave both methods about eps / sigma off: no equality holds there
+    sv = unit_row_singular_values(gens, field)
+    assume(not ((sv > 1e-12) & (sv < 1e-6)).any())
+    span = orthonormal_span(gens, field)
+    basis = reference_orthonormal_span(gens, field)
+    assert span.size == len(basis)
+    probes = [random_matrix(rng, dim, field is ScalarField.REAL) for _ in range(3)]
+    for m in probes + gens:
+        scale = max(1.0, float(np.linalg.norm(m)))
+        assert np.abs(span.project(m) - reference_project(basis, field, m)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_span_maps_basis_coefficients_back_to_the_generators(field):
+    for seed in range(20):
+        gens = generator_list(300 + seed, 2 + seed % 4, 1 + seed % 4, field, True, 1, 1)
+        gens = [10.0 ** (seed % 5 - 2) * g for g in gens]
+        span = orthonormal_span(gens, field)
+        y = stream(seed, 3).standard_normal(span.size)
+        if field is ScalarField.COMPLEX:
+            y = y + 1j * stream(seed, 4).standard_normal(span.size)
+        assert span.to_generators.shape == (len(gens), span.size)
+        back = np.tensordot(span.to_generators @ y, np.array(gens), axes=1)
+        want = np.tensordot(y, span.basis, axes=1)
+        assert np.abs(back - want).max() <= 1e-13 * max(1.0, float(np.linalg.norm(y)))
 
 
 @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
