@@ -272,7 +272,7 @@ def test_every_matrix_input_follows_one_hermiticity_rule(name):
 
 
 def _huge(m):
-    # one decade above the entry bound, where the norms of products overflow
+    # one decade above the entry bound
     out = np.array(m, dtype=complex)
     out[0, 0] = 1e65
     return out

@@ -3,10 +3,12 @@
 The reference copies below are the span code as it stood before spans were
 stored as one ``(n, d, d)`` array: modified Gram-Schmidt over a basis list,
 projection by a loop over basis elements, and the Knill-Laflamme check by a
-loop over the error set.  The stacked code must give the same span sizes,
-projections and Knill-Laflamme deviations to 1e-13, and the constructive
-bound and the correctable code, which now take their orthogonal remainder
-from the criterion reports, must match the sequence they used to repeat.
+loop over the error set.  The stacked code (spans now by one SVD of the
+unit-norm generators) must give the same span sizes, projections and
+Knill-Laflamme deviations to 1e-13, also with each generator rescaled by up
+to 10^+-8, and the constructive bound and the correctable code, which now
+take their orthogonal remainder from the criterion reports, must match the
+sequence they used to repeat.
 """
 
 import numpy as np
