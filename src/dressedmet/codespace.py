@@ -28,6 +28,7 @@ from .operators import (
     frobenius,
     lift,
     positive_negative_split,
+    require_bounded,
     require_hermitian,
 )
 from .rand import stream
@@ -204,9 +205,12 @@ def check_conditions(
     element, excitation the elements to states outside the code (only when
     the surrounding eigenstates are supplied).  ``kl_violation`` covers the
     couplings and their pairwise products, i.e. correctability against the
-    full quadratic error set.
+    full quadratic error set.  The couplings, Hermitian or not, and ``g``
+    must pass :func:`.operators.require_bounded`.
     """
-    mats = [_lift_to_code(a, code) for a in couplings]
+    dim = code.total_dim
+    mats = np.array([_lift_to_code(a, code) for a in couplings], complex).reshape(-1, dim, dim)
+    require_bounded(mats, "a coupling")
     blocks, w = _code_blocks(code.frame, mats)
     single = blocks[: len(mats)]
     dephasing = np.abs(single[:, 0, 0] - single[:, 1, 1]).max(initial=0.0)
@@ -215,9 +219,9 @@ def check_conditions(
     excitation: Optional[float] = None
     if eigencontext is not None:
         vecs = [as_vector(state) for state in eigencontext]
-        if any(v.shape[0] != code.total_dim for v in vecs):
+        if any(v.shape[0] != dim for v in vecs):
             raise ValidationError("eigencontext state dimension mismatch")
-        rows = np.array(vecs).reshape(-1, code.total_dim).conj() @ w
+        rows = np.array(vecs).reshape(-1, dim).conj() @ w
         excitation = float(np.abs(rows).max(initial=0.0))
 
     return ConditionReport(
@@ -227,9 +231,13 @@ def check_conditions(
 
 
 def effective_generator(code: CodeSpace, g) -> EffectiveGenerator:
-    """Diagonal generator data on the code: gap and superposition variance."""
-    frame = code.frame
-    block = frame.conj().T @ _lift_to_code(g, code) @ frame
+    """Diagonal generator data on the code: gap and superposition variance.
+
+    ``g`` must pass :func:`.operators.require_bounded`.
+    """
+    gmat = _lift_to_code(g, code)
+    require_bounded(gmat, "the generator")
+    block = code.frame.conj().T @ gmat @ code.frame
     g00 = float(block[0, 0].real)
     g11 = float(block[1, 1].real)
     delta = g11 - g00

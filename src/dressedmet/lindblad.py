@@ -2,7 +2,9 @@
 
 A Hermitian coupling ``A`` splits across the eigenstructure of the system
 Hamiltonian into blocks ``L(nu) = sum over eigenvalue pairs with gap nu of
-P_e A P_e'``.  The generator keeps only terms diagonal in ``nu`` (secular
+P_e A P_e'``, built in one eigenbasis ``V`` of the Hamiltonian as
+``V (V^dag A V * M_nu) V^dag``, with ``M_nu`` masking the entries whose gap
+bins to ``nu``.  The generator keeps only terms diagonal in ``nu`` (secular
 form); the bath enters through a rate matrix ``gamma(nu)`` over coupling
 indices and an optional Hamiltonian-renormalization coefficient matrix.
 """
@@ -103,13 +105,7 @@ class BathSpectrum:
         regime: Regime = Regime.LOW_TEMPERATURE,
     ) -> "BathSpectrum":
         """Constant rate at every frequency the regime admits."""
-        g = _rate(rate)
-
-        def gamma(nu: float) -> np.ndarray:
-            return g * np.eye(n_couplings)
-
-        desc = {"regime": regime.value, "gamma": {"kind": "flat", "rate": g}}
-        return cls(regime, gamma, n_couplings, descriptor=desc)
+        return _builtin("flat", rate, n_couplings, regime, lambda g, nu: g)
 
     @classmethod
     def ohmic(
@@ -120,19 +116,11 @@ class BathSpectrum:
         regime: Regime = Regime.LOW_TEMPERATURE,
     ) -> "BathSpectrum":
         """Linear-in-frequency rate with exponential cutoff, zero at nu <= 0."""
-        g, nu_c = _rate(rate), float(cutoff)
+        nu_c = float(cutoff)
         if not nu_c > 0:
             raise ValidationError(f"ohmic cutoff must be positive, got {nu_c}")
-
-        def gamma(nu: float) -> np.ndarray:
-            val = g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0
-            return val * np.eye(n_couplings)
-
-        desc = {
-            "regime": regime.value,
-            "gamma": {"kind": "ohmic", "rate": g, "cutoff": nu_c},
-        }
-        return cls(regime, gamma, n_couplings, descriptor=desc)
+        return _builtin("ohmic", rate, n_couplings, regime,
+                        lambda g, nu: g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0, cutoff=nu_c)
 
     @classmethod
     def peak0(
@@ -142,20 +130,19 @@ class BathSpectrum:
         regime: Regime = Regime.DEPHASING_ONLY,
     ) -> "BathSpectrum":
         """Rate concentrated at nu = 0: pure dephasing in every regime."""
-        g = _rate(rate)
-
-        def gamma(nu: float) -> np.ndarray:
-            return (g if nu == 0 else 0.0) * np.eye(n_couplings)
-
-        desc = {"regime": regime.value, "gamma": {"kind": "peak0", "rate": g}}
-        return cls(regime, gamma, n_couplings, descriptor=desc)
+        return _builtin("peak0", rate, n_couplings, regime, lambda g, nu: g if nu == 0 else 0.0)
 
 
-def _rate(rate: float) -> float:
-    """``rate`` as a float, refused unless it is >= 0 (NaN is refused too)."""
+def _builtin(kind: str, rate: float, n_couplings: int, regime: Regime,
+             shape: Callable[[float, float], float], **params: float) -> BathSpectrum:
+    """Built-in spectrum ``gamma(nu) = shape(g, nu) I`` at the rate ``g``, refused unless
+    >= 0 (NaN too), and its descriptor: ``kind``, ``rate``, then ``params`` in order."""
     if not float(rate) >= 0:
         raise ValidationError(f"bath rate must be >= 0, got {rate}")
-    return float(rate)
+    g = float(rate)
+    desc = {"regime": regime.value, "gamma": {"kind": kind, "rate": g, **params}}
+    return BathSpectrum(regime, lambda nu: shape(g, nu) * np.eye(n_couplings), n_couplings,
+                        descriptor=desc)
 
 
 def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
@@ -220,25 +207,21 @@ class LindbladSet:
 
 
 def _linkage(vals: np.ndarray, gap_tol: float) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of each single-linkage cluster of ascending ``vals``.
-
-    Adjacent values closer than ``gap_tol`` share a cluster.
-    """
+    """``(start, stop)`` of each single-linkage cluster at ``gap_tol`` of ascending ``vals``."""
     cuts = (np.flatnonzero(np.diff(vals) >= gap_tol) + 1).tolist()
     return list(zip([0] + cuts, cuts + [len(vals)]))
 
 
-def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[float, np.ndarray]]:
-    """Cluster the spectrum of ``h`` and return (energy, projector) per group.
+def _levels(vals: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Each of the ascending eigenvalues ``vals`` replaced by its cluster's energy.
 
     Adjacent eigenvalues closer than ``gap_tol`` merge (single linkage); the
-    group energy is the mean of its members.  A cluster stretched wider than
+    cluster energy is the mean of its members.  A cluster stretched wider than
     10x ``gap_tol`` means the spectrum has no clean separation at this scale.
     """
     if not 0.0 < gap_tol < np.inf:
         raise ValidationError("gap_tol must be finite and positive")
-    vals, vecs = np.linalg.eigh(h.entries)
-    groups: List[Tuple[float, np.ndarray]] = []
+    levels = np.empty_like(vals)
     for lo, hi in _linkage(vals, gap_tol):
         cluster = vals[lo:hi]
         if cluster[-1] - cluster[0] > 10.0 * gap_tol:
@@ -246,9 +229,16 @@ def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[f
                 f"eigenvalue cluster spans {cluster[-1] - cluster[0]:.3e}, "
                 f"over 10x the grouping tolerance {gap_tol:.3e}"
             )
-        block = vecs[:, lo:hi]
-        groups.append((float(cluster.mean()), block @ block.conj().T))
-    return groups
+        levels[lo:hi] = cluster.mean()
+    return levels
+
+
+def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[float, np.ndarray]]:
+    """(mean energy, projector) of each single-linkage cluster of the spectrum of ``h``."""
+    vals, vecs = np.linalg.eigh(h.entries)
+    levels = _levels(vals, gap_tol)
+    blocks = [(float(e), vecs[:, levels == e]) for e in np.unique(levels)]
+    return [(e, block @ block.conj().T) for e, block in blocks]
 
 
 def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -258,13 +248,13 @@ def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> np.ndarray:
     binning on magnitudes keeps the +/- frequency pairing exact, and a
     cluster centered within ``gap_tol`` of zero bins to exactly 0.
     """
-    mags = np.array(sorted(set(np.abs(gaps).ravel().tolist())))
+    mags, inverse = np.unique(np.abs(gaps).ravel(), return_inverse=True)
     centers = np.empty_like(mags)
     for lo, hi in _linkage(mags, gap_tol):
         centers[lo:hi] = np.mean(mags[lo:hi])
     centers[np.abs(centers) < gap_tol] = 0.0
     # adding 0.0 turns the -0.0 of a negative gap binned to zero into 0.0
-    return np.where(gaps >= 0, 1.0, -1.0) * centers[np.searchsorted(mags, np.abs(gaps))] + 0.0
+    return np.where(gaps >= 0, 1.0, -1.0) * centers[inverse].reshape(gaps.shape) + 0.0
 
 
 def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
@@ -284,12 +274,15 @@ def jump_operators(
 ) -> LindbladSet:
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
-    ``gap_tol`` defaults to :func:`grouping_tolerance` of the operator norm
-    of ``h``.  The blocks ``P_e A_a P_f`` of every eigenspace pair are
-    summed into their binned frequency ``E_f - E_e``.  Frequencies whose
-    blocks all vanish are dropped; the surviving set satisfies the
-    completeness and adjoint-pairing checks to 1e-10 by construction of the
-    symmetric binning.
+    One ``eigh`` of ``h`` gives the eigenbasis ``V`` and, unless ``gap_tol``
+    is given, :func:`grouping_tolerance` of the operator norm of ``h``.  Each
+    eigenvector carries its cluster's energy (:func:`_levels`), and entry
+    ``(i, j)`` of the rotated coupling ``V^dag A_a V`` goes to the binned gap
+    ``E_j - E_i``: ``L_a(nu) = V (V^dag A_a V * M_nu) V^dag``, with ``M_nu``
+    the 0/1 mask of the entries binned to ``nu``.  Frequencies whose blocks
+    all vanish are dropped; the surviving set satisfies the completeness and
+    adjoint-pairing checks to 1e-10 by construction of the symmetric
+    binning.
     """
     dim = h.dim
     mats = [as_matrix(a) for a in couplings]
@@ -297,19 +290,14 @@ def jump_operators(
         raise ValidationError("coupling dimension mismatch with Hamiltonian")
     stack = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
     require_hermitian(stack, "a coupling", tol)
+    vals, vecs = np.linalg.eigh(h.entries)
     if gap_tol is None:
-        gap_tol = grouping_tolerance(float(np.abs(np.linalg.eigvalsh(h.entries)).max()), tol)
-    groups = eigendecompose_grouped(h, gap_tol)
-    energies = np.array([e for e, _ in groups])
-    projs = np.array([p for _, p in groups])
-
-    # pair (e, f) in row-major order, e the source eigenspace
-    nu = _bin_gaps(energies[None, :] - energies[:, None], gap_tol).reshape(-1)
-    freqs = np.array(sorted(set(nu.tolist())))
-    index = np.searchsorted(freqs, nu)
-    pieces = (projs[:, None] @ stack[None])[:, None] @ projs[None, :, None]
-    blocks = np.zeros((len(freqs),) + stack.shape, dtype=complex)
-    np.add.at(blocks, index, pieces.reshape((len(nu),) + stack.shape))  # adds in pair order
+        gap_tol = grouping_tolerance(float(np.abs(vals).max()), tol)
+    levels = _levels(vals, gap_tol)
+    freqs, index = np.unique(_bin_gaps(levels[None, :] - levels[:, None], gap_tol).ravel(),
+                             return_inverse=True)
+    masks = index.reshape(dim, dim) == np.arange(len(freqs))[:, None, None]
+    blocks = vecs @ (masks[:, None] * (vecs.conj().T @ stack @ vecs)) @ vecs.conj().T
 
     scale = max([1.0] + [frobenius(a) for a in mats])
     keep = (np.linalg.norm(blocks, axis=(-2, -1)) > 1e-13 * scale).any(axis=1)
@@ -376,5 +364,7 @@ def superoperator(
     dim = h_s.dim
     jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
     feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
-    h = h_s.entries + lamb_shift(lset, spectrum, tol=tol).entries
+    h = h_s.entries
+    if spectrum.lamb_coeffs is not None:
+        h = h + lamb_shift(lset, spectrum, tol=tol).entries
     return commutator_superoperator(h) + feed - 0.5 * _kron_sum(k, k.T)

@@ -37,12 +37,15 @@ from dressedmet.codespace import (
     _quadratic_search_terms,
 )
 from dressedmet.errors import ValidationError
+from dressedmet.nv import nv_bare_code
 from dressedmet.operators import (
+    MAX_ENTRY,
     HermitianOperator,
     StateVector,
     lift,
     spin_matrices,
 )
+from dressedmet.simulate import qfi_analytic
 from dressedmet.tolerances import TOL
 
 from conftest import random_density, random_hermitian
@@ -214,6 +217,36 @@ class TestEffectiveGenerator:
         assert eff.g11 == pytest.approx(1.0, abs=1e-14)
         assert eff.delta == pytest.approx(1.0, abs=1e-14)
         assert eff.var == pytest.approx(0.25, abs=1e-14)
+
+
+class TestEntryBound:
+    # NaN couplings used to read nan violations with no warning, couplings at
+    # 1e200 overflowed in the code blocks, and a NaN generator read delta = nan
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coupling, message", [
+        (np.full((3, 3), np.nan), "^a coupling has non-finite entries$"),
+        (1e200 * SZ, "^a coupling has an entry above 1e\\+64 in magnitude$"),
+    ], ids=["nan", "huge"])
+    def test_check_conditions_refuses_unbounded_couplings(self, coupling, message):
+        with pytest.raises(ValidationError, match=message):
+            check_conditions(nv_bare_code(), np.zeros((3, 3)), [coupling])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_generator_is_refused(self):
+        nan = np.full((3, 3), np.nan)
+        for call in (lambda: effective_generator(nv_bare_code(), nan),
+                     lambda: check_conditions(nv_bare_code(), nan, [SZ]),
+                     lambda: qfi_analytic(nv_bare_code(), nan, 1.0)):
+            with pytest.raises(ValidationError, match="^the generator has non-finite entries$"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bounded_and_non_hermitian_couplings_are_accepted(self):
+        raising = SX + 1j * SY
+        for coupling in (raising, MAX_ENTRY * SZ):
+            rep = check_conditions(nv_bare_code(), MAX_ENTRY * SZSQ, [coupling])
+            assert np.isfinite([rep.dephasing_violation, rep.relaxation_violation,
+                                rep.kl_violation, rep.signal]).all()
 
 
 class TestControlHamiltonian:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from dressedmet import lindblad
+from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import (
     BathSpectrum,
     Regime,
@@ -44,13 +45,31 @@ def _random_unitary(rng, dim):
 def instance(i):
     rng = stream(9100, i)
     dim, k = 2 + i % 5, (i // 5) % 4
-    regime = REGIMES[(i // 20) % 3]
     if i % 3 == 1:
         # integer levels: repeated eigenvalues and many equal gaps
         u = _random_unitary(rng, dim)
         h = (u * rng.integers(-2, 3, dim)) @ u.conj().T
     else:
         h = random_hermitian(rng, dim)
+    return bath_instance(rng, h, k, REGIMES[(i // 20) % 3], shift=bool(i % 2))
+
+
+def near_degenerate_instance(i):
+    """Integer levels, one of them 2 and one repeated, split by 10^U(-12, -9.5):
+    inside the default grouping tolerance (``gap_rel`` times a norm of at least
+    2) and far above rounding."""
+    rng = stream(9300, i)
+    dim, k = 3 + i % 4, 1 + (i // 4) % 3
+    u = _random_unitary(rng, dim)
+    base = np.append(2, rng.integers(-2, 3, dim - 2))
+    split = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(-12.0, -9.5, dim)
+    h = (u * (np.append(base, base[-1]) + split)) @ u.conj().T
+    return bath_instance(rng, h, k, REGIMES[i % 3], shift=bool(i % 2))
+
+
+def bath_instance(rng, h, k, regime, shift):
+    """``h`` with k random couplings and a random bath, with shift coefficients if ``shift``."""
+    dim = len(h)
     couplings = [HermitianOperator(random_hermitian(rng, dim)) for _ in range(k)]
     b0 = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     b1 = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -60,7 +79,7 @@ def instance(i):
         return b @ b.conj().T
 
     lamb = None
-    if i % 2:
+    if shift:
         s0, s1 = random_hermitian(rng, max(k, 1))[:k, :k], random_hermitian(rng, max(k, 1))[:k, :k]
 
         def lamb(nu):
@@ -105,6 +124,37 @@ def assert_matches_reference(h, couplings, spectrum):
 @pytest.mark.parametrize("i", range(120))
 def test_random_instances_match_the_dict_layer(i):
     assert_matches_reference(*instance(i))
+
+
+@pytest.mark.parametrize("i", range(60))
+def test_near_degenerate_clusters_match_the_dict_layer(i):
+    assert_matches_reference(*near_degenerate_instance(i))
+
+
+def test_near_degenerate_instances_merge_split_levels():
+    cases = [near_degenerate_instance(i) for i in range(60)]
+    assert {h.dim for h, _, _ in cases} == {3, 4, 5, 6}
+    assert {len(c) for _, c, _ in cases} == {1, 2, 3}
+    for h, _, _ in cases:
+        vals = np.linalg.eigvalsh(h.entries)
+        assert np.abs(vals).max() >= 1.0 and (np.diff(vals) < 1e-9).any()
+        # each cluster stays far wider than rounding and inside the grouping tolerance
+        splits = np.diff(vals)[np.diff(vals) < 0.5]
+        assert splits.max() < 1e-9 * np.abs(vals).max() and splits.max() > 1e-13
+
+
+def test_jump_operators_refuse_a_stretched_cluster():
+    # adjacent gaps all below tolerance but the chain spans 10.8x it
+    h = HermitianOperator(np.diag(0.9 * np.arange(13)).astype(complex))
+    with pytest.raises(NumericalError, match="eigenvalue cluster spans"):
+        jump_operators(h, [h], gap_tol=1.0)
+
+
+@pytest.mark.parametrize("gap_tol", [np.nan, np.inf, 0.0])
+def test_jump_operators_refuse_a_gap_tol_not_finite_and_positive(gap_tol):
+    h, couplings, _ = instance(1)
+    with pytest.raises(ValidationError, match="gap_tol must be finite and positive"):
+        jump_operators(h, couplings, gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize("name", sorted(NV_MODELS))
