@@ -35,14 +35,6 @@ class Regime(enum.Enum):
     FULL_THERMAL = "full-thermal"
 
 
-def _regime_mask(regime: Regime, nu: float) -> bool:
-    if regime is Regime.DEPHASING_ONLY:
-        return nu == 0.0
-    if regime is Regime.LOW_TEMPERATURE:
-        return nu >= 0.0
-    return True
-
-
 @dataclass(frozen=True)
 class BathSpectrum:
     """Rate matrix over coupling indices, evaluated per transition frequency.
@@ -61,60 +53,49 @@ class BathSpectrum:
     lamb_coeffs: Optional[Callable[[float], np.ndarray]] = None
     descriptor: Optional[dict] = None
 
-    def _coefficients(self, what: str, fn: Callable, nu: float, tol: Tolerances) -> np.ndarray:
-        """``fn(nu)`` as a ``k x k`` matrix, ``(1, 1)`` broadcast to ``gamma I``.
+    def _coefficients(self, what: str, fn: Callable, freqs: Sequence[float], tol: Tolerances,
+                      psd: bool = False) -> np.ndarray:
+        """``fn`` at each of ``freqs``, checked by :func:`_checked` in one stacked pass; on a
+        refusal each alone in order, naming the first failing frequency with its own figure."""
+        mats = [np.atleast_2d(np.asarray(fn(nu), dtype=complex)) for nu in freqs]
+        try:
+            return _checked(f"{what} matrices", mats, self.n_couplings, tol, psd)
+        except ValidationError:
+            for nu, mat in zip(freqs, mats):
+                _checked(f"{what} matrix at nu={nu}", [mat], self.n_couplings, tol, psd)
+            raise
 
-        Returns its Hermitian part once it passes :func:`.operators.require_hermitian`
-        at ``tol``.
-        """
-        k = self.n_couplings
-        mat = np.atleast_2d(np.asarray(fn(nu), dtype=complex))
-        if mat.shape not in ((1, 1), (k, k)):
-            raise ValidationError(
-                f"{what} matrix at nu={nu} has shape {mat.shape}, expected ({k}, {k})"
-            )
-        require_hermitian(mat, f"{what} matrix at nu={nu}", tol)
-        if mat.shape != (k, k):
-            mat = mat[0, 0] * np.eye(k, dtype=complex)
-        return hermitian_part(mat)
+    def rates(self, freqs: Sequence[float], tol: Tolerances = TOL) -> np.ndarray:
+        """Fresh ``(n, k, k)`` stack of the PSD rate matrices at ``freqs``, zero (and
+        ``gamma`` not called) where the regime excludes a frequency."""
+        freqs = [float(nu) for nu in freqs]
+        live = [i for i, nu in enumerate(freqs) if nu == 0.0 or self.regime is Regime.FULL_THERMAL
+                or nu > 0.0 and self.regime is Regime.LOW_TEMPERATURE]
+        out = np.zeros((len(freqs), self.n_couplings, self.n_couplings), dtype=complex)
+        if live:
+            out[live] = self._coefficients("rate", self.gamma, [freqs[i] for i in live], tol, True)
+        return out
 
     def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
         """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``."""
-        nu = float(nu)
-        if not _regime_mask(self.regime, nu):
-            return np.zeros((self.n_couplings, self.n_couplings))
-        mat = self._coefficients("rate", self.gamma, nu, tol)
-        low = float(np.linalg.eigvalsh(mat).min())
-        if low < -tol.psd * max(1.0, frobenius(mat)):
-            raise ValidationError(f"rate matrix at nu={nu} has negative eigenvalue {low}")
-        return mat
+        return self.rates([nu], tol)[0]
 
     def lamb(self, nu: float, tol: Tolerances = TOL) -> Optional[np.ndarray]:
         """Hermitian shift-coefficient matrix at ``nu``, or None if unset."""
-        if self.lamb_coeffs is None:
-            return None
-        return self._coefficients("shift", self.lamb_coeffs, float(nu), tol)
+        return None if self.lamb_coeffs is None else self._coefficients(
+            "shift", self.lamb_coeffs, [float(nu)], tol)[0]
 
     # -- built-in spectral shapes -------------------------------------------
 
     @classmethod
-    def flat(
-        cls,
-        rate: float,
-        n_couplings: int,
-        regime: Regime = Regime.LOW_TEMPERATURE,
-    ) -> "BathSpectrum":
+    def flat(cls, rate: float, n_couplings: int,
+             regime: Regime = Regime.LOW_TEMPERATURE) -> "BathSpectrum":
         """Constant rate at every frequency the regime admits."""
         return _builtin("flat", rate, n_couplings, regime, lambda g, nu: g)
 
     @classmethod
-    def ohmic(
-        cls,
-        rate: float,
-        cutoff: float,
-        n_couplings: int,
-        regime: Regime = Regime.LOW_TEMPERATURE,
-    ) -> "BathSpectrum":
+    def ohmic(cls, rate: float, cutoff: float, n_couplings: int,
+              regime: Regime = Regime.LOW_TEMPERATURE) -> "BathSpectrum":
         """Linear-in-frequency rate with exponential cutoff, zero at nu <= 0."""
         nu_c = float(cutoff)
         if not nu_c > 0:
@@ -123,12 +104,8 @@ class BathSpectrum:
                         lambda g, nu: g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0, cutoff=nu_c)
 
     @classmethod
-    def peak0(
-        cls,
-        rate: float,
-        n_couplings: int,
-        regime: Regime = Regime.DEPHASING_ONLY,
-    ) -> "BathSpectrum":
+    def peak0(cls, rate: float, n_couplings: int,
+              regime: Regime = Regime.DEPHASING_ONLY) -> "BathSpectrum":
         """Rate concentrated at nu = 0: pure dephasing in every regime."""
         return _builtin("peak0", rate, n_couplings, regime, lambda g, nu: g if nu == 0 else 0.0)
 
@@ -143,6 +120,24 @@ def _builtin(kind: str, rate: float, n_couplings: int, regime: Regime,
     desc = {"regime": regime.value, "gamma": {"kind": kind, "rate": g, **params}}
     return BathSpectrum(regime, lambda nu: shape(g, nu) * np.eye(n_couplings), n_couplings,
                         descriptor=desc)
+
+
+def _checked(what: str, mats: List[np.ndarray], k: int, tol: Tolerances, psd: bool) -> np.ndarray:
+    """Hermitian parts of ``(1, 1)`` (broadcast to ``c I``) or ``(k, k)`` matrices as one stack,
+    once all pass :func:`.operators.require_hermitian` and, with ``psd``, have no eigenvalue
+    below ``-tol.psd`` times their Frobenius norm (or 1 if larger)."""
+    for shape in {m.shape for m in mats}:  # one shape in a call that names its frequency
+        if shape not in ((1, 1), (k, k)):
+            raise ValidationError(f"{what} has shape {shape}, expected ({k}, {k})")
+        require_hermitian(np.array([m for m in mats if m.shape == shape]), what, tol)
+    stack = hermitian_part(np.array([m if m.shape == (k, k) else m[0, 0] * np.eye(k, dtype=complex)
+                                     for m in mats]).reshape(len(mats), k, k))
+    if psd:
+        lows = np.linalg.eigvalsh(stack).min(axis=-1, initial=np.inf).tolist()
+        for low, mat in zip(lows, stack):  # a norm only where an eigenvalue is negative
+            if low < 0.0 and low < -tol.psd * max(1.0, frobenius(mat)):
+                raise ValidationError(f"{what} has negative eigenvalue {low}")
+    return stack
 
 
 def spectrum_from_json(obj: dict, n_couplings: int) -> BathSpectrum:
@@ -199,16 +194,16 @@ class LindbladSet:
         defect = np.where(paired, adjoint - self.blocks[partner], self.blocks)
         return float(np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0))
 
-    def completeness_defect(self, couplings: Sequence[np.ndarray]) -> float:
-        """Worst deviation of the frequency sum from the original coupling."""
-        mats = np.array([as_matrix(a) for a in couplings], dtype=complex)
+    def completeness_defect(self, couplings) -> float:
+        """Worst deviation of the frequency sum from the original couplings (a stack or list)."""
+        mats = np.asarray(couplings, dtype=complex)
         total = self.blocks.sum(axis=0) - mats.reshape(self.blocks.shape[1:])
         return float(np.linalg.norm(total, axis=(-2, -1)).max(initial=0.0))
 
 
 def _linkage(vals: np.ndarray, gap_tol: float) -> List[Tuple[int, int]]:
     """``(start, stop)`` of each single-linkage cluster at ``gap_tol`` of ascending ``vals``."""
-    cuts = (np.flatnonzero(np.diff(vals) >= gap_tol) + 1).tolist()
+    cuts = ((vals[1:] - vals[:-1] >= gap_tol).nonzero()[0] + 1).tolist()
     return list(zip([0] + cuts, cuts + [len(vals)]))
 
 
@@ -221,8 +216,10 @@ def _levels(vals: np.ndarray, gap_tol: float) -> np.ndarray:
     """
     if not 0.0 < gap_tol < np.inf:
         raise ValidationError("gap_tol must be finite and positive")
-    levels = np.empty_like(vals)
+    levels = vals.copy()  # a lone eigenvalue is its own mean
     for lo, hi in _linkage(vals, gap_tol):
+        if hi - lo == 1:
+            continue
         cluster = vals[lo:hi]
         if cluster[-1] - cluster[0] > 10.0 * gap_tol:
             raise NumericalError(
@@ -241,20 +238,23 @@ def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[f
     return [(e, block @ block.conj().T) for e, block in blocks]
 
 
-def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> np.ndarray:
-    """Send each gap to the signed mean of its magnitude's cluster.
-
-    Clusters the distinct magnitudes by single linkage at ``gap_tol``;
-    binning on magnitudes keeps the +/- frequency pairing exact, and a
-    cluster centered within ``gap_tol`` of zero bins to exactly 0.
-    """
-    mags, inverse = np.unique(np.abs(gaps).ravel(), return_inverse=True)
-    centers = np.empty_like(mags)
-    for lo, hi in _linkage(mags, gap_tol):
-        centers[lo:hi] = np.mean(mags[lo:hi])
-    centers[np.abs(centers) < gap_tol] = 0.0
-    # adding 0.0 turns the -0.0 of a negative gap binned to zero into 0.0
-    return np.where(gaps >= 0, 1.0, -1.0) * centers[inverse].reshape(gaps.shape) + 0.0
+def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending binned frequencies of the antisymmetric ``gaps`` and each gap's index into
+    them, from one sort of the magnitudes.  A gap goes to the signed mean of its magnitude's
+    cluster (single linkage of the distinct magnitudes at ``gap_tol``), so +/- pairs stay exact;
+    a center within ``gap_tol`` of zero (only the first can be) is 0.  Of ``n`` centers, ``z``
+    of them 0, a gap >= 0 of cluster ``c`` has index ``n - z + c``, a negative one ``n - 1 - c``."""
+    mag = np.abs(gaps)
+    ranked = np.sort(mag, axis=None)
+    mags = ranked[np.append(True, ranked[1:] > ranked[:-1])]
+    clusters = _linkage(mags, gap_tol)
+    centers = np.array([mags[lo] if hi - lo == 1 else mags[lo:hi].sum() / (hi - lo)
+                        for lo, hi in clusters])  # a sum over the size: np.mean's bits
+    centers[centers < gap_tol] = 0.0
+    label = np.searchsorted(mags[[lo for lo, _ in clusters]], mag, side="right") - 1
+    n, z = len(centers), int(centers[0] == 0.0)
+    index = np.where(gaps >= 0, n - z + label, n - 1 - label)
+    return np.concatenate([-centers[z:][::-1], centers]), index
 
 
 def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
@@ -266,12 +266,8 @@ def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
     return max(tol.gap_rel * hnorm, tol.gap_abs)
 
 
-def jump_operators(
-    h: HermitianOperator,
-    couplings: Sequence[HermitianOperator],
-    gap_tol: Optional[float] = None,
-    tol: Tolerances = TOL,
-) -> LindbladSet:
+def jump_operators(h: HermitianOperator, couplings: Sequence[HermitianOperator],
+                   gap_tol: Optional[float] = None, tol: Tolerances = TOL) -> LindbladSet:
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
     One ``eigh`` of ``h`` gives the eigenbasis ``V`` and, unless ``gap_tol``
@@ -289,41 +285,42 @@ def jump_operators(
     if any(a.shape != (dim, dim) for a in mats):
         raise ValidationError("coupling dimension mismatch with Hamiltonian")
     stack = np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
-    require_hermitian(stack, "a coupling", tol)
+    # a HermitianOperator is checked, bounded and exactly Hermitian already
+    fresh = [i for i, a in enumerate(couplings) if not isinstance(a, HermitianOperator)]
+    if fresh:
+        require_hermitian(stack[fresh], "a coupling", tol)
     vals, vecs = np.linalg.eigh(h.entries)
     if gap_tol is None:
         gap_tol = grouping_tolerance(float(np.abs(vals).max()), tol)
     levels = _levels(vals, gap_tol)
-    freqs, index = np.unique(_bin_gaps(levels[None, :] - levels[:, None], gap_tol).ravel(),
-                             return_inverse=True)
-    masks = index.reshape(dim, dim) == np.arange(len(freqs))[:, None, None]
-    blocks = vecs @ (masks[:, None] * (vecs.conj().T @ stack @ vecs)) @ vecs.conj().T
+    freqs, index = _bin_gaps(levels[None, :] - levels[:, None], gap_tol)
+    masks = index == np.arange(len(freqs))[:, None, None]
+    vh = vecs.conj().T
+    blocks = vecs @ (masks[:, None] * (vh @ stack @ vecs)) @ vh
 
-    scale = max([1.0] + [frobenius(a) for a in mats])
+    scale = max(1.0, float(np.linalg.norm(stack, axis=(-2, -1)).max(initial=0.0)))
     keep = (np.linalg.norm(blocks, axis=(-2, -1)) > 1e-13 * scale).any(axis=1)
     lset = LindbladSet(tuple(freqs[keep].tolist()), blocks[keep])
     if lset.adjoint_defect() > 1e-10 * scale:
         raise NumericalError("jump-operator adjoint pairing failed")
-    if lset.completeness_defect(mats) > 1e-10 * scale:
+    if lset.completeness_defect(stack) > 1e-10 * scale:
         raise NumericalError("jump-operator frequency sum failed")
     return lset
 
 
-def _weigh(lset: LindbladSet, spectrum: BathSpectrum, coeffs: Callable[[float], np.ndarray]):
+def _weigh(lset: LindbladSet, spectrum: BathSpectrum, coeffs: Callable):
     """Jumps ``L``, weighted jumps ``J_a = sum_b c_ab(nu) L_b`` stacked over
-    (nu, a), and ``sum L_a^dag J_a``."""
+    (nu, a), and ``sum L_a^dag J_a``; ``coeffs(frequencies)`` is the ``(n, k, k)`` stack ``c``."""
     if lset.n_couplings != spectrum.n_couplings:
         raise ValidationError("spectrum and jump set disagree on coupling count")
-    n, k, d = len(lset.frequencies), lset.n_couplings, lset.dim
-    c = np.array([coeffs(nu) for nu in lset.frequencies], dtype=complex).reshape(n, k, k)
+    d = lset.dim
     jumps = lset.blocks.reshape(-1, d, d)
-    weighted = np.einsum("nab,nbij->naij", c, lset.blocks).reshape(-1, d, d)
+    weighted = np.einsum("nab,nbij->naij", coeffs(lset.frequencies), lset.blocks).reshape(-1, d, d)
     return jumps, weighted, np.einsum("xji,xjk->ik", jumps.conj(), weighted)
 
 
-def lamb_shift(
-    lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances = TOL
-) -> HermitianOperator:
+def lamb_shift(lset: LindbladSet, spectrum: BathSpectrum,
+               tol: Tolerances = TOL) -> HermitianOperator:
     """Bath-induced Hamiltonian correction ``sum S_ab(nu) L_a^dag L_b``.
 
     Zero when the spectrum carries no shift coefficients.  Block structure of
@@ -331,7 +328,8 @@ def lamb_shift(
     """
     if spectrum.lamb_coeffs is None:
         return HermitianOperator(np.zeros((lset.dim, lset.dim), dtype=complex))
-    return HermitianOperator(_weigh(lset, spectrum, lambda nu: spectrum.lamb(nu, tol=tol))[2])
+    return HermitianOperator(_weigh(
+        lset, spectrum, lambda f: spectrum._coefficients("shift", spectrum.lamb_coeffs, f, tol))[2])
 
 
 def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,12 +346,8 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     return -1j * _kron_sum(h, -h.T)
 
 
-def superoperator(
-    h_s: HermitianOperator,
-    lset: LindbladSet,
-    spectrum: BathSpectrum,
-    tol: Tolerances = TOL,
-) -> np.ndarray:
+def superoperator(h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum,
+                  tol: Tolerances = TOL) -> np.ndarray:
     """Dense matrix of the generator acting on row-major flattened densities.
 
     Closed form from ``vec(A rho B) = (A (x) B^T) vec(rho)``:
@@ -362,7 +356,7 @@ def superoperator(
     then reduces to a linear ODE on the d^2 vector.
     """
     dim = h_s.dim
-    jumps, weighted, k = _weigh(lset, spectrum, lambda nu: spectrum.rate(nu, tol=tol))
+    jumps, weighted, k = _weigh(lset, spectrum, lambda f: spectrum.rates(f, tol))
     feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
     h = h_s.entries
     if spectrum.lamb_coeffs is not None:

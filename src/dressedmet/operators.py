@@ -91,6 +91,17 @@ class HermitianOperator:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
+    @classmethod
+    def stack(cls, stack: np.ndarray) -> list:
+        """One operator per matrix of an ``(n, d, d)`` stack, by one :func:`require_hermitian`
+        and one Hermitian part over the stack."""
+        require_hermitian(stack, "operator")
+        ops = [object.__new__(cls) for _ in stack]
+        for op, m in zip(ops, hermitian_part(stack)):
+            m.setflags(write=False)
+            object.__setattr__(op, "entries", m)
+        return ops
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

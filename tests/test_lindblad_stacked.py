@@ -186,7 +186,7 @@ def test_jump_set_is_two_stacked_fields():
 def kron_superoperator(h, lset, spectrum):
     """``superoperator`` with its Kronecker sums formed by ``np.kron``."""
     dim = h.dim
-    jumps, weighted, k = lindblad._weigh(lset, spectrum, spectrum.rate)
+    jumps, weighted, k = lindblad._weigh(lset, spectrum, spectrum.rates)
     eye = np.eye(dim)
     feed = np.einsum("xij,xkl->ikjl", weighted, jumps.conj()).reshape(dim * dim, dim * dim)
     hs = h.entries + lamb_shift(lset, spectrum).entries
