@@ -96,35 +96,6 @@ def hermitian_from_json(data: dict) -> HermitianOperator:
     return HermitianOperator(operator_from_json(data))
 
 
-def operators_from_json(docs: Sequence[Any], n_hermitian: int) -> list:
-    """The operators ``docs`` encode, the first ``n_hermitian`` as :class:`HermitianOperator`:
-    one :func:`_float_stack`, checked by one :meth:`HermitianOperator.stack`; else, or on a
-    refusal, one at a time in order, naming the first fault."""
-    try:
-        stack = _float_stack(docs)
-        return HermitianOperator.stack(stack[:n_hermitian]) + list(stack[n_hermitian:])
-    except ValueError:  # a ValidationError too
-        return (list(map(hermitian_from_json, docs[:n_hermitian]))
-                + list(map(operator_from_json, docs[n_hermitian:])))
-
-
-def _float_stack(docs: Sequence[Any]) -> np.ndarray:
-    """The complex ``(n, d, d)`` stack of the operators ``docs`` encode, if each has the keys
-    ``dim``, ``re`` and ``im``, an int ``dim`` and only finite float entries (scanned, since
-    numpy reads ``[True, 0.0]`` as floats); else ``ValueError``."""
-    if not all(type(doc) is dict and doc.keys() == {"dim", "re", "im"} for doc in docs):
-        raise ValueError("not operator documents with keys dim, re and im")
-    parts = [doc["re"] for doc in docs] + [doc["im"] for doc in docs]
-    arr = np.asarray(parts)  # ragged lists raise ValueError
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(parts))
-    if (any(type(doc["dim"]) is not int or arr.shape[1:] != (doc["dim"],) * 2 for doc in docs)
-            or set(map(type, entries)) != {float} or not np.isfinite(arr).all()):
-        raise ValueError("not one stack of finite float entries")
-    stack = arr[:len(docs)].astype(complex)
-    stack.imag = arr[len(docs):]  # set, not added, so a -0.0 keeps its sign
-    return stack
-
-
 def state_to_json(state) -> dict:
     return _array_to_json(as_vector(state))
 

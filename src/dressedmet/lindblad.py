@@ -55,12 +55,15 @@ class BathSpectrum:
 
     def _coefficients(self, what: str, fn: Callable, freqs: Sequence[float], tol: Tolerances,
                       psd: bool = False) -> np.ndarray:
-        """``fn`` at each of ``freqs``, checked by :func:`_checked` in one stacked pass; on a
-        refusal each alone in order, naming the first failing frequency with its own figure."""
-        mats = [np.atleast_2d(np.asarray(fn(nu), dtype=complex)) for nu in freqs]
+        """``fn`` at each of ``freqs``, checked by :func:`_checked` in one stacked pass.  On a
+        refusal, or an error from ``fn``, the matrices evaluated so far are checked alone in
+        order first, so the first failing frequency is named with its own figure."""
+        mats = []
         try:
+            for nu in freqs:
+                mats.append(np.atleast_2d(np.asarray(fn(nu), dtype=complex)))
             return _checked(f"{what} matrices", mats, self.n_couplings, tol, psd)
-        except ValidationError:
+        except Exception:
             for nu, mat in zip(freqs, mats):
                 _checked(f"{what} matrix at nu={nu}", [mat], self.n_couplings, tol, psd)
             raise
@@ -82,20 +85,30 @@ class BathSpectrum:
 
     def lamb(self, nu: float, tol: Tolerances = TOL) -> Optional[np.ndarray]:
         """Hermitian shift-coefficient matrix at ``nu``, or None if unset."""
-        return None if self.lamb_coeffs is None else self._coefficients(
-            "shift", self.lamb_coeffs, [float(nu)], tol)[0]
+        if self.lamb_coeffs is None:
+            return None
+        return self._coefficients("shift", self.lamb_coeffs, [float(nu)], tol)[0]
 
     # -- built-in spectral shapes -------------------------------------------
 
     @classmethod
-    def flat(cls, rate: float, n_couplings: int,
-             regime: Regime = Regime.LOW_TEMPERATURE) -> "BathSpectrum":
+    def flat(
+        cls,
+        rate: float,
+        n_couplings: int,
+        regime: Regime = Regime.LOW_TEMPERATURE,
+    ) -> "BathSpectrum":
         """Constant rate at every frequency the regime admits."""
         return _builtin("flat", rate, n_couplings, regime, lambda g, nu: g)
 
     @classmethod
-    def ohmic(cls, rate: float, cutoff: float, n_couplings: int,
-              regime: Regime = Regime.LOW_TEMPERATURE) -> "BathSpectrum":
+    def ohmic(
+        cls,
+        rate: float,
+        cutoff: float,
+        n_couplings: int,
+        regime: Regime = Regime.LOW_TEMPERATURE,
+    ) -> "BathSpectrum":
         """Linear-in-frequency rate with exponential cutoff, zero at nu <= 0."""
         nu_c = float(cutoff)
         if not nu_c > 0:
@@ -104,8 +117,12 @@ class BathSpectrum:
                         lambda g, nu: g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0, cutoff=nu_c)
 
     @classmethod
-    def peak0(cls, rate: float, n_couplings: int,
-              regime: Regime = Regime.DEPHASING_ONLY) -> "BathSpectrum":
+    def peak0(
+        cls,
+        rate: float,
+        n_couplings: int,
+        regime: Regime = Regime.DEPHASING_ONLY,
+    ) -> "BathSpectrum":
         """Rate concentrated at nu = 0: pure dephasing in every regime."""
         return _builtin("peak0", rate, n_couplings, regime, lambda g, nu: g if nu == 0 else 0.0)
 
@@ -203,7 +220,7 @@ class LindbladSet:
 
 def _linkage(vals: np.ndarray, gap_tol: float) -> List[Tuple[int, int]]:
     """``(start, stop)`` of each single-linkage cluster at ``gap_tol`` of ascending ``vals``."""
-    cuts = ((vals[1:] - vals[:-1] >= gap_tol).nonzero()[0] + 1).tolist()
+    cuts = (np.flatnonzero(np.diff(vals) >= gap_tol) + 1).tolist()
     return list(zip([0] + cuts, cuts + [len(vals)]))
 
 
@@ -266,8 +283,12 @@ def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
     return max(tol.gap_rel * hnorm, tol.gap_abs)
 
 
-def jump_operators(h: HermitianOperator, couplings: Sequence[HermitianOperator],
-                   gap_tol: Optional[float] = None, tol: Tolerances = TOL) -> LindbladSet:
+def jump_operators(
+    h: HermitianOperator,
+    couplings: Sequence[HermitianOperator],
+    gap_tol: Optional[float] = None,
+    tol: Tolerances = TOL,
+) -> LindbladSet:
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
     One ``eigh`` of ``h`` gives the eigenbasis ``V`` and, unless ``gap_tol``
@@ -319,8 +340,9 @@ def _weigh(lset: LindbladSet, spectrum: BathSpectrum, coeffs: Callable):
     return jumps, weighted, np.einsum("xji,xjk->ik", jumps.conj(), weighted)
 
 
-def lamb_shift(lset: LindbladSet, spectrum: BathSpectrum,
-               tol: Tolerances = TOL) -> HermitianOperator:
+def lamb_shift(
+    lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances = TOL
+) -> HermitianOperator:
     """Bath-induced Hamiltonian correction ``sum S_ab(nu) L_a^dag L_b``.
 
     Zero when the spectrum carries no shift coefficients.  Block structure of
@@ -346,8 +368,12 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     return -1j * _kron_sum(h, -h.T)
 
 
-def superoperator(h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum,
-                  tol: Tolerances = TOL) -> np.ndarray:
+def superoperator(
+    h_s: HermitianOperator,
+    lset: LindbladSet,
+    spectrum: BathSpectrum,
+    tol: Tolerances = TOL,
+) -> np.ndarray:
     """Dense matrix of the generator acting on row-major flattened densities.
 
     Closed form from ``vec(A rho B) = (A (x) B^T) vec(rho)``:

@@ -92,9 +92,10 @@ class HermitianOperator:
         object.__setattr__(self, "entries", m)
 
     @classmethod
-    def stack(cls, stack: np.ndarray) -> list:
-        """One operator per matrix of an ``(n, d, d)`` stack, by one :func:`require_hermitian`
-        and one Hermitian part over the stack."""
+    def _stack(cls, mats: list) -> list:
+        """One operator per matrix of ``mats``, square ``d x d`` arrays with ``d >= 1`` (unchecked),
+        by one :func:`require_hermitian` and one Hermitian part over their stack."""
+        stack = np.array(mats, dtype=complex)
         require_hermitian(stack, "operator")
         ops = [object.__new__(cls) for _ in stack]
         for op, m in zip(ops, hermitian_part(stack)):

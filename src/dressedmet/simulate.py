@@ -28,7 +28,8 @@ import numpy as np
 from .codespace import CodeSpace, effective_generator
 from .errors import NumericalError, ValidationError
 from .jsonio import (
-    check_keys, finite_number, operator_to_json, operators_from_json, positive_whole,
+    check_keys, finite_number, hermitian_from_json, operator_from_json, operator_to_json,
+    positive_whole,
 )
 from .lindblad import (
     BathSpectrum,
@@ -87,8 +88,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def _default_dt(hams: Sequence[HermitianOperator], lset: LindbladSet, spectrum: BathSpectrum,
-                tol: Tolerances) -> float:
+def _default_dt(
+    hams: Sequence[HermitianOperator], lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
+) -> float:
     """1e-3 over the larger of the largest norm of ``hams`` and the total bath rate: the
     smallest of the ``hams``' own defaults, with the bath rates evaluated once."""
     hnorm = max(float(np.abs(np.linalg.eigvalsh(h.entries)).max()) for h in hams)
@@ -211,8 +213,9 @@ def _drift_abort(err: float, records: np.ndarray, tol: Tolerances) -> None:
     raise NumericalError(f"trace drift {err:.3e} exceeds {tol.trace_drift:.0e}")
 
 
-def _shorter_steps(gens: np.ndarray, records: np.ndarray, rests: np.ndarray,
-                   tol: Tolerances) -> float:
+def _shorter_steps(
+    gens: np.ndarray, records: np.ndarray, rests: np.ndarray, tol: Tolerances
+) -> float:
     """Advance each record with ``rests[i] > 0`` in place by one RK4 step of that length in one
     stacked pass, ``v + a (v + a/2 (v + a/3 (v + a/4 v)))``, ``a = r L``; return the largest drift.
     The first step over ``tol.trace_drift`` aborts, after the positivity of the earlier records."""
@@ -233,8 +236,10 @@ def _shorter_steps(gens: np.ndarray, records: np.ndarray, rests: np.ndarray,
     return float(err.max())
 
 
-def _propagate(gens: np.ndarray, rho0: np.ndarray, dt: float, ends: np.ndarray,
-               rests: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, float]:
+def _propagate(
+    gens: np.ndarray, rho0: np.ndarray, dt: float, ends: np.ndarray, rests: np.ndarray,
+    tol: Tolerances,
+) -> Tuple[np.ndarray, float]:
     """Advance ``rho0`` under each stacked generator in steps of ``dt``, recording at marks.
 
     Mark ``i`` records the state after ``ends[i]`` steps (nondecreasing) advanced by
@@ -305,8 +310,14 @@ def _propagate(gens: np.ndarray, rho0: np.ndarray, dt: float, ends: np.ndarray,
     return records, drift
 
 
-def evolve(rho0: np.ndarray, h_s: HermitianOperator, lset: LindbladSet, spectrum: BathSpectrum,
-           cfg: SimConfig, tol: Tolerances = TOL) -> Trajectory:
+def evolve(
+    rho0: np.ndarray,
+    h_s: HermitianOperator,
+    lset: LindbladSet,
+    spectrum: BathSpectrum,
+    cfg: SimConfig,
+    tol: Tolerances = TOL,
+) -> Trajectory:
     """Integrate the master equation from ``rho0`` over ``cfg.t_final``."""
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
@@ -406,19 +417,26 @@ class ProbeModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProbeModel":
         check_keys(obj, "model", ("h", "g", "couplings", "spectrum", "rho0"), ("code", "gap_tol"))
-        couplings = list(obj["couplings"])
-        *couplings, h, g, rho0 = operators_from_json(
-            couplings + [obj["h"], obj["g"], obj["rho0"]], len(couplings) + 2)
+        docs = list(obj["couplings"]) + [obj["h"], obj["g"]]
+        try:  # one Hermiticity check of the stack; on a refusal, one array at a time in order
+            *couplings, h, g = HermitianOperator._stack([operator_from_json(a) for a in docs])
+        except ValueError:  # a ValidationError, or operators of different shapes
+            *couplings, h, g = map(hermitian_from_json, docs)
         return cls(
-            h, g, tuple(couplings), spectrum_from_json(obj["spectrum"], len(couplings)), rho0,
+            h=h,
+            g=g,
+            couplings=tuple(couplings),
+            spectrum=spectrum_from_json(obj["spectrum"], len(couplings)),
+            rho0=operator_from_json(obj["rho0"]),
             code=CodeSpace.from_json_dict(obj["code"]) if obj.get("code") is not None else None,
             gap_tol=(finite_number(obj["gap_tol"], "model gap_tol")
                      if obj.get("gap_tol") is not None else None),
         )
 
 
-def _offset_generators(model: ProbeModel, lset: LindbladSet, offsets: Sequence[float],
-                       tol: Tolerances) -> np.ndarray:
+def _offset_generators(
+    model: ProbeModel, lset: LindbladSet, offsets: Sequence[float], tol: Tolerances
+) -> np.ndarray:
     base = superoperator(model.h, lset, model.spectrum, tol=tol)
     k_g = commutator_superoperator(model.g.entries)
     return base + np.asarray(offsets, dtype=float)[:, None, None] * k_g
@@ -466,8 +484,13 @@ def _default_delta(model: ProbeModel) -> float:
     return 1e-4 / max(gnorm, 1e-12)
 
 
-def qfi_numeric(model: ProbeModel, t: float, cfg: Optional[SimConfig] = None,
-                delta: Optional[float] = None, tol: Tolerances = TOL) -> QfiEstimate:
+def qfi_numeric(
+    model: ProbeModel,
+    t: float,
+    cfg: Optional[SimConfig] = None,
+    delta: Optional[float] = None,
+    tol: Tolerances = TOL,
+) -> QfiEstimate:
     """Fisher information from the fidelity of states at offset +-delta.
 
     Uses ``(1 - F)/(2 delta)^2`` with one Richardson step over delta halving;
@@ -485,8 +508,12 @@ def qfi_numeric(model: ProbeModel, t: float, cfg: Optional[SimConfig] = None,
     return QfiEstimate(value, spread <= tol.qfi_disagreement, spread)
 
 
-def qfi_sld(model: ProbeModel, t: float, cfg: Optional[SimConfig] = None,
-            tol: Tolerances = TOL) -> float:
+def qfi_sld(
+    model: ProbeModel,
+    t: float,
+    cfg: Optional[SimConfig] = None,
+    tol: Tolerances = TOL,
+) -> float:
     """Fisher information via the symmetric logarithmic derivative.
 
     Finite-differences the state over the offset and sums the spectral
@@ -548,8 +575,10 @@ def _grid_marks(tgrid: Sequence[float], dt: float) -> Tuple[np.ndarray, np.ndarr
     return ends, np.where(rests > 1e-12 * dt, rests, 0.0)
 
 
-def _grid_states(model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
-                 cfg: Optional[SimConfig], tol: Tolerances) -> np.ndarray:
+def _grid_states(
+    model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
+    cfg: Optional[SimConfig], tol: Tolerances,
+) -> np.ndarray:
     """States at every grid time and offset from one continuous batched run.
 
     Shape ``(len(tgrid), len(offsets), d, d)``.  Grid times must be
@@ -573,8 +602,9 @@ def _grid_states(model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[fl
     return _propagate(gens, model.rho0, dt, ends, rests, tol)[0]
 
 
-def _sld_series(model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig],
-                tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
+def _sld_series(
+    model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral Fisher values at every grid time, by one ``_sld_values`` call, and the
     offset-0 states, from offsets 0 and +-d (``_default_delta``) integrated together."""
     d = _default_delta(model)
@@ -582,8 +612,13 @@ def _sld_series(model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConf
     return _sld_values(states[:, 0], (states[:, 1] - states[:, 2]) / (2.0 * d)), states[:, 0]
 
 
-def scaling_sweep(protected: ProbeModel, unprotected: ProbeModel, tgrid: Sequence[float],
-                  cfg: Optional[SimConfig] = None, tol: Tolerances = TOL) -> List[ScalingRecord]:
+def scaling_sweep(
+    protected: ProbeModel,
+    unprotected: ProbeModel,
+    tgrid: Sequence[float],
+    cfg: Optional[SimConfig] = None,
+    tol: Tolerances = TOL,
+) -> List[ScalingRecord]:
     """Fisher information of both probes across a common time grid.
 
     Each probe integrates its three offsets (0 and +-d) together once
@@ -630,8 +665,13 @@ class LeakageReport:
     fit_exponent: float
 
 
-def perturbation_leakage(h0: HermitianOperator, g: HermitianOperator, delta_omega: float,
-                         gap_tol: Optional[float] = None, tol: Tolerances = TOL) -> LeakageReport:
+def perturbation_leakage(
+    h0: HermitianOperator,
+    g: HermitianOperator,
+    delta_omega: float,
+    gap_tol: Optional[float] = None,
+    tol: Tolerances = TOL,
+) -> LeakageReport:
     """First-order eigenvector mixing under ``h0 + delta_omega g``.
 
     Requires a spectrum nondegenerate at ``gap_tol``, which defaults to

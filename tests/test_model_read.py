@@ -1,12 +1,12 @@
 """The stacked model reader against the per-array reader it replaced.
 
-``ProbeModel.from_json_dict`` reads the couplings, ``h``, ``g`` and ``rho0``
-of a model as one stack, with one type, finiteness and Hermiticity check, and
-reads them one at a time only to name a fault.  Mutated leaves of the models
-that ``nv-demo --emit-models`` writes (bare and ``--ancilla``) and of the
-bench's fully thermal variant must give what ``_reference_model_read`` gives:
-bitwise-equal entries for an accepted document, and the same exception class
-and message for a refused one.
+``ProbeModel.from_json_dict`` checks the couplings, ``h`` and ``g`` of a
+model as one stack, with one Hermiticity check, and reads them one at a time
+only to name a fault.  Mutated leaves of the models that ``nv-demo
+--emit-models`` writes (bare and ``--ancilla``) and of the bench's fully
+thermal variant, with one fault or two, must give what
+``_reference_model_read`` gives: bitwise-equal entries for an accepted
+document, and the same exception class and message for a refused one.
 """
 
 import copy
@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from _reference_model_read import from_json_dict as reference_read
@@ -126,6 +126,19 @@ def test_a_mutated_model_reads_as_it_did(case):
     assert outcome(ProbeModel.from_json_dict, doc) == outcome(reference_read, doc)
 
 
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_a_model_with_two_faults_names_the_same_one(data):
+    i = data.draw(st.sampled_from(range(len(BASES))))
+    first, second = (data.draw(st.sampled_from(_mutations(BASES[i]))) for _ in range(2))
+    try:  # the second fault may sit under a key the first one dropped
+        doc = _mutate(_mutate(BASES[i], *first), *second)
+    except (KeyError, IndexError, TypeError):
+        assume(False)
+    assert outcome(ProbeModel.from_json_dict, doc) == outcome(reference_read, doc)
+
+
 @pytest.mark.parametrize("i", range(len(BASES)))
 def test_every_base_model_reads_bitwise_as_it_did(i):
     assert outcome(ProbeModel.from_json_dict, BASES[i]) == outcome(reference_read, BASES[i])
@@ -145,16 +158,17 @@ def test_whole_numbers_and_a_missing_im_still_read_one_at_a_time():
     assert outcome(ProbeModel.from_json_dict, doc) == outcome(reference_read, doc)
 
 
-def test_a_fault_in_rho0_is_now_named_before_a_fault_in_the_spectrum():
-    # the operators are read together, ahead of the spectrum; the per-array
-    # reader read the spectrum between g and rho0
-    doc = copy.deepcopy(BASES[0])
-    doc["spectrum"]["regime"] = "sideways"
-    doc["rho0"]["re"][0][0] = float("nan")
-    with pytest.raises(ValidationError, match="operator JSON has non-finite entries"):
-        ProbeModel.from_json_dict(doc)
-    with pytest.raises(ValidationError, match="bad spectrum"):
-        reference_read(doc)
+def test_the_first_of_two_faults_in_reading_order_is_named():
+    # a non-Hermitian coupling before a NaN in h; the spectrum is read between g and rho0
+    skewed = copy.deepcopy(BASES[0])
+    skewed["couplings"][0]["re"][0][1] += 1.0
+    skewed["h"]["re"][0][0] = float("nan")
+    late = copy.deepcopy(BASES[0])
+    late["spectrum"]["regime"] = "sideways"
+    late["rho0"]["re"][0][0] = float("nan")
+    for doc, named in ((skewed, "operator is not Hermitian"), (late, "bad spectrum")):
+        got = outcome(ProbeModel.from_json_dict, doc)
+        assert got == outcome(reference_read, doc) and named in got[1]
 
 
 def test_couplings_that_are_not_a_list_fail_as_before():

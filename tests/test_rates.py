@@ -3,7 +3,8 @@
 ``rates`` evaluates ``gamma`` at every frequency the regime admits and checks
 the stack in one pass; a refusal must name the first failing frequency, in
 the order given, with that matrix's own deviation or eigenvalue, exactly as
-the loop over ``_reference_rates.rate`` did.
+the loop over ``_reference_rates.rate`` did; an error ``gamma`` raises at a
+frequency wins only over the frequencies after it.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ def loop(spectrum, freqs):
     """The old path: one ``rate`` call per frequency, stacked; or the first refusal."""
     try:
         mats = [ref.rate(spectrum, nu) for nu in freqs]
-    except ValidationError as exc:
-        return str(exc)
+    except Exception as exc:  # the class and the message are compared
+        return f"{type(exc).__name__}: {exc}"
     k = spectrum.n_couplings
     return np.array(mats, dtype=complex).reshape(len(freqs), k, k)
 
@@ -37,8 +38,8 @@ def loop(spectrum, freqs):
 def stacked(spectrum, freqs):
     try:
         return spectrum.rates(freqs)
-    except ValidationError as exc:
-        return str(exc)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def assert_same(got, want):
@@ -60,12 +61,16 @@ def test_built_in_shapes_are_bitwise_the_loop(kind, regime, k):
 
 
 def custom(bad_at):
-    """A two-coupling gamma over five frequencies; ``bad_at`` maps an index to its matrix."""
+    """A two-coupling gamma over five frequencies; ``bad_at`` maps an index to its matrix,
+    or to an exception ``gamma`` raises there."""
     freqs = (-1.0, -0.5, 0.0, 0.5, 1.0)
     good = np.array([[1.0, 0.2j], [-0.2j, 0.5]])
 
     def gamma(nu):
-        return bad_at.get(freqs.index(nu), good)
+        out = bad_at.get(freqs.index(nu), good)
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     return BathSpectrum(Regime.FULL_THERMAL, gamma, 2), freqs
 
@@ -86,9 +91,13 @@ INDEFINITE = np.diag([1.0, -0.5])
     {0: 1e6 * np.eye(2) + np.array([[0.0, 1e-7], [0.0, 0.0]]), 2: SKEW},
     {0: np.array([[0.25]]), 4: np.array([[2.0 + 0j]])},
     {1: np.array([[-1.0]])},
+    {0: INDEFINITE, 2: RuntimeError("no rate here")},
+    {2: RuntimeError("no rate here"), 3: SKEW},
+    {1: SKEW, 3: "not a number"},
 ], ids=["skew-3rd", "indefinite-2nd", "indefinite-2nd-skew-3rd", "skew-2nd-indefinite-3rd",
         "shape-4th", "indefinite-2nd-shape-4th", "nan-2nd-indefinite-1st", "own-deviation",
-        "broadcast", "broadcast-indefinite"])
+        "broadcast", "broadcast-indefinite", "indefinite-1st-raises-3rd", "raises-3rd-skew-4th",
+        "skew-2nd-unreadable-4th"])
 def test_custom_gamma_refuses_and_accepts_as_the_loop(bad_at):
     spectrum, freqs = custom(bad_at)
     assert_same(stacked(spectrum, freqs), loop(spectrum, freqs))
