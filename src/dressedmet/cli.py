@@ -31,7 +31,7 @@ from .jsonio import hermitian_from_json, json_text, load_json, operator_from_jso
 from .operators import HermitianOperator
 from .sdp import SdpProblem, solve_primal
 from .simulate import ProbeModel, ScalingRecord, SimConfig, scaling_sweep
-from .tolerances import TOL
+from .tolerances import KL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,7 +108,7 @@ def _csv_text(header: str, cols: np.ndarray) -> str:
 
 
 def _parse_tgrid(text: str) -> np.ndarray:
-    """Grid syntax 'start:stop:N' (linear) or 'start:stop:Nlog' (geometric)."""
+    """Grid syntax 'start:stop:N' (linear) or 'start:stop:Nlog' (geometric), 2 <= N <= 10^5."""
     spec = text.strip()
     logspaced = spec.endswith("log")
     if logspaced:
@@ -120,8 +120,8 @@ def _parse_tgrid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad tgrid {text!r}; expected start:stop:N[log]")
-    if count < 2 or not (math.isfinite(start) and math.isfinite(stop) and stop > start):
-        raise ValidationError("tgrid needs finite stop > start and at least 2 points")
+    if not (2 <= count <= 10**5 and math.isfinite(start) and math.isfinite(stop) and stop > start):
+        raise ValidationError("tgrid needs finite stop > start and 2 to 100000 points")
     if logspaced:
         if start <= 0:
             raise ValidationError("log tgrid needs start > 0")
@@ -170,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     payload = dataclasses.asdict(report)
     if args.generator is None:
         payload["signal"] = None
-    payload["kl_ok"] = bool(report.kl_violation <= TOL.kl)
+    payload["kl_ok"] = bool(report.kl_violation <= KL)
     return EXIT_OK, [(args.out, payload)]
 
 

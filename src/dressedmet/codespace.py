@@ -26,13 +26,14 @@ from .operators import (
     as_vector,
     eigh_fixed,
     frobenius,
+    hermitian_part,
     lift,
     positive_negative_split,
     require_bounded,
     require_hermitian,
 )
 from .rand import stream
-from .tolerances import TOL, Tolerances
+from .tolerances import DECOMPOSITION, RANK, SPAN_DROP, TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,10 @@ def purify_pair(
         require_hermitian(m, "density matrix input", tol)
         if abs(np.trace(m).real - 1.0) > 1e-8:
             raise ValidationError("density matrix input is not unit trace")
-        vals, vecs = eigh_fixed(0.5 * (m + m.conj().T))
+        vals, vecs = eigh_fixed(hermitian_part(m))
         if vals.min() < -tol.psd * max(1.0, float(vals.max())):
             raise ValidationError("density matrix input is not PSD")
-        keep = vals > tol.rank * max(vals.max(), 1e-300)
+        keep = vals > RANK * max(vals.max(), 1e-300)
         spectra.append((vals[keep], vecs[:, keep]))
     sys_dim = mats[0].shape[0]
     rank = max(len(spectra[0][0]), len(spectra[1][0]))
@@ -154,7 +155,7 @@ def purify_pair(
     for m, psi in zip(mats, states):
         reduced = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
                                 sys_dim, anc_dim)
-        if frobenius(reduced - m) > tol.decomposition * max(1.0, frobenius(m)):
+        if frobenius(reduced - m) > DECOMPOSITION * max(1.0, frobenius(m)):
             raise NumericalError("purification does not reproduce its marginal")
     return code
 
@@ -172,11 +173,10 @@ def _lift_to_code(op, code: CodeSpace) -> np.ndarray:
     )
 
 
-def _kl_worst(blocks: np.ndarray) -> float:
-    """Largest Frobenius distance of stacked 2x2 blocks from their best multiple of I."""
+def _kl_deviation(blocks: np.ndarray) -> np.ndarray:
+    """Each of stacked 2x2 blocks minus its best multiple of I."""
     mean = 0.5 * (blocks[:, 0, 0] + blocks[:, 1, 1])
-    dev = blocks - mean[:, None, None] * np.eye(2)
-    return float(np.linalg.norm(dev, axis=(1, 2)).max(initial=0.0))
+    return blocks - mean[:, None, None] * np.eye(2)
 
 
 def _code_blocks(frame: np.ndarray, mats: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,8 +224,9 @@ def check_conditions(
         rows = np.array(vecs).reshape(-1, dim).conj() @ w
         excitation = float(np.abs(rows).max(initial=0.0))
 
+    kl = np.linalg.norm(_kl_deviation(blocks), axis=(1, 2)).max(initial=0.0)
     return ConditionReport(
-        float(dephasing), float(relaxation), excitation, _kl_worst(blocks),
+        float(dephasing), float(relaxation), excitation, float(kl),
         effective_generator(code, g).delta,
     )
 
@@ -309,7 +310,7 @@ def _retract(v: np.ndarray) -> np.ndarray:
     q0 = v[:, 0] / (r00 or 1.0)
     w = v[:, 1] - q0 * np.vdot(q0, v[:, 1])
     r11 = _norm(w)
-    if not (r00 > 0.0 and r11 > TOL.span_drop * _norm(v[:, 1])):
+    if not (r00 > 0.0 and r11 > SPAN_DROP * _norm(v[:, 1])):
         raise NumericalError("cannot retract a rank-deficient frame")
     q = np.empty(v.shape, dtype=q0.dtype)
     q[:, 0] = q0
@@ -318,8 +319,7 @@ def _retract(v: np.ndarray) -> np.ndarray:
 
 
 def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    a = v.conj().T @ grad
-    return grad - v @ (0.5 * (a + a.conj().swapaxes(-1, -2)))
+    return grad - v @ hermitian_part(v.conj().T @ grad)
 
 
 _SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
@@ -452,11 +452,9 @@ def _quadratic_search_terms(
 
     def fn(v: np.ndarray) -> Tuple[float, np.ndarray]:
         w = (stack @ v).reshape(-1, 2, d, 2)
-        block = v.conj().T @ w[:, 0]
         # deviation D of each block from its best multiple of identity:
         # f = sum |D|_F^2, gradient = sum M v D^H + M^H v D
-        mean = 0.5 * (block[:, 0, 0] + block[:, 1, 1])
-        dev = block - mean[:, None, None] * np.eye(2)
+        dev = _kl_deviation(v.conj().T @ w[:, 0])
         f = float(np.vdot(dev, dev).real)
         grad = (w[:, 0] @ dev.conj().transpose(0, 2, 1) + w[:, 1] @ dev).sum(axis=0)
         gv = gmat @ v

@@ -23,7 +23,7 @@ comes from :func:`.operators.orthonormal_span` and its one drop rule.
   adjoint products.
 
 Verdicts are residual-threshold decisions; residuals within a factor
-``tol.marginal_factor`` of the threshold are flagged marginal so callers can
+``MARGINAL_FACTOR`` of the threshold are flagged marginal so callers can
 treat borderline instances with suspicion.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .operators import (
     require_bounded,
     require_hermitian,
 )
-from .tolerances import TOL, Tolerances
+from .tolerances import MARGINAL_FACTOR, MEMBERSHIP, TOL, Tolerances
 
 __all__ = [
     "Criterion",
@@ -101,16 +101,16 @@ def _span_report(
     span = orthonormal_span(generators(mats, gm.shape[0]), field, tol=tol)
     _, perp = project_decompose(gm, span, tol=tol)
     residual = frobenius(perp.entries)
-    lo = tol.membership / tol.marginal_factor
-    hi = tol.membership * tol.marginal_factor
+    lo = MEMBERSHIP / MARGINAL_FACTOR
+    hi = MEMBERSHIP * MARGINAL_FACTOR
     return CriterionReport(
         criterion=criterion,
-        verdict=residual > tol.membership,
+        verdict=residual > MEMBERSHIP,
         residual_norm=residual,
         span_dim=span.size,
         marginal=lo <= residual <= hi,
         g_perp=perp.entries,
-        tolerance=tol.membership,
+        tolerance=MEMBERSHIP,
     )
 
 

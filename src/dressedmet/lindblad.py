@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .jsonio import check_keys, finite_number
 from .operators import HermitianOperator, as_matrix, frobenius, hermitian_part, require_hermitian
-from .tolerances import TOL, Tolerances
+from .tolerances import GAP_ABS, TOL, Tolerances
 
 
 class Regime(enum.Enum):
@@ -277,10 +277,10 @@ def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> Tuple[np.ndarray, np.ndarray]
 def grouping_tolerance(hnorm: float, tol: Tolerances) -> float:
     """Default eigenvalue grouping tolerance for a Hamiltonian of operator norm ``hnorm``.
 
-    ``tol.gap_rel`` times the norm, floored at ``tol.gap_abs`` for the zero
+    ``tol.gap_rel`` times the norm, floored at ``GAP_ABS`` for the zero
     Hamiltonian.
     """
-    return max(tol.gap_rel * hnorm, tol.gap_abs)
+    return max(tol.gap_rel * hnorm, GAP_ABS)
 
 
 def jump_operators(

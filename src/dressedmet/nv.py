@@ -23,6 +23,7 @@ from .operators import (
     StateVector,
     eigh_fixed,
     first_order_mixing,
+    hermitian_part,
     lift,
     spin_matrices,
 )
@@ -87,8 +88,7 @@ def _first_order_rotation(h0: np.ndarray, v: np.ndarray) -> np.ndarray:
     to unperturbed eigenvectors reproduces the exact ones to second order.
     """
     _, vecs, s = first_order_mixing(h0, v)
-    k = 1j * s
-    kvals, kvecs = np.linalg.eigh(0.5 * (k + k.conj().T))
+    kvals, kvecs = np.linalg.eigh(hermitian_part(1j * s))
     expo = kvecs @ np.diag(np.exp(-1j * kvals)) @ kvecs.conj().T
     return vecs @ expo @ vecs.conj().T
 

@@ -26,7 +26,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import TOL, Tolerances
+from .tolerances import (
+    DECOMPOSITION, ORTHONORMALITY, RANK, SPAN_DROP, STATE_NORM, TOL, TRACELESS, Tolerances,
+)
 
 __all__ = [
     "HermitianOperator",
@@ -127,7 +129,7 @@ class StateVector:
         nrm = float(np.linalg.norm(v))
         if not math.isfinite(nrm):
             raise ValidationError("state amplitudes must be finite")
-        if abs(nrm - 1.0) > TOL.state_norm:
+        if abs(nrm - 1.0) > STATE_NORM:
             raise ValidationError(f"state vector is not normalized (|norm-1| = {abs(nrm - 1.0):.3e})")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -179,7 +181,7 @@ class OperatorSpan:
         mats = flat.reshape(n, d, d)
         if self.field is ScalarField.REAL:
             require_hermitian(mats, "a real-field span basis element")
-        if n and np.abs(flat.conj() @ flat.T - np.eye(n)).max() > TOL.orthonormality:
+        if n and np.abs(flat.conj() @ flat.T - np.eye(n)).max() > ORTHONORMALITY:
             raise ValidationError("span basis is not orthonormal")
         mats.setflags(write=False)
         object.__setattr__(self, "basis", mats)
@@ -242,7 +244,7 @@ def orthonormal_span(
     """Orthonormalize a generator list into an :class:`OperatorSpan`.
 
     One SVD of the generators scaled to unit norm, as rows, with a generator
-    of norm below ``tol.span_drop`` and a singular value at or below it
+    of norm below ``SPAN_DROP`` and a singular value at or below it
     dropped; ``to_generators`` is ``conj(u) / s`` over the generators' norms.
     A REAL span requires generators that pass :func:`require_hermitian` at
     ``tol``, takes their Hermitian parts as real rows (real and imaginary
@@ -261,12 +263,12 @@ def orthonormal_span(
         stack = hermitian_part(stack)
     flat = stack.reshape(len(stack), dim * dim)
     norms = np.linalg.norm(flat, axis=1)
-    live = norms >= tol.span_drop
+    live = norms >= SPAN_DROP
     rows = flat[live] / norms[live, None]
     if real:
         rows = np.hstack([rows.real, rows.imag])
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > tol.span_drop
+    keep = s > SPAN_DROP
     basis = (vh[keep, : dim * dim] + 1j * vh[keep, dim * dim :]) if real else vh[keep]
     if real:  # a near-dependent direction leaves eps / sigma of anti-Hermitian rounding
         basis = hermitian_part(basis.reshape(-1, dim, dim))
@@ -283,13 +285,13 @@ def project_decompose(g, span: OperatorSpan, *, tol: Tolerances = TOL):
     ``g_perp`` orthogonal to every basis element.  Both parts are Hermitian;
     this requires the span to be closed under the adjoint (always true for the
     spans built by this package), which is verified numerically: the
-    remainder must be orthogonal to the span to ``tol.decomposition``.
+    remainder must be orthogonal to the span to ``DECOMPOSITION``.
     """
     m = as_matrix(g)
     require_hermitian(m, "the operator to decompose", tol)
     par = hermitian_part(span.project(m))
     perp = m - par
-    if frobenius(span.project(perp)) > tol.decomposition * max(1.0, frobenius(m)):
+    if frobenius(span.project(perp)) > DECOMPOSITION * max(1.0, frobenius(m)):
         raise ValidationError(
             "remainder is not orthogonal to the span; the span is not closed under the adjoint"
         )
@@ -302,17 +304,17 @@ def positive_negative_split(g_perp, *, tol: Tolerances = TOL):
     Returns ``(rho1, rho0, weight)`` where ``rho1``/``rho0`` are the density
     matrices carried by the positive/negative eigenspaces and
     ``weight = tr|g|/2``, so ``g = weight * (rho1 - rho0)``.  Eigenvalues
-    within ``tol.rank`` (relative) of zero join neither support.
+    within ``RANK`` (relative) of zero join neither support.
     """
     m = as_matrix(g_perp)
     require_hermitian(m, "the operator to split", tol)
     scale = frobenius(m)
-    if scale < tol.span_drop:
+    if scale < SPAN_DROP:
         raise ValidationError("cannot split an operator that is numerically zero")
-    if abs(np.trace(m).real) > tol.traceless * max(1.0, scale):
+    if abs(np.trace(m).real) > TRACELESS * max(1.0, scale):
         raise ValidationError(f"operator must be traceless, got trace {np.trace(m).real:.3e}")
     vals, vecs = eigh_fixed(m)
-    cut = tol.rank * float(np.max(np.abs(vals)))
+    cut = RANK * float(np.max(np.abs(vals)))
     pos = vals > cut
     neg = vals < -cut
     if not pos.any() or not neg.any():

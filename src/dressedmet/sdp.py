@@ -190,7 +190,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
 
     With ``g`` scaled to unit operator norm and ``M(c) = g - sum_j c_j B_j``
     over the basis ``B_j`` of :func:`.operators.orthonormal_span` of the
-    constraints (dropping a singular value at most ``TOL.span_drop`` of the
+    constraints (dropping a singular value at most ``SPAN_DROP`` of the
     unit-norm constraints keeps the Newton system nonsingular), the
     solver follows the central path of ``min t`` subject to
     ``-tI <= M(c) <= tI``: Newton steps on

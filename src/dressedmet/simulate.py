@@ -44,7 +44,7 @@ from .operators import (
     HermitianOperator, as_matrix, eigh_fixed, first_order_mixing, hermitian_part,
     require_hermitian,
 )
-from .tolerances import TOL, Tolerances
+from .tolerances import STABILITY, TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ def _default_dt(
     return 1e-3 / max(hnorm, total_rate, 1e-3)
 
 
-def _check_stability(gens: np.ndarray, dt: float, tol: Tolerances) -> None:
+def _check_stability(gens: np.ndarray, dt: float) -> None:
     gen_norm = float(np.linalg.norm(gens, 2, axis=(-2, -1)).max())
-    if dt * gen_norm >= tol.stability:
+    if dt * gen_norm >= STABILITY:
         raise ValidationError(f"dt*|generator| = {dt * gen_norm:.3e} violates the stability guard")
 
 
@@ -322,7 +322,7 @@ def evolve(
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
     dt = cfg.dt if cfg.dt is not None else _default_dt([h_s], lset, spectrum, tol)
-    _check_stability(gens, dt, tol)
+    _check_stability(gens, dt)
     n_steps = _step_count(cfg.t_final, dt)
     dt = cfg.t_final / n_steps
     ends = np.append(np.arange(cfg.record_stride, n_steps, cfg.record_stride), n_steps)
@@ -598,7 +598,7 @@ def _grid_states(
         dt = _default_dt(hams, lset, model.spectrum, tol)
     ends, rests = _grid_marks(tgrid, dt)
     gens = _offset_generators(model, lset, offsets, tol)
-    _check_stability(gens, dt, tol)
+    _check_stability(gens, dt)
     return _propagate(gens, model.rho0, dt, ends, rests, tol)[0]
 
 

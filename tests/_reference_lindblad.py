@@ -18,7 +18,7 @@ import numpy as np
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum
 from dressedmet.operators import HermitianOperator, as_matrix, frobenius
-from dressedmet.tolerances import TOL, Tolerances
+from dressedmet.tolerances import GAP_ABS, TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def jump_operators(
     """Decompose each coupling over the eigenstructure of ``h`` by gap.
 
     ``gap_tol`` defaults to ``tol.gap_rel`` times the operator norm of ``h``,
-    floored at ``tol.gap_abs`` for the zero Hamiltonian.  Frequencies whose
+    floored at ``GAP_ABS`` for the zero Hamiltonian.  Frequencies whose
     blocks all vanish are dropped; the surviving set satisfies the
     completeness and adjoint-pairing checks to 1e-10 by construction of the
     symmetric binning.
@@ -130,7 +130,7 @@ def jump_operators(
             raise ValidationError("couplings must be Hermitian")
     if gap_tol is None:
         hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
-        gap_tol = max(tol.gap_rel * hnorm, tol.gap_abs)
+        gap_tol = max(tol.gap_rel * hnorm, GAP_ABS)
     groups = eigendecompose_grouped(h, gap_tol)
     raw_gaps = [ep - e for e, _ in groups for ep, _ in groups]
     binned = _bin_gaps(raw_gaps, gap_tol)

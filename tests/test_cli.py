@@ -61,6 +61,15 @@ def ops(tmp_path):
     return paths
 
 
+def forbid_grids(monkeypatch):
+    """Make building a time grid fail, so a refusal test never allocates one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time grid was built")
+
+    for name in ("linspace", "geomspace"):
+        monkeypatch.setattr(np, name, refuse)
+
+
 def run(capsys, argv):
     rc = dispatch(argv)
     return rc, capsys.readouterr().out
@@ -616,6 +625,17 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("dressedmet: ")
         assert not csv_path.exists()
 
+    def test_oversized_grid_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        csv_path = tmp_path / "x.csv"
+        forbid_grids(monkeypatch)
+        rc = dispatch(["sweep", "--protected", str(model_path), "--unprotected", str(model_path),
+                       "--tgrid", "1:2:100000000000", "--out", str(csv_path)])
+        assert rc == EXIT_USAGE
+        assert "2 to 100000 points" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_overflowing_step_count_is_usage_error(self, capsys, tmp_path):
         # 1e302 steps at dt 0.01 used to overflow the int64 step total
         model_path = tmp_path / "m.json"
@@ -652,6 +672,16 @@ class TestTimeGrid:
     ])
     def test_rejects_malformed(self, spec):
         with pytest.raises(ValidationError):
+            _parse_tgrid(spec)
+
+    def test_the_largest_grid_is_accepted(self):
+        assert len(_parse_tgrid("1:2:100000log")) == 100000
+
+    @pytest.mark.parametrize("spec", ["1:2:100001", "1:2:100000000000", "1:2:100000000000log"])
+    def test_rejects_more_points_than_the_bound(self, spec, monkeypatch):
+        # a grid built past a missing check fails here instead of allocating 745 GiB
+        forbid_grids(monkeypatch)
+        with pytest.raises(ValidationError, match="2 to 100000 points"):
             _parse_tgrid(spec)
 
 

@@ -46,7 +46,7 @@ from dressedmet.operators import (
     spin_matrices,
 )
 from dressedmet.simulate import qfi_analytic
-from dressedmet.tolerances import TOL
+from dressedmet.tolerances import KL
 
 from conftest import random_density, random_hermitian
 
@@ -160,14 +160,14 @@ class TestKnillLaflamme:
               kron(np.eye(2), PAULI_X, np.eye(2)),
               kron(np.eye(2), np.eye(2), PAULI_X)]
         dev = check_conditions(code, np.zeros((8, 8)), xs).kl_violation
-        assert dev <= TOL.kl
+        assert dev <= KL
         assert dev == pytest.approx(0.0, abs=1e-14)
 
     def test_repetition_code_fails_phase_flip(self):
         code = repetition_code()
         dev = check_conditions(code, np.zeros((8, 8)),
                                [kron(PAULI_Z, np.eye(2), np.eye(2))]).kl_violation
-        assert not dev <= TOL.kl
+        assert not dev <= KL
         assert dev == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 

@@ -49,7 +49,7 @@ from dressedmet.nv import (
 from dressedmet.codespace import no_go_search
 from dressedmet.operators import HermitianOperator, lift, spin_matrices
 from dressedmet.simulate import SimConfig, qfi_numeric, qfi_sld
-from dressedmet.tolerances import TOL
+from dressedmet.tolerances import KL
 
 SX, SY, SZ = spin_matrices(2)
 
@@ -148,7 +148,7 @@ class TestCodes:
         # distinguish the pair; protection and correctability part ways here
         code = nv_ancilla_code()
         dev = check_conditions(code, np.zeros((3, 3)), lifted_couplings()).kl_violation
-        assert not dev <= TOL.kl
+        assert not dev <= KL
         assert abs(dev - 1.0 / math.sqrt(2.0)) < 1e-12
 
 

@@ -35,7 +35,7 @@ from dressedmet.operators import (
 )
 from dressedmet.rand import stream
 from dressedmet.sdp import constructive_bound
-from dressedmet.tolerances import TOL
+from dressedmet.tolerances import KL, MEMBERSHIP, SPAN_DROP
 
 from conftest import random_hermitian
 
@@ -44,13 +44,13 @@ from conftest import random_hermitian
 # ---------------------------------------------------------------------------
 
 
-def reference_orthonormal_span(generators, field, tol=TOL):
+def reference_orthonormal_span(generators, field):
     """Modified Gram-Schmidt with one re-orthogonalization pass; basis list."""
     basis = []
     for m in generators:
         m = np.asarray(m, dtype=complex)
         nrm = float(np.linalg.norm(m))
-        if nrm < tol.span_drop:
+        if nrm < SPAN_DROP:
             continue
         w = m / nrm
         for _ in range(2):
@@ -60,7 +60,7 @@ def reference_orthonormal_span(generators, field, tol=TOL):
                     c = c.real
                 w = w - c * b
         r = float(np.linalg.norm(w))
-        if r < tol.span_drop:
+        if r < SPAN_DROP:
             continue
         basis.append(w / r)
     return basis
@@ -90,13 +90,13 @@ def reference_kl_deviation(frame, mats):
     return worst
 
 
-def reference_remainder(g, generators, field, tol=TOL):
+def reference_remainder(g, generators, field):
     """The span sequence the bound and the code construction repeated."""
-    basis = reference_orthonormal_span(generators, field, tol)
+    basis = reference_orthonormal_span(generators, field)
     par = reference_project(basis, field, g)
     par = 0.5 * (par + par.conj().T)
     perp = g - par
-    return perp, float(np.linalg.norm(perp)) > tol.membership
+    return perp, float(np.linalg.norm(perp)) > MEMBERSHIP
 
 
 def random_matrix(rng, dim, hermitian):
@@ -293,7 +293,7 @@ def test_knill_laflamme_matches_reference(seed, sys_dim, anc_dim, k, hermitian):
     worst = check_conditions(code, np.zeros((sys_dim, sys_dim)), mats).kl_violation
     ref = reference_kl_deviation(code.frame, [lift(m, anc_dim) for m in mats])
     assert abs(worst - ref) <= 1e-13 * max(1.0, ref)
-    assert (worst <= TOL.kl) == (ref <= TOL.kl)
+    assert (worst <= KL) == (ref <= KL)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -320,7 +320,7 @@ def test_knill_laflamme_on_purified_codes():
         lifted = [lift(a, code.anc_dim) for a in couplings]
         worst = check_conditions(code, np.zeros((dim, dim)), couplings).kl_violation
         ref = reference_kl_deviation(code.frame, lifted)
-        assert worst <= TOL.kl and abs(worst - ref) <= 1e-13
+        assert worst <= KL and abs(worst - ref) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

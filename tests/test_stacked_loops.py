@@ -18,7 +18,7 @@ from dressedmet.nv import _SX, _SZ, _first_order_rotation, nv_bx_discrepancy, nv
 from dressedmet.operators import HermitianOperator, as_matrix, eigh_fixed, first_order_mixing
 from dressedmet.rand import stream
 from dressedmet.simulate import loglog_slope, perturbation_leakage
-from dressedmet.tolerances import TOL
+from dressedmet.tolerances import RANK
 
 from conftest import random_density, random_hermitian
 
@@ -56,7 +56,7 @@ def loop_purified_states(rho0, rho1):
     spectra = []
     for m in (rho0, rho1):
         vals, vecs = eigh_fixed(0.5 * (m + m.conj().T))
-        keep = vals > TOL.rank * max(vals.max(), 1e-300)
+        keep = vals > RANK * max(vals.max(), 1e-300)
         spectra.append((vals[keep], vecs[:, keep]))
     sys_dim = rho0.shape[0]
     rank = max(len(spectra[0][0]), len(spectra[1][0]))

@@ -34,7 +34,7 @@ from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import NO_GO_FLOOR, nv_couplings, rotated_couplings
 from dressedmet.operators import as_matrix, spin_matrices
 from dressedmet.rand import stream
-from dressedmet.tolerances import TOL
+from dressedmet.tolerances import SPAN_DROP
 
 from conftest import random_hermitian
 
@@ -138,7 +138,7 @@ def norm_stack_retract(v):
     q0 = v[:, 0] / (r00 or 1.0)
     w = v[:, 1] - q0 * np.vdot(q0, v[:, 1])
     r11 = np.linalg.norm(w)
-    if not (r00 > 0.0 and r11 > TOL.span_drop * np.linalg.norm(v[:, 1])):
+    if not (r00 > 0.0 and r11 > SPAN_DROP * np.linalg.norm(v[:, 1])):
         raise NumericalError("cannot retract a rank-deficient frame")
     return np.stack([q0, w / r11], axis=1)
 
