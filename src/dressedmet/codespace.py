@@ -33,7 +33,7 @@ from .operators import (
     require_hermitian,
 )
 from .rand import stream
-from .tolerances import DECOMPOSITION, RANK, SPAN_DROP, TOL, Tolerances
+from .tolerances import DECOMPOSITION, RANK, ROUNDING, SPAN_DROP, TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,13 @@ def _lift_to_code(op, code: CodeSpace) -> np.ndarray:
     )
 
 
+_I2 = np.eye(2)
+
+
 def _kl_deviation(blocks: np.ndarray) -> np.ndarray:
     """Each of stacked 2x2 blocks minus its best multiple of I."""
     mean = 0.5 * (blocks[:, 0, 0] + blocks[:, 1, 1])
-    return blocks - mean[:, None, None] * np.eye(2)
+    return blocks - mean[:, None, None] * _I2
 
 
 def _code_blocks(frame: np.ndarray, mats: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,8 +321,10 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return q
 
 
-def _tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return grad - v @ hermitian_part(v.conj().T @ grad)
+def _tangent(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` projected onto the tangent space at ``v``, each d x 2 block of a d x 2k ``x``."""
+    a = (v.conj().T @ x).reshape(2, -1, 2)
+    return x - v @ (0.5 * (a + a.conj().transpose(2, 1, 0))).reshape(2, -1)
 
 
 _SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
@@ -341,11 +346,16 @@ def stiefel_minimize(
     Armijo search halves a unit step.  Transport is by projection ``P``
     (Absil, Mahony & Sepulchre 2008, ch. 4 and 8): the pair ``s = P(v+ - v)``,
     ``y = g+ - P(g)`` updates ``H`` by BFGS from ``(s.y / y.y) I``, unless
-    ``s.y <= 0``.  The descent stops at the rounding floor, a trial step
-    whose predicted decrease ``-step g.p / 2`` is at most ``16 eps max(1,
-    |f|)`` (a zero tangent gradient meets it at once), or after ``max_iter``
-    accepted steps.  Each accepted step lowers the value, so the last frame
-    is the lowest visited.
+    ``s.y <= 0``.  The new gradient, the old one and the step sit side by
+    side in one d x 6 array, so one ``v+^dag X`` product projects all three,
+    and the rank-two update is one outer product and its transpose.  The
+    descent stops at the rounding floor, a trial step whose predicted
+    decrease ``-step g.p / 2`` is at most ``16 eps max(1, |f|)``
+    (``ROUNDING``; a zero tangent gradient meets it at once), or after
+    ``max_iter`` accepted steps.  Each accepted step lowers the value, so
+    the last frame is the lowest visited.  ``fn`` is the only access to the
+    objective; a frame that is not d x 2 is a ``ValidationError``, and one
+    that ``_retract`` cannot orthonormalize a ``NumericalError``.
     """
     v = np.asarray(v0, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
@@ -359,7 +369,7 @@ def stiefel_minimize(
         slope = float(p.view(float).ravel() @ g)
         if not slope < 0.0:  # a model gone indefinite in rounding
             p, slope = -0.5 * gt, -0.5 * float(g @ g)
-        floor, step = 16.0 * np.finfo(float).eps * max(1.0, abs(f)), 1.0
+        floor, step = ROUNDING * max(1.0, abs(f)), 1.0
         while -0.5 * step * slope > floor:
             cand = _retract(v + step * p)
             f_new, grad_new = fn(cand)
@@ -368,16 +378,19 @@ def stiefel_minimize(
             step *= 0.5
         else:
             break
-        # the new gradient, the old one and the step, transported to cand
-        gt_new, gt_old, moved = _tangent(cand, np.stack([grad_new, gt, cand - v]))
-        s, y = moved.view(float).ravel(), (gt_new - gt_old).view(float).ravel()
-        v, f, gt, sy = cand, f_new, gt_new, float(s @ y)
+        # the new gradient, the old one and the step, side by side, transported
+        # to cand by one projection
+        moved = _tangent(cand, np.concatenate([grad_new, gt, cand - v], axis=1))
+        gt = moved[:, :2]
+        s, y = moved[:, 4:].view(float).ravel(), (gt - moved[:, 2:4]).view(float).ravel()
+        v, f, sy = cand, f_new, float(s @ y)
         if sy > 0.0:
             if h is None:
                 h = (sy / float(y @ y)) * np.eye(len(s))
             hy = h @ y
             z = (0.5 * (1.0 + float(y @ hy) / sy) * s - hy) / sy
-            h += np.outer(z, s) + np.outer(s, z)
+            zs = z[:, None] * s
+            h += zs + zs.T
     return f, v
 
 
@@ -445,21 +458,22 @@ def _quadratic_search_terms(
     """
     d = gmat.shape[0]
     errs = error_set(mats, d)
-    # each matrix above its adjoint: one matmul gives M v and M^H v for all
+    # each matrix above its adjoint, and G last: one matmul gives M v and
+    # M^H v for all, and G v
     stack = np.stack([errs, errs.conj().transpose(0, 2, 1)], axis=1)
-    stack = stack.reshape(-1, d)
+    stack = np.concatenate([stack.reshape(-1, d), gmat])
     signs = np.array([-1.0, 1.0])
 
     def fn(v: np.ndarray) -> Tuple[float, np.ndarray]:
-        w = (stack @ v).reshape(-1, 2, d, 2)
+        wg = stack @ v
+        w, gv = wg[:-d].reshape(-1, 2, d, 2), wg[-d:] * signs
         # deviation D of each block from its best multiple of identity:
         # f = sum |D|_F^2, gradient = sum M v D^H + M^H v D
         dev = _kl_deviation(v.conj().T @ w[:, 0])
         f = float(np.vdot(dev, dev).real)
         grad = (w[:, 0] @ dev.conj().transpose(0, 2, 1) + w[:, 1] @ dev).sum(axis=0)
-        gv = gmat @ v
-        signal = np.vdot(v[:, 1], gv[:, 1]).real - np.vdot(v[:, 0], gv[:, 0]).real
-        return f - weight * signal, grad - weight * (gv * signs)
+        # the signal v1^H G v1 - v0^H G v0, from the signed G v
+        return f - weight * np.vdot(v, gv).real, grad - weight * gv
 
     return fn
 

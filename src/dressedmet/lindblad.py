@@ -220,6 +220,8 @@ class LindbladSet:
 
 def _linkage(vals: np.ndarray, gap_tol: float) -> List[Tuple[int, int]]:
     """``(start, stop)`` of each single-linkage cluster at ``gap_tol`` of ascending ``vals``."""
+    if not 0.0 < gap_tol < np.inf:
+        raise ValidationError("gap_tol must be finite and positive")
     cuts = (np.flatnonzero(np.diff(vals) >= gap_tol) + 1).tolist()
     return list(zip([0] + cuts, cuts + [len(vals)]))
 
@@ -231,8 +233,6 @@ def _levels(vals: np.ndarray, gap_tol: float) -> np.ndarray:
     cluster energy is the mean of its members.  A cluster stretched wider than
     10x ``gap_tol`` means the spectrum has no clean separation at this scale.
     """
-    if not 0.0 < gap_tol < np.inf:
-        raise ValidationError("gap_tol must be finite and positive")
     levels = vals.copy()  # a lone eigenvalue is its own mean
     for lo, hi in _linkage(vals, gap_tol):
         if hi - lo == 1:

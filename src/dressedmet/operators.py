@@ -18,7 +18,6 @@ finite, bounded and Hermitian; :func:`orthonormal_span` is the one span builder.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -126,9 +125,8 @@ class StateVector:
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise ValidationError("state vector must have dimension >= 1")
+        require_bounded(v[None], "a state")  # before the norm, which would overflow
         nrm = float(np.linalg.norm(v))
-        if not math.isfinite(nrm):
-            raise ValidationError("state amplitudes must be finite")
         if abs(nrm - 1.0) > STATE_NORM:
             raise ValidationError(f"state vector is not normalized (|norm-1| = {abs(nrm - 1.0):.3e})")
         v.setflags(write=False)

@@ -45,7 +45,7 @@ from .errors import NumericalError, ValidationError
 from .jsonio import operator_to_json
 from .operators import (HermitianOperator, ScalarField, as_matrix, hermitian_part, orthonormal_span,
                         positive_negative_split, require_hermitian)
-from .tolerances import TOL, Tolerances
+from .tolerances import ROUNDING, TOL, Tolerances
 
 __all__ = [
     "SdpProblem",
@@ -106,7 +106,8 @@ class DualSolution:
     followed to its end (or ``g`` is zero or inside the span),
     ``"max_steps"`` at ``_MAX_STEPS`` Newton steps, and
     ``"rounding_floor"`` when a line search found no representable decrease
-    down to a step of 1e-12.
+    down to a step of 1e-12 (halvings past the feasible step bound, which
+    take no eigendecomposition, count toward that floor).
     ``g_tilde`` is the feasible primal point read off the last center (zero
     when ``g`` is zero or inside the span) and ``duality_measure`` is
     ``2 d mu`` there, in the units of ``g`` (zero when no barrier step ran).
@@ -183,6 +184,13 @@ _MAX_STEPS = 20000
 # factor by which mu falls at each center: long steps take fewer Newton steps
 # in total (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.3.3)
 _MU_SHRINK = 20.0
+# a point is centered once half the squared Newton decrement is at most this
+# multiple of mu: the next level's long step recenters it anyway (sec. 11.5);
+# 0.5 took the fewest eigendecompositions of the factors 0.1 to 0.5 tried
+_CENTERING = 0.5
+# relative slack on the feasible step bound: a line-search trial is skipped
+# unseen only where it lies clearly outside the cone
+_STEP_MARGIN = 1e-9
 
 
 def solve_dual(problem: SdpProblem) -> DualSolution:
@@ -197,12 +205,23 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     ``t - mu (log det(tI - M) + log det(tI + M))`` over the ``k + 2``
     variables ``(c, t)``, each from one eigendecomposition of ``M``, with an
     Armijo backtrack that reads a step leaving the interior as ``+inf``.
+    The backtrack starts from a unit step and first halves it, with no
+    eigendecomposition, while it lies past the largest feasible step by more
+    than ``_STEP_MARGIN`` relative: in ``M``'s eigenbasis the slacks move as
+    ``diag(t -+ lam) + alpha (dt I +- D)``, so one stacked ``eigvalsh`` of
+    ``W^1/2 (dt I +- D) W^1/2`` bounds the step (Boyd & Vandenberghe,
+    *Convex Optimization*, sec. 11.5).  It skips only trials that the
+    ``+inf`` test would reject.
     ``mu`` starts at 0.1 and shrinks 20x (``_MU_SHRINK``) once the point is
     centered, until the duality measure ``2 d mu`` is below 1e-11.  A point
     is centered once half the squared Newton decrement, ``-slope / 2``, is
-    at most ``max(1e-3 mu, 16 eps max(1, |phi|))``, with ``phi`` the barrier
-    value ``t - mu log det``: at the last levels ``1e-3 mu`` falls below the
-    rounding of ``phi``, and Armijo would accept noise until ``_MAX_STEPS``.
+    at most ``max(_CENTERING mu, 16 eps max(1, |phi|))``, with ``_CENTERING``
+    0.5 and ``phi`` the barrier value ``t - mu log det``: the next level's
+    long step recenters a loosely centered point, and at the last levels
+    ``_CENTERING mu`` falls below the rounding of ``phi``, where Armijo
+    would accept noise until ``_MAX_STEPS``.  Should the line search find no
+    representable decrease down to a step of 1e-12 before the path's end,
+    the solve stops at ``"rounding_floor"`` with the point it reached.
     Generators inside the span, to 1e-12 of their own scale, stop at their
     least-squares projection.
 
@@ -256,10 +275,11 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
             return -np.inf, lam, vecs
         return float(np.log(tt - lam).sum() + np.log(tt + lam).sum()), lam, vecs
 
-    def primal(wa, wb, vecs, yb, step):
-        """Gt from W = Z+ - Z- along ``step``, formed in M's eigenbasis; mu cancels."""
+    def primal():
+        """Gt from W = Z+ - Z- at the current point along ``step``, formed in M's
+        eigenbasis; mu cancels."""
         dm = -np.tensordot(step[:-1], yb, axes=1)
-        w = (np.outer(wa, wa) + np.outer(wb, wb)) * dm
+        w = ww.sum(0) * dm
         w[np.diag_indices(dim)] += wa - wb - step[-1] * (wa * wa - wb * wb)
         w = vecs @ w @ vecs.conj().T
         w = hermitian_part(w)
@@ -274,11 +294,12 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
     for steps in itertools.count(1):
         # gradient and negated Hessian of the log-det term, in M's eigenbasis
         wa, wb = 1.0 / (t - lam), 1.0 / (t + lam)
+        ww = np.array([np.outer(wa, wa), np.outer(wb, wb)])
         yb = vecs.conj().T @ basis @ vecs
         diag = np.einsum("jaa->ja", yb).real
         yf = yb.reshape(len(basis), -1)
         hess = np.empty((len(basis) + 1, len(basis) + 1))
-        hess[:-1, :-1] = ((yf * (wa[:, None] * wa + wb[:, None] * wb).ravel()) @ yf.conj().T).real
+        hess[:-1, :-1] = ((yf * ww.sum(0).ravel()) @ yf.conj().T).real
         hess[:-1, -1] = hess[-1, :-1] = diag @ (wa * wa - wb * wb)
         hess[-1, -1] = float((wa * wa + wb * wb).sum())
         dlog = np.append(diag @ (wa - wb), (wa + wb).sum())
@@ -289,14 +310,22 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
             slope = float(grad @ step)
             phi = t - mu * logdet
             # the rounding of phi bounds the decrease a step can show
-            if -slope / 2.0 > max(1e-3 * mu, 16 * np.finfo(float).eps * max(1.0, abs(phi))):
+            if -slope / 2.0 > max(_CENTERING * mu, ROUNDING * max(1.0, abs(phi))):
                 break
             if 2 * dim * mu < 1e-11:
-                return result(y, steps, "path_end", primal(wa, wb, vecs, yb, step), mu)
+                return result(y, steps, "path_end", primal(), mu)
             mu /= _MU_SHRINK
         if steps >= _MAX_STEPS:
-            return result(y, steps, "max_steps", primal(wa, wb, vecs, yb, step), mu)
+            return result(y, steps, "max_steps", primal(), mu)
+        # in M's eigenbasis the slacks move as diag(t -+ lam) + alpha (dt I +- D),
+        # with D = sum_j dy_j V^dag B_j V, and stay in the cone while I + alpha K
+        # does, for K = W^1/2 (dt I +- D) W^1/2 at W = diag(wa), diag(wb): one
+        # eigvalsh of both K bounds the step, and halving past it takes no eigh
+        dd = (step[:-1] @ yf).reshape(dim, dim)
+        low = np.linalg.eigvalsh((np.array([dd, -dd]) + step[-1] * np.eye(dim)) * np.sqrt(ww)).min()
         alpha = 1.0
+        while alpha > 1e-12 and 1.0 + alpha * low < -_STEP_MARGIN:
+            alpha *= 0.5
         while alpha > 1e-12:
             trial = spectrum(y + alpha * step[:-1], t + alpha * step[-1])
             if t + alpha * step[-1] - mu * trial[0] <= phi + 0.25 * alpha * slope:
@@ -305,7 +334,7 @@ def solve_dual(problem: SdpProblem) -> DualSolution:
         else:
             # no representable decrease along the Newton direction: the
             # centering has hit the rounding floor before the path's end
-            return result(y, steps, "rounding_floor", primal(wa, wb, vecs, yb, step), mu)
+            return result(y, steps, "rounding_floor", primal(), mu)
         y, t = y + alpha * step[:-1], t + alpha * step[-1]
         logdet, lam, vecs = trial
 

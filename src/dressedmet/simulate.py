@@ -34,6 +34,7 @@ from .jsonio import (
 from .lindblad import (
     BathSpectrum,
     LindbladSet,
+    _linkage,
     commutator_superoperator,
     grouping_tolerance,
     jump_operators,
@@ -684,9 +685,7 @@ def perturbation_leakage(
     vals, vecs, coeff = first_order_mixing(h0.entries, g.entries)
     if gap_tol is None:
         gap_tol = grouping_tolerance(float(np.abs(vals).max()), tol)
-    if not 0.0 < gap_tol < np.inf:
-        raise ValidationError("gap_tol must be finite and positive")
-    if len(vals) > 1 and np.diff(vals).min() < gap_tol:
+    if len(_linkage(vals, gap_tol)) < len(vals):
         raise ValidationError("spectrum is degenerate at the grouping tolerance")
     corrections = tuple((delta_omega * np.linalg.norm(coeff, axis=0)).tolist())
     max_ratio = float(delta_omega * np.abs(coeff).max())

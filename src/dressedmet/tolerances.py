@@ -54,3 +54,6 @@ KL = 1e-8
 GAP_ABS = 1e-12
 # dt * ||generator|| must stay below this for the fixed-step integrator
 STABILITY = 0.1
+# rounding floor of a decrease per unit of max(1, |value|), 16 machine
+# epsilons (16 * 2**-52): the dual's centering test and the Stiefel descent's stop
+ROUNDING = 2.0**-48

@@ -13,6 +13,11 @@ constraints, and generators inside the span.
 level and no rounding floor in its centering test.  The long-step path must
 reach the same values and primal point, in fewer Newton steps, and end at
 the path's end where the old centering test ran to ``_MAX_STEPS``.
+
+``_reference_long_step.solve_dual`` is the long-step path before its line
+search bounded the step, centered at ``1e-3 mu``.  With ``sdp._CENTERING``
+set back to 1e-3, the step bound may only skip trials that the old line
+search rejected, so the two must agree bitwise.
 """
 
 import time
@@ -26,6 +31,7 @@ from dressedmet.rand import stream
 from dressedmet.sdp import SdpProblem, solve_dual, solve_primal
 
 from _reference_barrier import solve_dual as short_step_solve_dual
+from _reference_long_step import solve_dual as long_step_solve_dual
 from _reference_dual import solve_dual as reference_solve_dual
 from conftest import random_hermitian
 
@@ -83,7 +89,7 @@ def chain_instance(dim, k, i):
 
 DIFFERENTIAL = ([pytest.param(instance(i), id=f"instance{i}") for i in range(40)]
                 + [pytest.param(chain_instance(d, k, i), id=f"chain-d{d}-k{k}-{i}")
-                   for d in (3, 6) for k in (1, 2, 3) for i in range(3)])
+                   for d in (3, 6) for k in (1, 2, 3, 4) for i in range(3)])
 
 
 @pytest.mark.parametrize("problem", DIFFERENTIAL)
@@ -116,6 +122,49 @@ def test_every_sampled_path_ends_within_45_steps():
     duals = [solve_dual(instance(i)) for i in range(200)]
     assert {d.stop for d in duals} == {"path_end"}
     assert max(d.iterations for d in duals) <= 45
+
+
+def assert_same_path(new, old):
+    assert (new.iterations, new.stop, new.value) == (old.iterations, old.stop, old.value)
+    assert new.duality_measure == old.duality_measure
+    assert np.array_equal(new.coeffs, old.coeffs)
+    assert np.array_equal(new.g_tilde, old.g_tilde)
+
+
+@pytest.mark.parametrize("block", range(12))
+def test_step_bound_skips_only_rejected_trials(monkeypatch, block):
+    # at the old centering factor the bounded line search must retrace the
+    # old path bit for bit: a skipped trial is one the old search read as
+    # outside the cone
+    monkeypatch.setattr(sdp, "_CENTERING", 1e-3)
+    for i in range(50 * block, 50 * block + 50):
+        problem = instance(i)
+        assert_same_path(solve_dual(problem), long_step_solve_dual(problem))
+
+
+@pytest.mark.parametrize("problem", DIFFERENTIAL)
+def test_step_bound_retraces_the_long_step_path(monkeypatch, problem):
+    monkeypatch.setattr(sdp, "_CENTERING", 1e-3)
+    assert_same_path(solve_dual(problem), long_step_solve_dual(problem))
+
+
+def test_no_eigendecomposition_for_a_trial_outside_the_cone(monkeypatch):
+    # one eigh at the start and one per accepted trial, `iterations` in all
+    # (the last Newton step ends the path before its line search); a trial
+    # outside the cone takes none, and on this sample at most three trials
+    # a solve lie inside it and fail the Armijo test
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls[0] += 1
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for i in range(200):
+        calls[0] = 0
+        dual = solve_dual(instance(i))
+        assert calls[0] <= dual.iterations + 3
 
 
 @pytest.mark.parametrize("i", [i for i in range(60) if i % 4 == 1 or i % 6 == 3])

@@ -12,6 +12,13 @@ Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
 far fewer evaluations, and code-search restarts must reach at most the
 loop's objective, stopping at the rounding floor where the loop ran into
 ``max_iter``; so must every restart of a sample of in-span instances.
+
+``_reference_stiefel`` is the search kernel and its objectives before the
+leaner descent step (one projection product for the three transported
+vectors, one broadcast product in the BFGS update, the generator folded
+into the code-search matmul).  Only rounding may part them: each restart
+must reach the same value to 1e-12 of its scale by the same stop rule, in
+the same number of evaluations on all but a few restarts.
 """
 
 import numpy as np
@@ -19,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dressedmet import codespace
 from dressedmet.codespace import (
     _SIGNAL_WEIGHT,
     _better_restart,
@@ -36,6 +44,7 @@ from dressedmet.operators import as_matrix, spin_matrices
 from dressedmet.rand import stream
 from dressedmet.tolerances import SPAN_DROP
 
+import _reference_stiefel
 from conftest import random_hermitian
 
 
@@ -408,3 +417,74 @@ class TestStopRules:
         f, v = stiefel_minimize(fn, v0)
         f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
         assert f_long == f and np.array_equal(v_long, v)
+
+
+# ---------------------------------------------------------------------------
+# the leaner descent step against the kernel it replaced
+# ---------------------------------------------------------------------------
+
+
+def in_span_sample(count):
+    """Code-search instances as the benchmark draws them: d in 3-6, two
+    couplings, and G moved into their quadratic span."""
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        dim = int(rng.integers(3, 7))
+        couplings = [random_hermitian(rng, dim) for _ in range(2)]
+        g = random_hermitian(rng, dim)
+        g = g - quadratic_span_condition(g, couplings).g_perp
+        yield 0.5 * (g + g.conj().T), couplings, dim
+
+
+def lean_step_restarts():
+    """``(objective name, args, start frame)`` of every compared restart."""
+    for rotation in range(10):
+        mats = [as_matrix(a) for a in rotated_couplings(rotation)]
+        for r in range(20):
+            yield "_pair_penalty_terms", (mats,), random_frame(stream(rotation, r), 3)
+    for i, (g, couplings, dim) in enumerate(in_span_sample(24)):
+        for r in range(2):
+            yield "_quadratic_search_terms", (g, couplings, _SIGNAL_WEIGHT), random_frame(stream(i, r), dim)
+    for seed in sorted(CONVERGED_SEEDS):
+        rng = stream(seed)
+        dim = int(rng.integers(3, 7))
+        couplings = [random_hermitian(rng, dim) for _ in range(rng.integers(1, 5))]
+        g = random_hermitian(rng, dim)
+        for r in range(3):
+            yield "_quadratic_search_terms", (g, couplings, 0.1), random_frame(stream(seed, r), dim)
+
+
+def run_restart(kernel, name, args, v0):
+    """Value, evaluations and stop rule of one restart of ``kernel``'s search."""
+    fn = getattr(kernel, name)(*args)
+    counted_fn, calls = counted(fn)
+    f, v = kernel.stiefel_minimize(counted_fn, v0)
+    # max_iter accepted steps take more than max_iter evaluations
+    stop = "floor"
+    if calls[0] > 400:
+        f_long, v_long = kernel.stiefel_minimize(fn, v0, max_iter=10**4)
+        stop = "floor" if f_long == f and np.array_equal(v_long, v) else "max_iter"
+    return f, calls[0], stop
+
+
+@pytest.fixture(scope="module")
+def lean_step_pairs():
+    return [(run_restart(codespace, *case), run_restart(_reference_stiefel, *case))
+            for case in lean_step_restarts()]
+
+
+class TestLeanStep:
+    def test_sample_size(self, lean_step_pairs):
+        assert len(lean_step_pairs) == 200 + 48 + 9
+
+    def test_same_values(self, lean_step_pairs):
+        for (f, _, _), (f_ref, _, _) in lean_step_pairs:
+            assert abs(f - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
+
+    def test_same_stop_rules(self, lean_step_pairs):
+        assert [new[2] for new, _ in lean_step_pairs] == [ref[2] for _, ref in lean_step_pairs]
+
+    def test_same_evaluation_counts(self, lean_step_pairs):
+        diffs = [new[1] - ref[1] for new, ref in lean_step_pairs]
+        assert max(map(abs, diffs)) <= 2
+        assert diffs.count(0) >= 0.95 * len(diffs)
