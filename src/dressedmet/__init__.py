@@ -46,7 +46,6 @@ from .lindblad import (
     BathSpectrum,
     LindbladSet,
     Regime,
-    eigendecompose_grouped,
     jump_operators,
     lamb_shift,
     spectrum_from_json,
@@ -58,7 +57,6 @@ from .codespace import (
     check_conditions,
     code_from_optimizer,
     code_search,
-    control_hamiltonian,
     correctable_code,
     effective_generator,
     no_go_search,
@@ -76,7 +74,6 @@ from .simulate import (
     crlb,
     evolve,
     fidelity,
-    final_decade_slope,
     perturbation_leakage,
     qfi_analytic,
     qfi_numeric,

@@ -30,7 +30,7 @@ from .errors import NumericalError, ValidationError
 from .jsonio import hermitian_from_json, json_text, load_json, operator_from_json, write_text
 from .operators import HermitianOperator
 from .sdp import SdpProblem, solve_primal
-from .simulate import ProbeModel, ScalingRecord, SimConfig, scaling_sweep
+from .simulate import MAX_RECORDS, ProbeModel, ScalingRecord, SimConfig, scaling_sweep
 from .tolerances import KL
 
 EXIT_OK = 0
@@ -120,7 +120,8 @@ def _parse_tgrid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad tgrid {text!r}; expected start:stop:N[log]")
-    if not (2 <= count <= 10**5 and math.isfinite(start) and math.isfinite(stop) and stop > start):
+    if not (2 <= count <= MAX_RECORDS and math.isfinite(start) and math.isfinite(stop)
+            and stop > start):
         raise ValidationError("tgrid needs finite stop > start and 2 to 100000 points")
     if logspaced:
         if start <= 0:

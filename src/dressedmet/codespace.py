@@ -248,35 +248,6 @@ def effective_generator(code: CodeSpace, g) -> EffectiveGenerator:
     return EffectiveGenerator(g00, g11, delta, 0.25 * delta * delta)
 
 
-def control_hamiltonian(
-    code: CodeSpace,
-    h_free: HermitianOperator,
-    lambda0: float = 0.0,
-    lambda1: float = 1.0,
-    complement: float = 10.0,
-) -> HermitianOperator:
-    """Static control making the code states exact, separated eigenstates.
-
-    Cancels the free Hamiltonian and re-pins the spectrum: psi0 at lambda0,
-    psi1 at lambda1, everything orthogonal at ``complement``.  The three
-    energies must be pairwise distinct or eigenspaces would merge.
-    """
-    levels = (lambda0, lambda1, complement)
-    if len(set(levels)) != 3:
-        raise ValidationError(f"energy levels must be pairwise distinct: {levels}")
-    hf = _lift_to_code(h_free, code)
-    p0 = np.outer(code.psi0.amplitudes, code.psi0.amplitudes.conj())
-    p1 = np.outer(code.psi1.amplitudes, code.psi1.amplitudes.conj())
-    rest = np.eye(code.total_dim) - p0 - p1
-    hc = -hf + lambda0 * p0 + lambda1 * p1 + complement * rest
-    total = hf + hc
-    for lam, psi in ((lambda0, code.psi0), (lambda1, code.psi1)):
-        resid = np.linalg.norm(total @ psi.amplitudes - lam * psi.amplitudes)
-        if resid > 1e-10 * max(1.0, abs(lam), abs(complement)):
-            raise NumericalError(f"control residual {resid:.2e} too large")
-    return HermitianOperator(hc)
-
-
 def two_level_dressing(
     code: CodeSpace,
     couplings: Sequence,

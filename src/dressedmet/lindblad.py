@@ -247,14 +247,6 @@ def _levels(vals: np.ndarray, gap_tol: float) -> np.ndarray:
     return levels
 
 
-def eigendecompose_grouped(h: HermitianOperator, gap_tol: float) -> List[Tuple[float, np.ndarray]]:
-    """(mean energy, projector) of each single-linkage cluster of the spectrum of ``h``."""
-    vals, vecs = np.linalg.eigh(h.entries)
-    levels = _levels(vals, gap_tol)
-    blocks = [(float(e), vecs[:, levels == e]) for e in np.unique(levels)]
-    return [(e, block @ block.conj().T) for e, block in blocks]
-
-
 def _bin_gaps(gaps: np.ndarray, gap_tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending binned frequencies of the antisymmetric ``gaps`` and each gap's index into
     them, from one sort of the magnitudes.  A gap goes to the signed mean of its magnitude's

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codespace import CodeSpace, effective_generator
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ToolkitError, ValidationError
 from .jsonio import (
     check_keys, finite_number, hermitian_from_json, operator_from_json, operator_to_json,
     positive_whole,
@@ -140,6 +141,10 @@ def _check_states(records: np.ndarray, tol: Tolerances) -> None:
         raise NumericalError(f"state lost positivity: min eigenvalue {low[bad[0]]:.3e}")
 
 
+# the most states a run stores: ``evolve``'s records, or the points of a ``--tgrid``
+MAX_RECORDS = 10**5
+
+
 def _step_count(span: float, dt: float) -> int:
     """Fewest equal steps no longer than ``dt`` over ``span > 0``; a ``span / dt``
     that is not finite, or a count past int64, is refused."""
@@ -243,10 +248,12 @@ def _propagate(
 ) -> Tuple[np.ndarray, float]:
     """Advance ``rho0`` under each stacked generator in steps of ``dt``, recording at marks.
 
-    Mark ``i`` records the state after ``ends[i]`` steps (nondecreasing) advanced by
-    one RK4 step of length ``rests[i]`` in ``[0, dt)``, which the run does not
-    continue from.  Returns the records, ``(marks, generators, d, d)``, and the
-    drift.  The set-up, ``M - I`` and the squarings ``M^(2^i) - I``, is built once.
+    ``rho0`` is one ``(d, d)`` state for every generator, or a ``(generators, d, d)``
+    stack of one state each, checked as one stack.  Mark ``i`` records the state after
+    ``ends[i]`` steps (nondecreasing) advanced by one RK4 step of length ``rests[i]`` in
+    ``[0, dt)``, which the run does not continue from.  Returns the records,
+    ``(marks, generators, d, d)``, and the drift.  The set-up, ``M - I`` and the
+    squarings ``M^(2^i) - I``, is built once.
     Several records all on the lattice (``evolve``'s) are made in blocks of
     ``B D <= 2^15`` steps, by doubling on ``(M^j - I) v``; other runs advance from
     mark to mark by the squarings, ``B D^2 <= 2^15`` but at least 64 steps at a
@@ -254,14 +261,16 @@ def _propagate(
     steps after the lattice run, or, before a lattice drift abort, those of the marks
     before it.  A step's drift is ``|T_j / T_(j-1) - 1|`` over consecutive traces ``T``.
     """
-    rho0 = as_matrix(rho0)
-    require_hermitian(rho0, "initial state", tol)
-    if abs(np.trace(rho0).real - 1.0) > 1e-8:
+    starts = np.asarray(rho0, dtype=complex)
+    starts = starts if starts.ndim == 3 else as_matrix(starts)[None]
+    require_hermitian(starts, "initial state", tol)
+    if np.abs(starts.trace(axis1=1, axis2=2).real - 1.0).max() > 1e-8:
         raise ValidationError("initial state must have unit trace")
-    _check_states(rho0[None, None], tol)
-    dim = rho0.shape[0]
+    _check_states(starts[None], tol)
+    dim = starts.shape[-1]
     trace_row = np.eye(dim).reshape(-1)
-    vecs = np.repeat(rho0.reshape(1, -1).astype(complex), len(gens), axis=0)
+    # one state repeated for every generator, or a copy of one state each
+    vecs = np.repeat(starts.reshape(len(starts), -1), len(gens) // len(starts), axis=0)
     records = np.empty((len(ends), len(gens), dim, dim), dtype=complex)
     flat = records.reshape(len(ends), len(gens), dim * dim)
     dense = len(ends) > 1 and not rests.any()  # records inside the blocks
@@ -319,12 +328,16 @@ def evolve(
     cfg: SimConfig,
     tol: Tolerances = TOL,
 ) -> Trajectory:
-    """Integrate the master equation from ``rho0`` over ``cfg.t_final``."""
+    """Integrate the master equation from ``rho0`` over ``cfg.t_final``; a run that would
+    store more than ``MAX_RECORDS`` states is refused before any is made."""
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
     dt = cfg.dt if cfg.dt is not None else _default_dt([h_s], lset, spectrum, tol)
     _check_stability(gens, dt)
     n_steps = _step_count(cfg.t_final, dt)
+    records = -(-n_steps // cfg.record_stride) + 1  # t = 0, every stride and the last step
+    if records > MAX_RECORDS:
+        raise ValidationError(f"the run would store {records} states, over {MAX_RECORDS}")
     dt = cfg.t_final / n_steps
     ends = np.append(np.arange(cfg.record_stride, n_steps, cfg.record_stride), n_steps)
     states, drift = _propagate(gens, rho0, dt, ends, np.zeros(len(ends)), tol)
@@ -576,6 +589,25 @@ def _grid_marks(tgrid: Sequence[float], dt: float) -> Tuple[np.ndarray, np.ndarr
     return ends, np.where(rests > 1e-12 * dt, rests, 0.0)
 
 
+def _grid_run(
+    model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
+    cfg: Optional[SimConfig], tol: Tolerances,
+) -> tuple:
+    """``_grid_states``'s checks and ``_propagate``'s arguments but ``tol``, in their order."""
+    if not (all(0 < t < math.inf for t in tgrid) and all(a <= b for a, b in zip(tgrid, tgrid[1:]))):
+        raise ValidationError("time grid must be positive, finite and nondecreasing")
+    lset = model.jump_set(tol)
+    if cfg is not None and cfg.dt is not None:
+        dt = cfg.dt
+    else:
+        hams = [model.hamiltonian(d) for d in offsets]
+        dt = _default_dt(hams, lset, model.spectrum, tol)
+    ends, rests = _grid_marks(tgrid, dt)
+    gens = _offset_generators(model, lset, offsets, tol)
+    _check_stability(gens, dt)
+    return gens, model.rho0, dt, ends, rests
+
+
 def _grid_states(
     model: ProbeModel, offsets: Sequence[float], tgrid: Sequence[float],
     cfg: Optional[SimConfig], tol: Tolerances,
@@ -589,18 +621,26 @@ def _grid_states(
     is the smallest of the offsets' defaults, so every offset takes the same
     steps; the jump set is built once for it and for the generators.
     """
-    if not (all(0 < t < math.inf for t in tgrid) and all(a <= b for a, b in zip(tgrid, tgrid[1:]))):
-        raise ValidationError("time grid must be positive, finite and nondecreasing")
-    lset = model.jump_set(tol)
-    if cfg is not None and cfg.dt is not None:
-        dt = cfg.dt
-    else:
-        hams = [model.hamiltonian(d) for d in offsets]
-        dt = _default_dt(hams, lset, model.spectrum, tol)
-    ends, rests = _grid_marks(tgrid, dt)
-    gens = _offset_generators(model, lset, offsets, tol)
-    _check_stability(gens, dt)
-    return _propagate(gens, model.rho0, dt, ends, rests, tol)[0]
+    return _propagate(*_grid_run(model, offsets, tgrid, cfg, tol), tol)[0]
+
+
+def _sld_probes(
+    models: Sequence[ProbeModel], tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
+) -> list:
+    """``_sld_series`` of each model.  Every model's run is set up and checked in order; then
+    consecutive models of one generator size and dt share one ``_propagate`` call, from one
+    initial state per generator, and one ``_sld_values`` call."""
+    runs = [(d, *_grid_run(model, (0.0, d, -d), tgrid, cfg, tol))
+            for model in models for d in [_default_delta(model)]]
+    out = []
+    for _, group in groupby(runs, lambda run: (run[1].shape, run[3])):  # generator size, dt
+        deltas, gens, rho0s, dts, ends, rests = zip(*group)
+        starts = np.repeat(np.stack(rho0s), 3, axis=0)
+        states = _propagate(np.concatenate(gens), starts, dts[0], ends[0], rests[0], tol)[0]
+        center = states[:, ::3]  # each model's offsets 0, +d and -d in turn
+        drhos = (states[:, 1::3] - states[:, 2::3]) / (2.0 * np.array(deltas)[:, None, None])
+        out += zip(_sld_values(center, drhos).T, np.swapaxes(center, 0, 1))
+    return out
 
 
 def _sld_series(
@@ -608,9 +648,7 @@ def _sld_series(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral Fisher values at every grid time, by one ``_sld_values`` call, and the
     offset-0 states, from offsets 0 and +-d (``_default_delta``) integrated together."""
-    d = _default_delta(model)
-    states = _grid_states(model, (0.0, d, -d), tgrid, cfg, tol)
-    return _sld_values(states[:, 0], (states[:, 1] - states[:, 2]) / (2.0 * d)), states[:, 0]
+    return _sld_probes((model,), tgrid, cfg, tol)[0]
 
 
 def scaling_sweep(
@@ -623,12 +661,19 @@ def scaling_sweep(
     """Fisher information of both probes across a common time grid.
 
     Each probe integrates its three offsets (0 and +-d) together once
-    across the whole grid; per-time Fisher values use the spectral estimator,
-    coherence tracks the protected probe's code-basis off-diagonal.
+    across the whole grid, and two probes of one generator size and dt share
+    that run (``_sld_probes``); per-time Fisher values use the spectral
+    estimator, coherence tracks the protected probe's code-basis off-diagonal.
+    A refusal of the shared run runs the probes again one at a time, protected
+    first, so that the refusal is the one the first failing probe makes.
     """
     tgrid = [float(t) for t in tgrid]
-    qp, center_p = _sld_series(protected, tgrid, cfg, tol)
-    qu, _ = _sld_series(unprotected, tgrid, cfg, tol)
+    probes = (protected, unprotected)
+    try:
+        series = _sld_probes(probes, tgrid, cfg, tol)
+    except ToolkitError:  # rerun outside the handler, so the refusal is not chained to this one
+        series = None
+    (qp, center_p), (qu, _) = series or [_sld_series(m, tgrid, cfg, tol) for m in probes]
     cols = zip(tgrid, qp.tolist(), qu.tolist(), protected.coherences(center_p).tolist())
     return [
         ScalingRecord(t=t, qfi_protected=p, qfi_unprotected=u, coherence=coh, crlb=crlb(p, 1))
@@ -641,14 +686,6 @@ def loglog_slope(ts: Sequence[float], vals: Sequence[float]) -> float:
     x = np.log(np.asarray(ts, dtype=float))
     y = np.log(np.asarray(vals, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
-
-
-def final_decade_slope(records: Sequence[ScalingRecord], which: str) -> float:
-    """Log-log slope over the last factor-10 span of the time grid."""
-    ts = np.array([r.t for r in records])
-    vals = np.array([getattr(r, which) for r in records])
-    keep = ts >= ts[-1] / 10.0
-    return loglog_slope(ts[keep], vals[keep])
 
 
 @dataclass(frozen=True)

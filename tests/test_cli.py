@@ -550,6 +550,40 @@ class TestSimulate:
         assert "step count is not finite" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.json"]
 
+    @pytest.mark.parametrize("cfg, states", [
+        # 1e12 steps: the record marks alone used to ask numpy for 7.28 TiB
+        ('{"t_final": 1e6, "dt": 1e-6}', 10**12 + 1),
+        # the unprotected model's default dt, 1e-3 over its total bath rate 3
+        ('{"t_final": 1e5}', 300000001),
+        # one state over the bound, counted with a stride
+        ('{"t_final": 292.96875, "dt": 0.0009765625, "record_stride": 3}', 100001),
+    ])
+    def test_oversized_record_count_is_usage_error(self, capsys, tmp_path, cfg, states):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg)
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"dressedmet: the run would store {states} states, over 100000\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.json"]
+
+    def test_a_run_at_the_record_bound_writes_every_row(self, capsys, tmp_path):
+        # 99999 steps of 2^-10 store 100000 states, t = 0 included
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"t_final": 99999 * 2.0 ** -10, "dt": 2.0 ** -10}))
+        csv_path = tmp_path / "x.csv"
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(csv_path)])
+        assert rc == EXIT_OK
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert rows.shape == (100000, 4)
+        assert np.array_equal(rows[:, 0], np.arange(100000) * 2.0 ** -10)
+
     def test_negative_bath_rate_is_usage_error(self, capsys, tmp_path):
         # the protected model never evaluates its nu = 0 rate while it runs
         doc = protected_model().to_json_dict()

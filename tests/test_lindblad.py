@@ -22,7 +22,7 @@ from dressedmet.lindblad import (
     BathSpectrum,
     LindbladSet,
     Regime,
-    eigendecompose_grouped,
+    _levels,
     jump_operators,
     lamb_shift,
     spectrum_from_json,
@@ -116,6 +116,15 @@ class TestJumpOperators:
     def test_rejects_non_hermitian_coupling(self):
         with pytest.raises(ValidationError):
             jump_operators(HermitianOperator(PAULI_Z), [np.array([[0, 1], [0, 0]])])
+
+
+def eigendecompose_grouped(h: HermitianOperator, gap_tol: float):
+    """(mean energy, projector) of each single-linkage cluster of the spectrum of ``h``:
+    the eigenspaces ``lindblad._levels`` groups, as projectors."""
+    vals, vecs = np.linalg.eigh(h.entries)
+    levels = _levels(vals, gap_tol)
+    blocks = [(float(e), vecs[:, levels == e]) for e in np.unique(levels)]
+    return [(e, block @ block.conj().T) for e, block in blocks]
 
 
 class TestEigendecomposeGrouped:

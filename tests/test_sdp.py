@@ -120,6 +120,15 @@ class TestSolveDual:
         assert not _certifies(value, value + 5e-9, scale)
         assert solve_primal(problem).certified
 
+    def test_a_negative_lower_value_counts_as_zero(self):
+        # a primal tr(G Gt) below 0 at rounding is the value 0 of Gt = 0: an upper
+        # value within the window of 0 certifies, though not within it of the raw value
+        scale = 2.0
+        upper, lower = 1.5e-6, -1.5e-6
+        assert abs(upper - lower) > 1e-6 * scale >= abs(upper - 0.0)
+        assert _certifies(upper, lower, scale)
+        assert not _certifies(upper + 1e-6, lower, scale)
+
     def test_collective_optimum_beats_constructive(self):
         problem = SdpProblem.from_couplings(COLLECTIVE, [])
         dual = solve_dual(problem)

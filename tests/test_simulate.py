@@ -38,7 +38,6 @@ from dressedmet.simulate import (
     crlb,
     evolve,
     fidelity,
-    final_decade_slope,
     loglog_slope,
     perturbation_leakage,
     qfi_analytic,
@@ -284,6 +283,16 @@ class TestFidelity:
         sig = random_density(rng, 3, rank=3)
         assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-10
 
+    @pytest.mark.parametrize("pop, kept", [(5e-14, True), (5e-15, False)])
+    def test_populations_below_1e_14_relative_are_cut(self, pop, kept):
+        # sqrt(pop) enters the value when the population is kept: a cut at 1e-13
+        # would move the first case by 2.2e-7, one at 1e-15 the second by 7e-8
+        rho = np.diag([1.0 - pop, pop]).astype(complex)
+        sigma = 0.5 * np.eye(2, dtype=complex)
+        root = math.sqrt(pop) if kept else 0.0
+        want = 0.5 * (math.sqrt(1.0 - pop) + root) ** 2
+        assert abs(fidelity(rho, sigma) - want) < 1e-12
+
 
 class TestQfi:
     def test_noiseless_quadratic_growth(self):
@@ -370,6 +379,14 @@ class TestScalingSweep:
             "1.00000000000e+00,0.00000000000e+00,0.00000000000e+00,"
             "0.00000000000e+00,inf\n"
         )
+
+
+def final_decade_slope(records, which: str) -> float:
+    """Log-log slope of the ``which`` field over the last factor-10 span of the records' times."""
+    ts = np.array([r.t for r in records])
+    vals = np.array([getattr(r, which) for r in records])
+    keep = ts >= ts[-1] / 10.0
+    return loglog_slope(ts[keep], vals[keep])
 
 
 class TestSlopes:
