@@ -57,7 +57,6 @@ from .codespace import (
     check_conditions,
     code_from_optimizer,
     code_search,
-    correctable_code,
     effective_generator,
     no_go_search,
     partial_trace,
@@ -65,7 +64,6 @@ from .codespace import (
     two_level_dressing,
 )
 from .simulate import (
-    LeakageReport,
     ProbeModel,
     QfiEstimate,
     ScalingRecord,
@@ -74,8 +72,6 @@ from .simulate import (
     crlb,
     evolve,
     fidelity,
-    perturbation_leakage,
-    qfi_analytic,
     qfi_numeric,
     qfi_sld,
     scaling_sweep,
@@ -87,7 +83,6 @@ from .nv import (
     VerdictTable,
     nv_ancilla_code,
     nv_bare_code,
-    nv_bx_discrepancy,
     nv_control_bx,
     nv_couplings,
     nv_dressed_basis,

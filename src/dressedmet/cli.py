@@ -168,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     g = (_load_hermitian(args.generator) if args.generator is not None
          else HermitianOperator(np.zeros((code.sys_dim, code.sys_dim))))
     report = check_conditions(code, g, couplings)
-    payload = dataclasses.asdict(report)
+    payload = report._asdict()
     if args.generator is None:
         payload["signal"] = None
     payload["kl_ok"] = bool(report.kl_violation <= KL)
@@ -229,12 +229,13 @@ def _cmd_nv_demo(args: argparse.Namespace) -> Result:
         if args.table and args.out is None:
             doc: Document = table.to_markdown()
         elif args.table:
-            doc = {**dataclasses.asdict(table), "markdown": table.to_markdown()}
+            # a NamedTuple would go to JSON as a list, so each cell goes as a dict
+            doc = {"cells": [c._asdict() for c in table.cells], "markdown": table.to_markdown()}
         else:
             # a regime with a single cell answers for both ancilla choices
             cells = [c for c in table.cells if c.regime == args.regime]
             cell = next((c for c in cells if c.ancilla == args.ancilla), cells[0])
-            doc = dataclasses.asdict(cell)
+            doc = cell._asdict()
         outputs.append((args.out, doc))
     if args.emit_models:  # only once every document is built: a refused run leaves no directory
         os.makedirs(args.emit_models, exist_ok=True)

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import error_set, quadratic_span_condition
+from .criteria import error_set
 from .errors import NumericalError, ValidationError
 from .jsonio import check_keys, positive_whole, state_from_json, state_to_json
 from .lindblad import LindbladSet, jump_operators
@@ -88,8 +88,7 @@ class CodeSpace:
         )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Violation magnitudes of the protection conditions plus the signal.
 
     ``excitation_violation`` needs the surrounding eigenstates and is None
@@ -302,11 +301,22 @@ _SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 
 
+class StiefelRun(NamedTuple):
+    """One descent: its last value and frame, the accepted steps, the objective
+    evaluations, and the rule that stopped it, ``"rounding_floor"`` or ``"max_iter"``."""
+
+    value: float
+    frame: np.ndarray
+    steps: int
+    evaluations: int
+    stop: str
+
+
 def stiefel_minimize(
     fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     v0: np.ndarray,
     max_iter: int = 400,
-) -> Tuple[float, np.ndarray]:
+) -> StiefelRun:
     """Riemannian BFGS on d x 2 frames (Huang, Gallivan & Absil 2015).
 
     ``fn`` gives the objective and its conjugate-coordinate gradient; ``g``
@@ -323,10 +333,11 @@ def stiefel_minimize(
     descent stops at the rounding floor, a trial step whose predicted
     decrease ``-step g.p / 2`` is at most ``16 eps max(1, |f|)``
     (``ROUNDING``; a zero tangent gradient meets it at once), or after
-    ``max_iter`` accepted steps.  Each accepted step lowers the value, so
-    the last frame is the lowest visited.  ``fn`` is the only access to the
-    objective; a frame that is not d x 2 is a ``ValidationError``, and one
-    that ``_retract`` cannot orthonormalize a ``NumericalError``.
+    ``max_iter`` accepted steps; the :class:`StiefelRun` names which.  Each
+    accepted step lowers the value, so the last frame is the lowest visited.
+    ``fn`` is the only access to the objective; a frame that is not d x 2 is
+    a ``ValidationError``, and one that ``_retract`` cannot orthonormalize a
+    ``NumericalError``.
     """
     v = np.asarray(v0, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
@@ -334,7 +345,8 @@ def stiefel_minimize(
     v = _retract(v)
     f, grad = fn(v)
     gt, h = _tangent(v, grad), None
-    for _ in range(max_iter):
+    steps, evaluations, stop = 0, 1, "max_iter"
+    while steps < max_iter:
         g = gt.view(float).ravel()
         p = -0.5 * gt if h is None else _tangent(v, (h @ -g).view(complex).reshape(v.shape))
         slope = float(p.view(float).ravel() @ g)
@@ -344,11 +356,14 @@ def stiefel_minimize(
         while -0.5 * step * slope > floor:
             cand = _retract(v + step * p)
             f_new, grad_new = fn(cand)
+            evaluations += 1
             if f_new <= f + _ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
+            stop = "rounding_floor"
             break
+        steps += 1
         # the new gradient, the old one and the step, side by side, transported
         # to cand by one projection
         moved = _tangent(cand, np.concatenate([grad_new, gt, cand - v], axis=1))
@@ -362,10 +377,10 @@ def stiefel_minimize(
             z = (0.5 * (1.0 + float(y @ hy) / sy) * s - hy) / sy
             zs = z[:, None] * s
             h += zs + zs.T
-    return f, v
+    return StiefelRun(f, v, steps, evaluations, stop)
 
 
-def _restart_minima(fn, dim: int, restarts: int, seed: int) -> List[Tuple[float, np.ndarray]]:
+def _restart_minima(fn, dim: int, restarts: int, seed: int) -> List[StiefelRun]:
     """:func:`stiefel_minimize` of ``fn`` from each restart's ``stream(seed, r)`` frame."""
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -415,7 +430,7 @@ def no_go_search(
         raise ValidationError("coupling dimension mismatch with sys_dim")
     require_hermitian(np.array(mats).reshape(-1, sys_dim, sys_dim), "a coupling")
     runs = _restart_minima(_pair_penalty_terms(mats), sys_dim, restarts, seed)
-    return float(min(np.inf, *(f for f, _ in runs)))
+    return float(min(np.inf, *(run.value for run in runs)))
 
 
 def _quadratic_search_terms(
@@ -478,7 +493,8 @@ def code_search(
     fn = _quadratic_search_terms(gmat, mats, _SIGNAL_WEIGHT)
     penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None
-    for _, v in _restart_minima(fn, dim, restarts, seed):
+    for run in _restart_minima(fn, dim, restarts, seed):
+        v = run.frame
         pen = penalty_fn(v)[0]
         gblock = v.conj().T @ gmat @ v
         signal = float((gblock[1, 1] - gblock[0, 0]).real)
@@ -496,24 +512,6 @@ def _better_restart(pen: float, signal: float, best_pen: float, best_signal: flo
     if not math.isclose(abs(signal), abs(best_signal), rel_tol=1e-9):
         return abs(signal) > abs(best_signal)
     return pen < best_pen
-
-
-def correctable_code(
-    g,
-    couplings: Sequence,
-    tol: Tolerances = TOL,
-) -> Optional[CodeSpace]:
-    """Construct a correctable, signal-carrying code when one must exist.
-
-    Projects the generator off the quadratic coupling span; a nonzero
-    remainder splits into a pair of system states whose purification with
-    disjoint ancilla supports passes every Knill-Laflamme block check by
-    construction.  Returns None when the generator lies in the span.
-    """
-    report = quadratic_span_condition(g, couplings, tol=tol)
-    if not report.verdict:
-        return None
-    return code_from_optimizer(report.g_perp, tol)
 
 
 def code_from_optimizer(g_tilde: np.ndarray, tol: Tolerances = TOL) -> CodeSpace:

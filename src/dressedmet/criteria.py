@@ -7,8 +7,8 @@ survives the corresponding noise class exactly when it does.
 This module owns the criterion spans and the quadratic error set:
 :func:`error_set` builds ``[A_alpha] + [A_alpha^dag A_beta]`` as one stacked
 array for the span criteria here and for :mod:`.codespace`; the constructive
-bound in :mod:`.sdp` and the code construction take their orthogonal
-remainder ``g_perp`` from the criterion reports.  Every span here, and the
+bound in :mod:`.sdp` takes its orthogonal remainder ``g_perp`` from the
+criterion reports.  Every span here, and the
 certified dual's basis of the :func:`linear_generators` span in :mod:`.sdp`,
 comes from :func:`.operators.orthonormal_span` and its one drop rule.
 
@@ -28,8 +28,8 @@ treat borderline instances with suspicion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class Criterion(Enum):
     HNLS = "hnls"
 
 
-@dataclass(frozen=True, eq=False)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     criterion: Criterion
     verdict: bool
     residual_norm: float

@@ -10,7 +10,7 @@ also survives relaxation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,15 +18,7 @@ from .codespace import CodeSpace, check_conditions, no_go_search, two_level_dres
 from .criteria import linear_span_condition, quadratic_span_condition
 from .errors import ValidationError
 from .lindblad import BathSpectrum
-from .operators import (
-    HermitianOperator,
-    StateVector,
-    eigh_fixed,
-    first_order_mixing,
-    hermitian_part,
-    lift,
-    spin_matrices,
-)
+from .operators import HermitianOperator, StateVector, lift, spin_matrices
 from .rand import stream
 from .simulate import ProbeModel
 
@@ -79,37 +71,6 @@ def nv_dressed_basis() -> Tuple[StateVector, StateVector, StateVector]:
     minus = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     plus = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     return StateVector(zero), StateVector(minus), StateVector(plus)
-
-
-def _first_order_rotation(h0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(S) with the leading-order block-offdiagonal generator of v.
-
-    S mixes eigenspaces of h0 with amplitude <m|v|n>/(E_n - E_m); applying it
-    to unperturbed eigenvectors reproduces the exact ones to second order.
-    """
-    _, vecs, s = first_order_mixing(h0, v)
-    kvals, kvecs = np.linalg.eigh(hermitian_part(1j * s))
-    expo = kvecs @ np.diag(np.exp(-1j * kvals)) @ kvecs.conj().T
-    return vecs @ expo @ vecs.conj().T
-
-
-def nv_bx_discrepancy(bx: float) -> float:
-    """Worst eigenvector mismatch between the reduced and exact pictures.
-
-    The reduced picture keeps the bare dressed triple as its eigenbasis; the
-    exact states differ from those by a first-order rotation plus corrections
-    that start at third order in the field ratio.  This strips the known
-    rotation and returns max(1 - |overlap|) over the triple, so the result
-    measures only what the second-order reduction fails to capture.
-    """
-    h0 = _SZ @ _SZ
-    h_eff = h0 + nv_control_bx(bx).entries
-    h_exact = h0 + bx * _SX
-    rot = _first_order_rotation(h0, bx * _SX)
-    _, v_eff = eigh_fixed(h_eff)
-    _, v_exact = eigh_fixed(h_exact)
-    overlaps = np.abs(v_exact.conj().T @ (rot @ v_eff))  # (exact, dressed)
-    return float(1.0 - overlaps.max(axis=0).min())
 
 
 def nv_couplings() -> Tuple[HermitianOperator, ...]:
@@ -216,16 +177,14 @@ def unprotected_model(gamma: float = 1.0) -> ProbeModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerdictCell:
+class VerdictCell(NamedTuple):
     regime: str
     ancilla: bool
     achievable: bool
     witness: dict
 
 
-@dataclass(frozen=True)
-class VerdictTable:
+class VerdictTable(NamedTuple):
     cells: Tuple[VerdictCell, ...]
 
     def to_markdown(self) -> str:

@@ -45,7 +45,6 @@ __all__ = [
     "require_hermitian",
     "spin_matrices",
     "eigh_fixed",
-    "first_order_mixing",
 ]
 
 
@@ -373,17 +372,3 @@ def eigh_fixed(m) -> tuple[np.ndarray, np.ndarray]:
         order += sorted(range(i, j), key=key) if j > i + 1 else [i]
         i = j
     return vals[order].copy(), vecs[:, order]
-
-
-def first_order_mixing(h0, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of ``h0`` and the first-order mixing ``<m|v|n>/(E_n - E_m)``.
-
-    Returns ``(vals, vecs, coeff)`` with ``vals, vecs`` from :func:`eigh_fixed`;
-    pairs whose gap is within ``1e-9 max(1, |E|_max)`` of zero get no
-    coefficient, the diagonal included.
-    """
-    vals, vecs = eigh_fixed(h0)
-    gaps = vals[None, :] - vals[:, None]
-    mixed = np.abs(gaps) > 1e-9 * max(1.0, abs(vals).max())
-    vb = vecs.conj().T @ as_matrix(v) @ vecs
-    return vals, vecs, np.where(mixed, vb / np.where(mixed, gaps, 1.0), 0.0)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class SdpProblem:
         return self.g.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ConstructiveBound:
+class ConstructiveBound(NamedTuple):
     value: float
     rho0: Optional[np.ndarray]
     rho1: Optional[np.ndarray]
@@ -98,8 +97,7 @@ class ConstructiveBound:
     weight: float
 
 
-@dataclass(frozen=True, eq=False)
-class DualSolution:
+class DualSolution(NamedTuple):
     """Dual value and coefficients, plus what the barrier path read off.
 
     ``stop`` names the exit: ``"path_end"`` when the central path was
@@ -127,8 +125,7 @@ class DualSolution:
         return self.stop == "path_end"
 
 
-@dataclass(frozen=True, eq=False)
-class SdpSolution:
+class SdpSolution(NamedTuple):
     primal_value: float
     g_tilde: HermitianOperator
     x_certificate: HermitianOperator

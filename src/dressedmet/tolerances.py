@@ -11,11 +11,10 @@ field-ratio limit in ``nv`` and the entry bound in ``operators``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # entrywise Hermiticity deviation accepted when wrapping a matrix
     hermiticity: float = 1e-12
     # PSD check slack for bath-rate matrices

@@ -37,12 +37,12 @@ import time
 import numpy as np
 import pytest
 
+from _witnesses import correctable_code, loglog_slope, perturbation_leakage
 from conftest import random_hermitian
 from dressedmet.codespace import (
     check_conditions,
     code_from_optimizer,
     code_search,
-    correctable_code,
     two_level_dressing,
 )
 from dressedmet.criteria import quadratic_generators, quadratic_span_condition
@@ -72,8 +72,6 @@ from dressedmet.sdp import SdpProblem, constructive_bound, solve_primal
 from dressedmet.simulate import (
     ProbeModel,
     SimConfig,
-    loglog_slope,
-    perturbation_leakage,
     qfi_numeric,
     scaling_sweep,
 )

@@ -23,6 +23,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from dressedmet.jsonio import dump_json, operator_to_json
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.operators import spin_matrices
 from dressedmet.sdp import SdpProblem, solve_dual
-from dressedmet.simulate import ProbeModel
+from dressedmet.simulate import MAX_STEPS, ProbeModel, _step_count
 
 SX, SY, SZ = spin_matrices(2)
 
@@ -583,6 +584,30 @@ class TestSimulate:
         rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
         assert rows.shape == (100000, 4)
         assert np.array_equal(rows[:, 0], np.arange(100000) * 2.0 ** -10)
+
+    def test_oversized_step_count_is_usage_error(self, capsys, tmp_path):
+        # 10^12 steps that store 10001 states: past the step bound, not the record bound
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(unprotected_model().to_json_dict()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"t_final": 1e6, "dt": 1e-6, "record_stride": 100000000}')
+        start = time.perf_counter()
+        rc = dispatch(["simulate", "--model", str(model_path), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"dressedmet: the run would take {10**12} steps, over 100000000\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.json"]
+
+    def test_a_run_at_the_step_bound_is_counted_not_refused(self):
+        # 97656.25 = 10^8 steps of 2^-10 exactly; one step more is refused
+        dt = 2.0 ** -10
+        assert MAX_STEPS == 10**8
+        assert _step_count(MAX_STEPS * dt, dt) == MAX_STEPS
+        assert _step_count(MAX_STEPS * dt, dt, stride=10**4) == MAX_STEPS
+        with pytest.raises(ValidationError, match="the run would take 100000001 steps, over 100000000"):
+            _step_count((MAX_STEPS + 1) * dt, dt)
 
     def test_negative_bath_rate_is_usage_error(self, capsys, tmp_path):
         # the protected model never evaluates its nu = 0 rate while it runs

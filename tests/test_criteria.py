@@ -89,7 +89,7 @@ class TestQuadraticCondition:
 
     def test_non_hermitian_couplings_rejected(self):
         # the shift's AA and A^dag A differ, so no quadratic span is defined
-        from dressedmet.codespace import correctable_code
+        from _witnesses import correctable_code
 
         shift = np.diag([1.0, 1.0], k=1)
         g = np.diag([1.0, 0.0, -1.0])

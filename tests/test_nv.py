@@ -21,7 +21,6 @@ Frozen oracle values (hand derivation unless noted):
   dressed probe: coherence pinned at 1/2, Fisher t^2 / 4.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +33,6 @@ from dressedmet.nv import (
     NvParams,
     nv_ancilla_code,
     nv_bare_code,
-    nv_bx_discrepancy,
     nv_control_bx,
     nv_couplings,
     nv_dressed_basis,
@@ -50,6 +48,8 @@ from dressedmet.codespace import no_go_search
 from dressedmet.operators import HermitianOperator, lift, spin_matrices
 from dressedmet.simulate import SimConfig, qfi_numeric, qfi_sld
 from dressedmet.tolerances import KL
+
+from _witnesses import nv_bx_discrepancy
 
 SX, SY, SZ = spin_matrices(2)
 
@@ -201,7 +201,7 @@ class TestVerdicts:
 
     def test_json_layout(self):
         table = nv_verdict_table(restarts=50, seed=0)
-        obj = dataclasses.asdict(table)
+        obj = {"cells": [c._asdict() for c in table.cells]}
         assert len(obj["cells"]) == 4
         for cell in obj["cells"]:
             assert set(cell) == {"regime", "ancilla", "achievable", "witness"}

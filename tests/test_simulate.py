@@ -38,15 +38,13 @@ from dressedmet.simulate import (
     crlb,
     evolve,
     fidelity,
-    loglog_slope,
-    perturbation_leakage,
-    qfi_analytic,
     qfi_numeric,
     qfi_sld,
     scaling_sweep,
 )
 from dressedmet.tolerances import Tolerances
 
+from _witnesses import loglog_slope, perturbation_leakage, qfi_analytic
 from conftest import random_density
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -20,7 +20,6 @@ from dressedmet.codespace import (
     CodeSpace,
     _code_blocks,
     check_conditions,
-    correctable_code,
     purify_pair,
 )
 from dressedmet.criteria import error_set, quadratic_generators
@@ -37,6 +36,7 @@ from dressedmet.rand import stream
 from dressedmet.sdp import constructive_bound
 from dressedmet.tolerances import KL, MEMBERSHIP, SPAN_DROP
 
+from _witnesses import correctable_code
 from conftest import random_hermitian
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from dressedmet.codespace import purify_pair
-from dressedmet.nv import _SX, _SZ, _first_order_rotation, nv_bx_discrepancy, nv_control_bx
-from dressedmet.operators import HermitianOperator, as_matrix, eigh_fixed, first_order_mixing
+from dressedmet.nv import _SX, _SZ, nv_control_bx
+from dressedmet.operators import HermitianOperator, as_matrix, eigh_fixed
 from dressedmet.rand import stream
-from dressedmet.simulate import loglog_slope, perturbation_leakage
 from dressedmet.tolerances import RANK
 
+from _witnesses import (
+    _first_order_rotation, first_order_mixing, loglog_slope, nv_bx_discrepancy, perturbation_leakage,
+)
 from conftest import random_density, random_hermitian
 
 

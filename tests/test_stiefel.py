@@ -284,7 +284,7 @@ class TestSearches:
         fn, ref = _pair_penalty_terms(mats), loop_pair_penalty(mats)
         for r in range(50):
             v0 = random_frame(stream(rotation, r), 3)
-            f_new, _ = stiefel_minimize(fn, v0)
+            f_new = stiefel_minimize(fn, v0).value
             f_ref, _ = loop_minimize(ref, v0)
             assert abs(f_new - f_ref) <= 1e-12
             assert f_new >= NO_GO_FLOOR - 1e-9
@@ -302,14 +302,14 @@ class TestSearches:
         for r in range(3):
             v0 = random_frame(stream(seed, r), dim)
             counted_fn, calls = counted(fn)
-            f, v = stiefel_minimize(counted_fn, v0)
+            f, v = stiefel_minimize(counted_fn, v0)[:2]
             values.append(f)
             loop_values.append(loop_minimize(ref, v0)[0])
             if seed in CONVERGED_SEEDS:
                 # fewer evaluations than max_iter steps, and a longer budget
                 # changes nothing: another stop rule ended the restart
                 assert calls[0] < 400
-                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)[:2]
                 assert f_long == f and np.array_equal(v_long, v)
             gblock = v.conj().T @ g @ v
             cand = (penalty(v)[0], float((gblock[1, 1] - gblock[0, 0]).real), v)
@@ -348,15 +348,15 @@ class TestSearches:
             fn = _quadratic_search_terms(g, couplings, _SIGNAL_WEIGHT)
             for r in range(2):
                 v0 = random_frame(stream(instance, r), dim)
-                f, v = stiefel_minimize(fn, v0)
-                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+                f, v = stiefel_minimize(fn, v0)[:2]
+                f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)[:2]
                 assert f_long == f and np.array_equal(v_long, v)
 
     def test_converged_no_go_restart_stops_at_rounding_floor(self):
         mats = [as_matrix(a) for a in nv_couplings()]
         v0 = random_frame(stream(0, 0), 3)
         fn, calls = counted(_pair_penalty_terms(mats))
-        f, _ = stiefel_minimize(fn, v0)
+        f = stiefel_minimize(fn, v0).value
         ref, ref_calls = counted(loop_pair_penalty(mats))
         f_ref, _ = loop_minimize(ref, v0)
         assert f == pytest.approx(NO_GO_FLOOR, abs=1e-12)
@@ -377,7 +377,7 @@ class TestStopRules:
         # the budget is never reached, and the tangent gradient is not zero
         fn, v0 = self.restart()
         counted_fn, calls = counted(fn)
-        f, v = stiefel_minimize(counted_fn, v0, max_iter=10**6)
+        f, v = stiefel_minimize(counted_fn, v0, max_iter=10**6)[:2]
         assert f == pytest.approx(NO_GO_FLOOR, abs=1e-12)
         assert calls[0] <= 30
         assert np.linalg.norm(_tangent(v, fn(v)[1])) > 0.0
@@ -386,19 +386,19 @@ class TestStopRules:
         # no couplings: the penalty is 0 everywhere, and no trial step is taken
         fn, v0 = _pair_penalty_terms([]), random_frame(stream(0, 0), 3)
         counted_fn, calls = counted(fn)
-        f, v = stiefel_minimize(counted_fn, v0, max_iter=10**6)
+        f, v = stiefel_minimize(counted_fn, v0, max_iter=10**6)[:2]
         assert calls[0] == 1
         assert f == fn(_retract(v0))[0] and np.array_equal(v, _retract(v0))
 
     def test_max_iter(self):
         fn, v0 = self.restart()
         counted_fn, calls = counted(fn)
-        f, v = stiefel_minimize(counted_fn, v0, max_iter=0)
+        f, v = stiefel_minimize(counted_fn, v0, max_iter=0)[:2]
         assert calls[0] == 1
         assert f == fn(_retract(v0))[0] and np.array_equal(v, _retract(v0))
         for max_iter in (1, 5):
             counted_fn, calls = counted(fn)
-            f, _ = stiefel_minimize(counted_fn, v0, max_iter=max_iter)
+            f = stiefel_minimize(counted_fn, v0, max_iter=max_iter).value
             assert calls[0] >= max_iter + 1
             assert f > NO_GO_FLOOR + 1e-6
 
@@ -407,15 +407,15 @@ class TestStopRules:
         # returns a higher one; the restart ends at the rounding floor, where
         # any longer budget returns the same frame
         fn, v0 = self.restart()
-        runs = [stiefel_minimize(fn, v0, max_iter=m) for m in range(12)]
+        runs = [stiefel_minimize(fn, v0, max_iter=m)[:2] for m in range(12)]
         values = [f for f, _ in runs]
         assert values == sorted(values, reverse=True)
         stop = values.index(values[-1])  # accepted steps before the floor
         assert 0 < stop < 11 and len(set(values)) == stop + 1
         for f, v in runs:
             assert fn(v)[0] == f
-        f, v = stiefel_minimize(fn, v0)
-        f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)
+        f, v = stiefel_minimize(fn, v0)[:2]
+        f_long, v_long = stiefel_minimize(fn, v0, max_iter=10**4)[:2]
         assert f_long == f and np.array_equal(v_long, v)
 
 
@@ -458,11 +458,11 @@ def run_restart(kernel, name, args, v0):
     """Value, evaluations and stop rule of one restart of ``kernel``'s search."""
     fn = getattr(kernel, name)(*args)
     counted_fn, calls = counted(fn)
-    f, v = kernel.stiefel_minimize(counted_fn, v0)
+    f, v = kernel.stiefel_minimize(counted_fn, v0)[:2]
     # max_iter accepted steps take more than max_iter evaluations
     stop = "floor"
     if calls[0] > 400:
-        f_long, v_long = kernel.stiefel_minimize(fn, v0, max_iter=10**4)
+        f_long, v_long = kernel.stiefel_minimize(fn, v0, max_iter=10**4)[:2]
         stop = "floor" if f_long == f and np.array_equal(v_long, v) else "max_iter"
     return f, calls[0], stop
 
@@ -488,3 +488,60 @@ class TestLeanStep:
         diffs = [new[1] - ref[1] for new, ref in lean_step_pairs]
         assert max(map(abs, diffs)) <= 2
         assert diffs.count(0) >= 0.95 * len(diffs)
+
+
+# ---------------------------------------------------------------------------
+# the run record
+# ---------------------------------------------------------------------------
+
+
+def record_cases():
+    """``(objective, start frame, max_iter)`` of restarts that end by either stop rule."""
+    no_go = _pair_penalty_terms([as_matrix(a) for a in nv_couplings()])
+    for r in range(4):
+        for max_iter in (0, 1, 5, 400):
+            yield no_go, random_frame(stream(0, r), 3), max_iter
+    yield _pair_penalty_terms([]), random_frame(stream(0, 0), 3), 400  # zero tangent gradient
+    for i, (g, couplings, dim) in enumerate(in_span_sample(4)):
+        yield _quadratic_search_terms(g, couplings, _SIGNAL_WEIGHT), random_frame(stream(i, 0), dim), 400
+
+
+class TestRunRecord:
+    """A restart's record against counts taken by wrapping: the objective for
+    evaluations, the d x 6 transport (one per accepted step) for steps."""
+
+    def test_counts_and_stop_rule(self, monkeypatch):
+        transports = [0]
+        tangent = codespace._tangent
+
+        def counted_tangent(v, x):
+            transports[0] += x.shape[1] == 6
+            return tangent(v, x)
+
+        monkeypatch.setattr(codespace, "_tangent", counted_tangent)
+        stops = []
+        for fn, v0, max_iter in record_cases():
+            counted_fn, calls = counted(fn)
+            transports[0] = 0
+            run = stiefel_minimize(counted_fn, v0, max_iter=max_iter)
+            assert (run.evaluations, run.steps) == (calls[0], transports[0])
+            assert fn(run.frame)[0] == run.value
+            if run.stop == "max_iter":
+                assert run.steps == max_iter
+            else:
+                # the floor ended it: a longer budget takes the same steps to the same frame
+                assert run.stop == "rounding_floor" and run.steps < max_iter
+                longer = stiefel_minimize(fn, v0, max_iter=max_iter + 10**4)
+                assert longer.value == run.value and np.array_equal(longer.frame, run.frame)
+                assert longer[2:] == run[2:]
+            stops.append(run.stop)
+        assert stops.count("max_iter") == 12 and stops.count("rounding_floor") == 9
+
+    def test_restarts_keep_each_record(self):
+        fn = _pair_penalty_terms([as_matrix(a) for a in nv_couplings()])
+        runs = codespace._restart_minima(fn, 3, 5, seed=11)
+        for r, run in enumerate(runs):
+            solo = stiefel_minimize(fn, random_frame(stream(11, r), 3))
+            assert run.value == solo.value and np.array_equal(run.frame, solo.frame)
+            assert run[2:] == solo[2:]
+        assert codespace.no_go_search(nv_couplings(), 3, restarts=5, seed=11) == min(r.value for r in runs)
