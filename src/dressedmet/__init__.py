@@ -78,7 +78,6 @@ from .simulate import (
 )
 from .nv import (
     NO_GO_FLOOR,
-    NvParams,
     VerdictCell,
     VerdictTable,
     nv_ancilla_code,

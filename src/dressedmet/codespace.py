@@ -18,7 +18,6 @@ import numpy as np
 from .criteria import error_set
 from .errors import NumericalError, ValidationError
 from .jsonio import check_keys, positive_whole, state_from_json, state_to_json
-from .lindblad import LindbladSet, jump_operators
 from .operators import (
     HermitianOperator,
     StateVector,
@@ -247,24 +246,15 @@ def effective_generator(code: CodeSpace, g) -> EffectiveGenerator:
     return EffectiveGenerator(g00, g11, delta, 0.25 * delta * delta)
 
 
-def two_level_dressing(
-    code: CodeSpace,
-    couplings: Sequence,
-    nu0: float,
-    tol: Tolerances = TOL,
-) -> Tuple[HermitianOperator, LindbladSet]:
-    """Two-eigenspace control: code at energy 0, complement lifted by nu0.
+def two_level_dressing(code: CodeSpace, nu0: float) -> HermitianOperator:
+    """Two-eigenspace control ``nu0 (I - P)``: code at energy 0, complement lifted by nu0.
 
-    Returns the control operator and the induced jump set, which has exactly
-    the three-frequency block structure L(0), L(+-nu0) per coupling.
+    Its jump set, ``jump_operators(h_c, couplings lifted to the code)``, has
+    exactly the three-frequency block structure L(0), L(+-nu0) per coupling.
     """
     if nu0 <= 0:
         raise ValidationError("nu0 must be positive")
-    rest = np.eye(code.total_dim) - code.projector
-    h_c = HermitianOperator(nu0 * rest)
-    mats = [HermitianOperator(_lift_to_code(a, code)) for a in couplings]
-    lset = jump_operators(h_c, mats, tol=tol)
-    return h_c, lset
+    return HermitianOperator(nu0 * (np.eye(code.total_dim) - code.projector))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +289,9 @@ def _tangent(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 _SIGNAL_WEIGHT = 0.1  # signal pull of the code_search objective
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+# the most restarts a search takes: each makes its stream and start frame, about
+# 0.9 KB and 35 us, before the first descent, so 10^5 hold about 90 MB up front
+MAX_RESTARTS = 10**5
 
 
 class StiefelRun(NamedTuple):
@@ -381,9 +374,10 @@ def stiefel_minimize(
 
 
 def _restart_minima(fn, dim: int, restarts: int, seed: int) -> List[StiefelRun]:
-    """:func:`stiefel_minimize` of ``fn`` from each restart's ``stream(seed, r)`` frame."""
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    """:func:`stiefel_minimize` of ``fn`` from each restart's ``stream(seed, r)`` frame;
+    a count outside 1 to ``MAX_RESTARTS`` is refused before any stream is made."""
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValidationError(f"restarts must be from 1 to {MAX_RESTARTS}, got {restarts}")
     rngs = [stream(seed, r) for r in range(restarts)]
     frames = [g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2)) for g in rngs]
     return [stiefel_minimize(fn, v0) for v0 in frames]
@@ -440,7 +434,9 @@ def _quadratic_search_terms(
 
     Minimizes the Knill-Laflamme block deviation of the couplings and all
     pair products, minus ``weight`` times the signal, so the search is pulled
-    toward correctable pairs that still see the generator.
+    toward correctable pairs that still see the generator.  A call may pass
+    its own ``weight``: at 0 the value is the penalty alone, bitwise, since
+    ``f - 0 s`` is ``f``.
     """
     d = gmat.shape[0]
     errs = error_set(mats, d)
@@ -450,7 +446,7 @@ def _quadratic_search_terms(
     stack = np.concatenate([stack.reshape(-1, d), gmat])
     signs = np.array([-1.0, 1.0])
 
-    def fn(v: np.ndarray) -> Tuple[float, np.ndarray]:
+    def fn(v: np.ndarray, weight: float = weight) -> Tuple[float, np.ndarray]:
         wg = stack @ v
         w, gv = wg[:-d].reshape(-1, 2, d, 2), wg[-d:] * signs
         # deviation D of each block from its best multiple of identity:
@@ -491,11 +487,10 @@ def code_search(
         raise ValidationError("generator or coupling dimension mismatch with dim")
     require_hermitian(np.array([gmat, *mats]), "the generator or a coupling")
     fn = _quadratic_search_terms(gmat, mats, _SIGNAL_WEIGHT)
-    penalty_fn = _quadratic_search_terms(gmat, mats, 0.0)
     best: Optional[Tuple[float, float, np.ndarray]] = None
     for run in _restart_minima(fn, dim, restarts, seed):
         v = run.frame
-        pen = penalty_fn(v)[0]
+        pen = fn(v, 0.0)[0]
         gblock = v.conj().T @ gmat @ v
         signal = float((gblock[1, 1] - gblock[0, 0]).real)
         if best is None or _better_restart(pen, signal, best[0], best[1]):

@@ -9,7 +9,6 @@ also survives relaxation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,27 +29,22 @@ NO_GO_FLOOR = 2.0
 _SX, _SY, _SZ = spin_matrices(2)
 
 
-@dataclass(frozen=True)
-class NvParams:
-    """Ground-triplet parameters in units of the zero-field splitting."""
-
-    d_split: float = 1.0
-    e_strain: float = 0.0
-    gamma_e: float = 1.0
-    b_field: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    delta_omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.d_split <= 0:
-            raise ValidationError("d_split must be positive")
-
-
-def nv_hamiltonian(p: NvParams) -> HermitianOperator:
-    """Triplet Hamiltonian: splitting plus strain plus Zeeman terms."""
-    bx, by, bz = p.b_field
-    h = (p.d_split + p.delta_omega) * (_SZ @ _SZ)
-    h = h - p.e_strain * (_SX @ _SX - _SY @ _SY)
-    h = h + p.gamma_e * (bx * _SX + by * _SY + bz * _SZ)
+def nv_hamiltonian(
+    *,
+    d_split: float = 1.0,
+    e_strain: float = 0.0,
+    gamma_e: float = 1.0,
+    b_field: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+    delta_omega: float = 0.0,
+) -> HermitianOperator:
+    """Triplet Hamiltonian: splitting plus strain plus Zeeman terms, in units of
+    the zero-field splitting."""
+    if d_split <= 0:
+        raise ValidationError("d_split must be positive")
+    bx, by, bz = b_field
+    h = (d_split + delta_omega) * (_SZ @ _SZ)
+    h = h - e_strain * (_SX @ _SX - _SY @ _SY)
+    h = h + gamma_e * (bx * _SX + by * _SY + bz * _SZ)
     return HermitianOperator(h)
 
 
@@ -141,7 +135,7 @@ def protected_model(
         code = nv_ancilla_code()
         couplings = tuple(HermitianOperator(lift(c.entries, 2)) for c in couplings)
         g = HermitianOperator(lift(g.entries, 2))
-        h, _ = two_level_dressing(code, couplings, nu0)
+        h = two_level_dressing(code, nu0)
     psi = (code.psi0.amplitudes + code.psi1.amplitudes) / np.sqrt(2.0)
     rho0 = np.outer(psi, psi.conj())
     return ProbeModel(h=h, g=g, couplings=couplings, spectrum=spectrum,

@@ -364,18 +364,18 @@ def solve_primal(problem: SdpProblem) -> SdpSolution:
     overlap = np.abs(np.einsum("kab,ba->k", cons, dual.g_tilde))
     if not (overlap <= 1e-12 * np.linalg.norm(cons, axis=(1, 2))).all():
         raise NumericalError(f"primal read-off leaves a constraint overlap of {overlap.max():.3e}")
-    g_tilde = HermitianOperator(dual.g_tilde).entries
-    vals, vecs = np.linalg.eigh(g_tilde)
+    g_tilde = HermitianOperator(dual.g_tilde)
+    vals, vecs = np.linalg.eigh(g_tilde.entries)
     norm = float(np.abs(vals).sum())
     if norm and abs(norm - 2.0) > 1e-12:
         raise NumericalError(f"primal read-off has trace norm {norm!r}, not 2")
     x = (vecs * np.abs(vals)) @ vecs.conj().T
 
     scale = float(np.linalg.norm(np.linalg.eigvalsh(problem.g), np.inf))
-    primal_value = float(np.trace(problem.g @ g_tilde).real)
+    primal_value = float(np.trace(problem.g @ g_tilde.entries).real)
     return SdpSolution(
         primal_value=primal_value,
-        g_tilde=HermitianOperator(g_tilde),
+        g_tilde=g_tilde,
         x_certificate=HermitianOperator(x),
         dual_value=dual.value,
         dual_coeffs=dual.coeffs,

@@ -40,7 +40,9 @@ from .lindblad import (
     spectrum_from_json,
     superoperator,
 )
-from .operators import HermitianOperator, as_matrix, hermitian_part, require_hermitian
+from .operators import (
+    HermitianOperator, as_matrix, hermitian_part, require_bounded, require_hermitian,
+)
 from .tolerances import STABILITY, TOL, Tolerances
 
 
@@ -85,11 +87,12 @@ class Trajectory(NamedTuple):
 
 
 def _default_dt(
-    hams: Sequence[HermitianOperator], lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
+    hams: np.ndarray, lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
 ) -> float:
-    """1e-3 over the larger of the largest norm of ``hams`` and the total bath rate: the
-    smallest of the ``hams``' own defaults, with the bath rates evaluated once."""
-    hnorm = max(float(np.abs(np.linalg.eigvalsh(h.entries)).max()) for h in hams)
+    """1e-3 over the larger of the largest norm of the stacked Hamiltonians ``hams`` and
+    the total bath rate: the smallest of their own defaults, by one stacked ``eigvalsh``,
+    with the bath rates evaluated once."""
+    hnorm = float(np.abs(np.linalg.eigvalsh(hams)).max())
     rates = spectrum.rates(lset.frequencies, tol)
     total_rate = sum(np.trace(rates, axis1=1, axis2=2).real.tolist())
     return 1e-3 / max(hnorm, total_rate, 1e-3)
@@ -336,7 +339,7 @@ def evolve(
     refused before any state is made."""
     rho0 = as_matrix(rho0)
     gens = superoperator(h_s, lset, spectrum, tol=tol)[None]
-    dt = cfg.dt if cfg.dt is not None else _default_dt([h_s], lset, spectrum, tol)
+    dt = cfg.dt if cfg.dt is not None else _default_dt(h_s.entries[None], lset, spectrum, tol)
     _check_stability(gens, dt)
     n_steps = _step_count(cfg.t_final, dt, cfg.record_stride)
     dt = cfg.t_final / n_steps
@@ -387,7 +390,7 @@ class ProbeModel:
         return _offset_generators(self, self.jump_set(tol), offsets, tol)
 
     def hamiltonian(self, delta_omega: float) -> HermitianOperator:
-        return HermitianOperator(self.h.entries + delta_omega * self.g.entries)
+        return HermitianOperator(_offset_hamiltonians(self, [delta_omega])[0])
 
     def evolve(self, delta_omega: float, cfg: SimConfig, tol: Tolerances = TOL) -> Trajectory:
         lset = self.jump_set(tol)
@@ -447,6 +450,15 @@ class ProbeModel:
             gap_tol=(finite_number(obj["gap_tol"], "model gap_tol")
                      if obj.get("gap_tol") is not None else None),
         )
+
+
+def _offset_hamiltonians(model: ProbeModel, offsets: Sequence[float]) -> np.ndarray:
+    """Stacked ``h + delta g``, one per offset; a non-finite or overflowing stack is
+    refused as an operator would be, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hams = model.h.entries + np.asarray(offsets, dtype=float)[:, None, None] * model.g.entries
+    require_bounded(hams, "operator")
+    return hams
 
 
 def _offset_generators(
@@ -599,8 +611,7 @@ def _grid_run(
     if cfg is not None and cfg.dt is not None:
         dt = cfg.dt
     else:
-        hams = [model.hamiltonian(d) for d in offsets]
-        dt = _default_dt(hams, lset, model.spectrum, tol)
+        dt = _default_dt(_offset_hamiltonians(model, offsets), lset, model.spectrum, tol)
     ends, rests = _grid_marks(tgrid, dt)
     gens = _offset_generators(model, lset, offsets, tol)
     _check_stability(gens, dt)

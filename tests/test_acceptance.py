@@ -46,10 +46,9 @@ from dressedmet.codespace import (
     two_level_dressing,
 )
 from dressedmet.criteria import quadratic_generators, quadratic_span_condition
-from dressedmet.lindblad import BathSpectrum, Regime
+from dressedmet.lindblad import BathSpectrum, Regime, jump_operators
 from dressedmet.nv import (
     NO_GO_FLOOR,
-    NvParams,
     nv_bare_code,
     nv_couplings,
     nv_dressed_hamiltonian,
@@ -256,7 +255,7 @@ def test_6_correctability_consistency(capsys):
             # dressed pair below a lifted complement
             lifted = [HermitianOperator(lift(a, found.anc_dim))
                       for a in couplings]
-            two_level_dressing(found, lifted, nu0=5.0)
+            jump_operators(two_level_dressing(found, nu0=5.0), lifted)
         if (found is not None) != verdict:
             disagreements.append(i)
     elapsed = time.perf_counter() - t0
@@ -276,7 +275,7 @@ def test_7_leakage_order(capsys):
     t0 = time.perf_counter()
     # the reduced control model shares an eigenbasis with the generator, so
     # the response lives in the lab frame: splitting plus transverse drive
-    h0 = nv_hamiltonian(NvParams(b_field=(0.1, 0.0, 0.0)))
+    h0 = nv_hamiltonian(b_field=(0.1, 0.0, 0.0))
     rep = perturbation_leakage(h0, signal_generator(), 1e-2)
     elapsed = time.perf_counter() - t0
 

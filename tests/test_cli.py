@@ -38,6 +38,8 @@ from dressedmet.cli import (
     _parse_tgrid,
     dispatch,
 )
+from dressedmet import codespace
+from dressedmet.codespace import MAX_RESTARTS
 from dressedmet.errors import ValidationError
 from dressedmet.jsonio import dump_json, operator_to_json
 from dressedmet.nv import protected_model, unprotected_model
@@ -256,6 +258,26 @@ class TestNoGo:
     def test_requires_couplings(self, capsys):
         rc, _ = run(capsys, ["no-go"])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [["no-go", "--couplings", "sx", "sy", "sz"],
+                                         ["nv-demo", "--table"]], ids=["no-go", "nv-demo"])
+    def test_a_restart_count_over_the_bound_is_refused_at_once(
+            self, capsys, ops, tmp_path, monkeypatch, command):
+        # 10^9 restarts would hold ~1 TB of streams and frames before the first descent
+        def refuse(*args, **kwargs):
+            raise AssertionError("a restart stream was built")
+
+        monkeypatch.setattr(codespace, "stream", refuse)
+        out = tmp_path / "out.json"
+        argv = [ops.get(a, a) for a in command] + ["--restarts", str(10**9), "--out", str(out)]
+        start = time.perf_counter()
+        rc = dispatch(argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dressedmet: restarts must be from 1 to {MAX_RESTARTS}, got {10**9}\n"
+        assert not out.exists() and not (tmp_path / "out.json.manifest.json").exists()
 
 
 class TestSeedHandling:

@@ -19,7 +19,9 @@ Frozen oracle values (hand derivation, verified by direct arithmetic):
 import numpy as np
 import pytest
 
+from dressedmet import codespace
 from dressedmet.codespace import (
+    MAX_RESTARTS,
     CodeSpace,
     check_conditions,
     code_from_optimizer,
@@ -35,6 +37,7 @@ from dressedmet.codespace import (
     _quadratic_search_terms,
 )
 from dressedmet.errors import NumericalError, ValidationError
+from dressedmet.lindblad import jump_operators
 from dressedmet.nv import nv_bare_code
 from dressedmet.operators import (
     MAX_ENTRY,
@@ -311,7 +314,8 @@ class TestControlHamiltonian:
 class TestTwoLevelDressing:
     def test_three_frequency_structure(self):
         code = dressed_pair_code()
-        hc, lset = two_level_dressing(code, [SX, SY, SZ], nu0=5.0)
+        hc = two_level_dressing(code, nu0=5.0)
+        lset = jump_operators(hc, [SX, SY, SZ])
         assert lset.frequencies == (-5.0, 0.0, 5.0)
         # control acts only on the complement
         np.testing.assert_allclose(
@@ -320,14 +324,14 @@ class TestTwoLevelDressing:
 
     def test_zero_blocks_commute_with_projector(self):
         code = dressed_pair_code()
-        _, lset = two_level_dressing(code, [SX, SY, SZ], nu0=2.0)
+        lset = jump_operators(two_level_dressing(code, nu0=2.0), [SX, SY, SZ])
         p = code.projector
         for block in lset.blocks[lset.frequencies.index(0.0)]:
             np.testing.assert_allclose(block @ p, p @ block, atol=1e-12)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValidationError):
-            two_level_dressing(dressed_pair_code(), [SZ], nu0=0.0)
+            two_level_dressing(dressed_pair_code(), nu0=0.0)
 
 
 class TestSearchGradients:
@@ -382,6 +386,20 @@ class TestNoGoSearch:
     def test_ancilla_lift_reopens_protection(self):
         lifted = [lift(a, 2) for a in (SX, SY, SZ)]
         assert no_go_search(lifted, 6, restarts=10, seed=3) < 1e-10
+
+    def test_the_restart_bound_is_inclusive(self, monkeypatch):
+        # a count at the bound reaches the streams; one more is refused before them
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(codespace, "stream", reached)
+        with pytest.raises(Reached):
+            no_go_search([SZ], 3, restarts=MAX_RESTARTS)
+        with pytest.raises(ValidationError, match=f"restarts must be from 1 to {MAX_RESTARTS}"):
+            no_go_search([SZ], 3, restarts=MAX_RESTARTS + 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):

@@ -14,6 +14,13 @@ inputs of ``build-code`` and ``verify`` are the golden ``optimize`` and
 - raise no warning (tier-1 turns ``RuntimeWarning`` into an error);
 - on exit 1 or 2, write no output file, no sidecar and nothing on stdout;
 - on exit 0 or 3, write only finite numbers.
+
+The dynamics commands ``simulate`` and ``sweep`` keep the same contract on
+the ``nv-models`` steps of ``golden/cases.json``, whose models are the golden
+``nv-demo --emit-models`` outputs: each example mutates one model or config
+document the same way, or draws the ``--delta-omega`` value or the three
+``--tgrid`` fields from extreme, malformed and valid values.  An accepted run
+exits 0 and writes a CSV of finite values.
 """
 
 import contextlib
@@ -25,6 +32,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -138,7 +146,10 @@ def _run(argv, docs, workdir):
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("always")
-        code = dispatch(argv)
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse's usage refusal, exit 1
+            code = exc.code
     assert not caught, [str(w.message) for w in caught]
     return code, out.getvalue(), sorted(set(workdir.iterdir()) - before)
 
@@ -173,3 +184,105 @@ def test_the_unmutated_steps_pass():
         with tempfile.TemporaryDirectory() as tmp:
             code, _, written = _run(argv, docs, Path(tmp))
             assert code in (0, 3) and (written or argv[0] == "check")
+
+
+# ---------------------------------------------------------------------------
+# the dynamics commands
+# ---------------------------------------------------------------------------
+
+MODELS = GOLDEN / "expected" / "nv-models"
+
+
+def _dynamics_steps():
+    """``(argv, {file name: document})`` of the golden ``simulate`` and ``sweep`` steps."""
+    steps = []
+    for argv in json.loads((GOLDEN / "cases.json").read_text())["cases"]["nv-models"]:
+        if argv[0] not in ("simulate", "sweep"):
+            continue
+        docs = {}
+        for flag, arg in zip(argv, argv[1:]):
+            if arg.startswith("{inputs}/"):
+                docs[arg] = json.loads((GOLDEN / "inputs" / arg[len("{inputs}/"):]).read_text())
+            elif arg.endswith(".json"):
+                docs[arg] = json.loads((MODELS / arg).read_text())
+        steps.append((argv, docs))
+    return steps
+
+
+DYNAMICS_STEPS = _dynamics_steps()
+# argument values: extreme, malformed, and valid ones
+NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1", "0", "", "x", "0.3", "1e10"]
+TIMES = ["nan", "inf", "1e308", "-1", "0", "", "x", "0.25", "0.5", "2", "1e6"]
+COUNTS = ["0", "1", "2", "3", "-1", "100001", "1e308", "", "x", "3log", "0log"]
+
+
+def _with_argument(argv, flag, value):
+    """``argv`` with ``flag`` set to ``value``, appended when absent."""
+    if flag in argv:
+        i = argv.index(flag) + 1
+        return argv[:i] + [value] + argv[i + 1:]
+    return argv + [flag, value]
+
+
+def _read_csv(text):
+    header, *rows = text.splitlines()
+    values = [float(x) for row in rows for x in row.split(",")]
+    assert header and rows and all(math.isfinite(x) for x in values), text[:200]
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_a_mutated_dynamics_input_keeps_the_cli_contract(data):
+    argv, docs = data.draw(st.sampled_from(DYNAMICS_STEPS))
+    target = data.draw(st.sampled_from(sorted(docs) + ["argument"]))
+    if target != "argument":
+        mutation = data.draw(st.sampled_from(_mutations(docs[target])))
+        docs = {**docs, target: _mutate(docs[target], *mutation)}
+    elif argv[0] == "simulate":
+        argv = _with_argument(argv, "--delta-omega", data.draw(st.sampled_from(NUMBERS)))
+    else:
+        fields = [data.draw(st.sampled_from(TIMES)), data.draw(st.sampled_from(TIMES)),
+                  data.draw(st.sampled_from(COUNTS))]
+        argv = _with_argument(argv, "--tgrid", ":".join(fields))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, written = _run(argv, docs, Path(tmp))
+        assert code in (0, 1, 2)
+        if code:
+            assert not written and not stdout
+            return
+        assert not stdout and len(written) == 2  # the CSV and its sidecar
+        for path in written:
+            if path.suffix == ".csv":
+                _read_csv(path.read_text())
+            else:
+                _assert_finite(json.loads(path.read_text(), parse_constant=_refuse_constant), argv[0])
+
+
+def test_every_dynamics_command_is_drawn_from_the_golden_cases():
+    assert sorted({argv[0] for argv, _ in DYNAMICS_STEPS}) == ["simulate", "sweep"]
+    assert all(docs for _, docs in DYNAMICS_STEPS)
+
+
+def test_the_unmutated_dynamics_steps_pass():
+    for argv, docs in DYNAMICS_STEPS:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _, written = _run(argv, docs, Path(tmp))
+            assert code == 0 and len(written) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_non_finite_signal_offset_is_refused(value):
+    argv, docs = next(step for step in DYNAMICS_STEPS if step[0][0] == "simulate")
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, written = _run(_with_argument(argv, "--delta-omega", value), docs, Path(tmp))
+    assert (code, stdout, written) == (1, "", [])
+
+
+def test_a_run_of_10_to_the_12_states_is_refused():
+    argv, docs = next(step for step in DYNAMICS_STEPS if step[0][0] == "simulate")
+    config = next(arg for arg in docs if arg.startswith("{inputs}/"))
+    docs = {**docs, config: {"t_final": 1e6, "dt": 1e-6}}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, written = _run(argv, docs, Path(tmp))
+    assert (code, stdout, written) == (1, "", [])

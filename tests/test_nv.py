@@ -30,7 +30,6 @@ from dressedmet.codespace import check_conditions
 from dressedmet.errors import ValidationError
 from dressedmet.nv import (
     NO_GO_FLOOR,
-    NvParams,
     nv_ancilla_code,
     nv_bare_code,
     nv_control_bx,
@@ -60,26 +59,26 @@ def lifted_couplings():
 
 class TestHamiltonian:
     def test_strain_spectrum(self):
-        h = nv_hamiltonian(NvParams(e_strain=0.2))
+        h = nv_hamiltonian(e_strain=0.2)
         assert np.allclose(np.linalg.eigvalsh(h.entries), [0.0, 0.8, 1.2])
 
     def test_strain_resolves_dressed_pair(self):
-        h = nv_hamiltonian(NvParams(e_strain=0.2))
+        h = nv_hamiltonian(e_strain=0.2)
         _, minus, plus = nv_dressed_basis()
         assert np.allclose(h.entries @ plus.amplitudes, 0.8 * plus.amplitudes)
         assert np.allclose(h.entries @ minus.amplitudes, 1.2 * minus.amplitudes)
 
     def test_axial_zeeman_shift(self):
-        h = nv_hamiltonian(NvParams(b_field=(0.0, 0.0, 0.3)))
+        h = nv_hamiltonian(b_field=(0.0, 0.0, 0.3))
         assert np.allclose(np.linalg.eigvalsh(h.entries), [0.0, 0.7, 1.3])
 
     def test_signal_offset_scales_splitting(self):
-        h = nv_hamiltonian(NvParams(delta_omega=0.1))
+        h = nv_hamiltonian(delta_omega=0.1)
         assert np.allclose(h.entries, 1.1 * (SZ @ SZ))
 
     def test_rejects_nonpositive_splitting(self):
         with pytest.raises(ValidationError):
-            NvParams(d_split=0.0)
+            nv_hamiltonian(d_split=0.0)
 
 
 class TestDressedBasis:

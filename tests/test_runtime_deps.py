@@ -3,9 +3,12 @@
 The test extras install scipy, hypothesis and pytest, so an ``import scipy``
 in ``src/`` would pass every other test.  A fresh interpreter imports every
 ``dressedmet`` module and runs golden inputs through ``cli.dispatch``
-(a model emitted and simulated), then lists what it loaded.
+(a model emitted and simulated), then lists what it loaded.  Within the
+package, the static design layers (``criteria``, ``sdp``, ``codespace``) import
+no dynamics module, directly or through the modules they import.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -40,3 +43,25 @@ def test_the_package_runs_on_numpy_alone(tmp_path):
     assert report["codes"] == [0, 0]
     assert report["loaded"] == []
     assert (tmp_path / "sim.csv").read_text().startswith("t,coherence,purity,trace_drift\n")
+
+
+def _package_imports(path: Path) -> set:
+    """The sibling modules ``path`` imports at any depth of its source."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.add(node.module)
+    return names
+
+
+def test_the_static_design_layers_import_no_dynamics_module():
+    # the design is static (criteria, SDP, code pair, control field); the master
+    # equation only checks it afterwards
+    package = SRC / "dressedmet"
+    reached, todo = set(), ["criteria", "sdp", "codespace"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_package_imports(package / f"{name}.py"))
+    assert reached.isdisjoint({"lindblad", "simulate", "nv", "cli"}), sorted(reached)

@@ -21,6 +21,7 @@ independent route exists):
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,14 @@ class TestQfi:
             assert est.reliable
             assert abs(est.value - target) < 2e-5 * target
             assert abs(qfi_sld(model, t) - target) < 1e-6 * target
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_offset_is_refused_without_a_warning(self, delta):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="operator has non-finite entries"):
+                qfi_numeric(noiseless_probe(), 1.0, delta=delta)  # dt defaulted
+        assert not caught, [str(w.message) for w in caught]
 
     def test_coarse_offset_flags_unreliable(self):
         est = qfi_numeric(noiseless_probe(), 3.0, delta=0.5)

@@ -419,6 +419,34 @@ class TestStopRules:
         assert f_long == f and np.array_equal(v_long, v)
 
 
+class TestArmijoFraction:
+    """The first trial step is accepted exactly when it shows ``1e-4`` of the
+    predicted decrease: a scripted objective places that trial at a chosen
+    fraction of the slope, on either side of ``1e-4``."""
+
+    @staticmethod
+    def scripted(fraction):
+        # at the frame [e0, e1], a gradient on e2 is tangent: the first direction
+        # is -grad / 2, with slope -|grad|^2 / 2 = -1/2; the first trial reads
+        # f + fraction * slope, and any later trial a clear decrease
+        grad = np.zeros((3, 2), dtype=complex)
+        grad[2, 0] = 1.0
+        values = iter([1.0, 1.0 - 0.5 * fraction])
+
+        def fn(v):
+            return next(values, 0.0), grad
+
+        return fn, np.eye(3, 2, dtype=complex)
+
+    @pytest.mark.parametrize("fraction, evaluations", [(0.75e-4, 3), (1.5e-4, 2)],
+                             ids=["short_of_the_fraction", "past_the_fraction"])
+    def test_first_trial(self, fraction, evaluations):
+        run = stiefel_minimize(*self.scripted(fraction), max_iter=1)
+        # rejected: the halved step is the second trial; accepted: the first is the step
+        assert (run.steps, run.evaluations, run.stop) == (1, evaluations, "max_iter")
+        assert run.value == (0.0 if evaluations == 3 else 1.0 - 0.5 * fraction)
+
+
 # ---------------------------------------------------------------------------
 # the leaner descent step against the kernel it replaced
 # ---------------------------------------------------------------------------
