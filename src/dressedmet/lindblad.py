@@ -79,16 +79,6 @@ class BathSpectrum:
             out[live] = self._coefficients("rate", self.gamma, [freqs[i] for i in live], tol, True)
         return out
 
-    def rate(self, nu: float, tol: Tolerances = TOL) -> np.ndarray:
-        """PSD rate matrix at ``nu``, zero when the regime excludes ``nu``."""
-        return self.rates([nu], tol)[0]
-
-    def lamb(self, nu: float, tol: Tolerances = TOL) -> Optional[np.ndarray]:
-        """Hermitian shift-coefficient matrix at ``nu``, or None if unset."""
-        if self.lamb_coeffs is None:
-            return None
-        return self._coefficients("shift", self.lamb_coeffs, [float(nu)], tol)[0]
-
     # -- built-in spectral shapes -------------------------------------------
 
     @classmethod
@@ -111,8 +101,8 @@ class BathSpectrum:
     ) -> "BathSpectrum":
         """Linear-in-frequency rate with exponential cutoff, zero at nu <= 0."""
         nu_c = float(cutoff)
-        if not nu_c > 0:
-            raise ValidationError(f"ohmic cutoff must be positive, got {nu_c}")
+        if not 0 < nu_c < np.inf:
+            raise ValidationError(f"ohmic cutoff must be positive and finite, got {nu_c}")
         return _builtin("ohmic", rate, n_couplings, regime,
                         lambda g, nu: g * nu * np.exp(-nu / nu_c) if nu > 0 else 0.0, cutoff=nu_c)
 
@@ -130,9 +120,10 @@ class BathSpectrum:
 def _builtin(kind: str, rate: float, n_couplings: int, regime: Regime,
              shape: Callable[[float, float], float], **params: float) -> BathSpectrum:
     """Built-in spectrum ``gamma(nu) = shape(g, nu) I`` at the rate ``g``, refused unless
-    >= 0 (NaN too), and its descriptor: ``kind``, ``rate``, then ``params`` in order."""
-    if not float(rate) >= 0:
-        raise ValidationError(f"bath rate must be >= 0, got {rate}")
+    finite and >= 0 (the rule of the descriptor reader), and its descriptor: ``kind``,
+    ``rate``, then ``params`` in order."""
+    if not 0 <= float(rate) < np.inf:
+        raise ValidationError(f"bath rate must be >= 0 and finite, got {rate}")
     g = float(rate)
     desc = {"regime": regime.value, "gamma": {"kind": kind, "rate": g, **params}}
     return BathSpectrum(regime, lambda nu: shape(g, nu) * np.eye(n_couplings), n_couplings,

@@ -196,9 +196,6 @@ class VerdictTable(NamedTuple):
             )
         return "\n".join(lines) + "\n"
 
-    def pattern(self) -> Tuple[bool, ...]:
-        return tuple(c.achievable for c in self.cells)
-
 
 def nv_verdict_table(
     restarts: int = 200,

@@ -81,10 +81,6 @@ class Trajectory(NamedTuple):
     states: np.ndarray
     trace_drift: float
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _default_dt(
     hams: np.ndarray, lset: LindbladSet, spectrum: BathSpectrum, tol: Tolerances
@@ -411,9 +407,6 @@ class ProbeModel:
         a, b = self.coherence_frame()
         return np.abs((rhos * np.outer(a.conj(), b)).sum(axis=(-2, -1)))
 
-    def coherence(self, rho: np.ndarray) -> float:
-        return float(self.coherences(np.asarray(rho)[None])[0])
-
     def to_json_dict(self) -> dict:
         if self.spectrum.descriptor is None:
             raise ValidationError(
@@ -517,9 +510,11 @@ def qfi_numeric(
     Uses ``(1 - F)/(2 delta)^2`` with one Richardson step over delta halving;
     the two estimates disagreeing by more than ``tol.qfi_disagreement``
     flags the value unreliable (offset too large or fidelity at the noise
-    floor).
+    floor).  A ``delta`` that is not finite, or whose square is 0, is refused.
     """
     delta = delta if delta is not None else _default_delta(model)
+    if not (math.isfinite(delta) and delta * delta != 0.0):
+        raise ValidationError(f"offset delta must be finite with a nonzero square, got {delta}")
     offsets = (delta, -delta, delta / 2.0, -delta / 2.0)
     plus, minus, half_plus, half_minus = _grid_states(model, offsets, [t], cfg, tol)[0]
     coarse = (1.0 - fidelity(plus, minus)) / (2.0 * delta) ** 2
@@ -541,7 +536,8 @@ def qfi_sld(
     formula; unlike the fidelity route this stays accurate when the states
     are nearly orthogonal or the fidelity deficit underflows.
     """
-    return float(_sld_series(model, [t], cfg, tol)[0][0])
+    # the one model's (Fisher values, states), and its value at the one time
+    return float(_sld_probes((model,), [t], cfg, tol)[0][0][0])
 
 
 def _sld_values(rhos: np.ndarray, drhos: np.ndarray) -> np.ndarray:
@@ -637,9 +633,11 @@ def _grid_states(
 def _sld_probes(
     models: Sequence[ProbeModel], tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
 ) -> list:
-    """``_sld_series`` of each model.  Every model's run is set up and checked in order; then
-    consecutive models of one generator size and dt share one ``_propagate`` call, from one
-    initial state per generator, and one ``_sld_values`` call."""
+    """Per model, its spectral Fisher values at every grid time and its offset-0 states,
+    from offsets 0 and +-d (``_default_delta``) integrated together.  Every model's run is
+    set up and checked in order; then consecutive models of one generator size and dt share
+    one ``_propagate`` call, from one initial state per generator, and one ``_sld_values``
+    call."""
     runs = [(d, *_grid_run(model, (0.0, d, -d), tgrid, cfg, tol))
             for model in models for d in [_default_delta(model)]]
     out = []
@@ -651,14 +649,6 @@ def _sld_probes(
         drhos = (states[:, 1::3] - states[:, 2::3]) / (2.0 * np.array(deltas)[:, None, None])
         out += zip(_sld_values(center, drhos).T, np.swapaxes(center, 0, 1))
     return out
-
-
-def _sld_series(
-    model: ProbeModel, tgrid: Sequence[float], cfg: Optional[SimConfig], tol: Tolerances,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Spectral Fisher values at every grid time, by one ``_sld_values`` call, and the
-    offset-0 states, from offsets 0 and +-d (``_default_delta``) integrated together."""
-    return _sld_probes((model,), tgrid, cfg, tol)[0]
 
 
 def scaling_sweep(
@@ -683,7 +673,7 @@ def scaling_sweep(
         series = _sld_probes(probes, tgrid, cfg, tol)
     except ToolkitError:  # rerun outside the handler, so the refusal is not chained to this one
         series = None
-    (qp, center_p), (qu, _) = series or [_sld_series(m, tgrid, cfg, tol) for m in probes]
+    (qp, center_p), (qu, _) = series or [_sld_probes((m,), tgrid, cfg, tol)[0] for m in probes]
     cols = zip(tgrid, qp.tolist(), qu.tolist(), protected.coherences(center_p).tolist())
     return [
         ScalingRecord(t=t, qfi_protected=p, qfi_unprotected=u, coherence=coh, crlb=crlb(p, 1))

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import _reference_rates
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum
 from dressedmet.operators import HermitianOperator, as_matrix, frobenius
@@ -177,7 +178,7 @@ def dissipator(
         raise ValidationError("spectrum and jump set disagree on coupling count")
     out = np.zeros_like(rho)
     for nu, blocks in lset.transitions.items():
-        g = spectrum.rate(nu, tol=tol)
+        g = _reference_rates.rate(spectrum, nu, tol=tol)
         for a in range(len(blocks)):
             la = blocks[a]
             for b in range(len(blocks)):
@@ -202,7 +203,7 @@ def lamb_shift(lset: LindbladSet, spectrum: BathSpectrum) -> HermitianOperator:
         return HermitianOperator(np.zeros((d, d), dtype=complex))
     out = np.zeros((dim, dim), dtype=complex)
     for nu, blocks in lset.transitions.items():
-        s = spectrum.lamb(nu)
+        s = _reference_rates.lamb(spectrum, nu)
         for a in range(len(blocks)):
             for b in range(len(blocks)):
                 if s[a, b] == 0:

@@ -113,6 +113,19 @@ MUTANTS = [
            'with np.errstate(over="ignore", invalid="ignore"):\n        hams = ',
            "if True:\n        hams = ",
            ("tests/test_simulate.py", "tests/test_input_contract.py")),
+    # the offset and built-in spectrum refusals
+    Mutant("offset_delta_unchecked", "simulate",
+           "    if not (math.isfinite(delta) and delta * delta != 0.0):\n        raise", "    if False:\n        raise",
+           ("tests/test_simulate.py",)),
+    Mutant("offset_delta_square_unchecked", "simulate",
+           "math.isfinite(delta) and delta * delta != 0.0", "math.isfinite(delta) and delta != 0.0",
+           ("tests/test_simulate.py",)),
+    Mutant("builtin_rate_infinite", "lindblad",
+           "if not 0 <= float(rate) < np.inf:", "if not 0 <= float(rate):",
+           ("tests/test_lindblad.py", "tests/test_cli.py")),
+    Mutant("ohmic_cutoff_infinite", "lindblad",
+           "if not 0 < nu_c < np.inf:", "if not 0 < nu_c:",
+           ("tests/test_lindblad.py",)),
 ]
 
 

@@ -30,7 +30,7 @@ from dressedmet import simulate
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.nv import protected_model, unprotected_model
 from dressedmet.simulate import (
-    SimConfig, _block_size, _grid_marks, _grid_states, _propagate, _sld_series,
+    SimConfig, _block_size, _grid_marks, _grid_states, _propagate, _sld_probes,
 )
 from dressedmet.tolerances import TOL, Tolerances
 
@@ -144,7 +144,7 @@ def test_a_repeated_grid_time_records_the_current_state(name):
 def test_sweep_grids_match_the_per_step_core(ancilla, tgrid):
     cfg = SimConfig(t_final=10.0, dt=DT)
     for model in (protected_model(ancilla=ancilla), unprotected_model()):
-        qfi, center = _sld_series(model, tgrid, cfg, TOL)
+        qfi, center = _sld_probes((model,), tgrid, cfg, TOL)[0]
         d = simulate._default_delta(model)
         ref = reference_records(model.generators((0.0, d, -d)), model.rho0, DT,
                                 placement(tgrid, DT))
@@ -162,7 +162,7 @@ def test_stacked_sld_values_match_the_per_state_loop(name, grid):
     cfg = SimConfig(t_final=2.5, dt=DT)
     d = simulate._default_delta(model)
     states = _grid_states(model, (0.0, d, -d), GRIDS[grid], cfg, TOL)
-    qfi, center = _sld_series(model, GRIDS[grid], cfg, TOL)
+    qfi, center = _sld_probes((model,), GRIDS[grid], cfg, TOL)[0]
     assert np.array_equal(center, states[:, 0])
     want = [reference_sld_value(c, (p - m) / (2.0 * d)) for c, p, m in states]
     np.testing.assert_allclose(qfi, want, rtol=1e-13, atol=0.0)

@@ -38,7 +38,7 @@ from dressedmet.cli import (
     _parse_tgrid,
     dispatch,
 )
-from dressedmet import codespace
+from dressedmet import codespace, sdp
 from dressedmet.codespace import MAX_RESTARTS
 from dressedmet.errors import ValidationError
 from dressedmet.jsonio import dump_json, operator_to_json
@@ -223,6 +223,25 @@ class TestDesignChain:
         steps = solve_dual(SdpProblem.from_couplings(SZ @ SZ, [SZ])).iterations
         assert steps > 0 and sol["iterations"] == steps
 
+    def test_zero_generator_is_certified(self, capsys, ops, tmp_path):
+        gen, sol_path = tmp_path / "zero.json", tmp_path / "sol.json"
+        dump_json(operator_to_json(np.zeros((3, 3))), gen)
+        rc, _ = run(capsys, ["optimize", "--generator", str(gen), "--couplings", ops["sz"],
+                             "--out", str(sol_path)])
+        sol = json.loads(sol_path.read_text())
+        assert rc == EXIT_OK
+        assert (sol["primal_value"], sol["stop"], sol["certified"]) == (0.0, "path_end", True)
+
+    def test_step_cap_is_a_numerical_failure(self, capsys, ops, tmp_path, monkeypatch):
+        # the axial problem takes 24 Newton steps; capped at 2 it stops uncertified
+        monkeypatch.setattr(sdp, "_MAX_STEPS", 2)
+        sol_path = tmp_path / "sol.json"
+        rc, _ = run(capsys, ["optimize", "--generator", ops["szsq"], "--couplings", ops["sz"],
+                             "--out", str(sol_path)])
+        sol = json.loads(sol_path.read_text())
+        assert rc == EXIT_NUMERICAL
+        assert (sol["stop"], sol["certified"], sol["iterations"]) == ("max_steps", False, 2)
+
     def test_tol_flag_is_gone(self, capsys, ops):
         with pytest.raises(SystemExit) as exc:
             dispatch(["optimize", "--generator", ops["szsq"], "--couplings", ops["sz"],
@@ -397,6 +416,16 @@ class TestManifest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("dressedmet: bath rate must be >= 0")
+        assert not mdir.exists()
+
+    @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+    def test_non_finite_gamma_emits_no_model(self, capsys, tmp_path, gamma):
+        mdir = tmp_path / "models"
+        rc = dispatch(["nv-demo", "--emit-models", str(mdir), f"--gamma={gamma}"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dressedmet: bath rate must be >= 0 and finite")
         assert not mdir.exists()
 
     def test_sidecars_of_one_run_share_one_manifest(self, capsys, tmp_path):

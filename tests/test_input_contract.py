@@ -21,6 +21,12 @@ the ``nv-models`` steps of ``golden/cases.json``, whose models are the golden
 document the same way, or draws the ``--delta-omega`` value or the three
 ``--tgrid`` fields from extreme, malformed and valid values.  An accepted run
 exits 0 and writes a CSV of finite values.
+
+``nv-demo`` keeps it on drawn argument values: ``--gamma`` and ``--ratio``
+with ``--emit-models``, and ``--restarts`` (at most 3 when valid) and
+``--seed`` with ``--table`` or ``--regime relaxation``.  An accepted run
+exits 0 with finite numbers in its models or on stdout; a refused one exits 1
+with no stdout and no models directory.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -285,4 +292,59 @@ def test_a_run_of_10_to_the_12_states_is_refused():
     docs = {**docs, config: {"t_final": 1e6, "dt": 1e-6}}
     with tempfile.TemporaryDirectory() as tmp:
         code, stdout, written = _run(argv, docs, Path(tmp))
+    assert (code, stdout, written) == (1, "", [])
+
+
+# ---------------------------------------------------------------------------
+# nv-demo arguments
+# ---------------------------------------------------------------------------
+
+RESTARTS = ["0", "1", "2", "3", "-1", "100001", "1e308", "inf", "", "x"]
+SEEDS = ["0", "1", "-1", "18446744073709551617", "-99999999999999999999999", "1e308", "", "x"]
+
+
+def _value(values, valid):
+    """One of ``values``, or half the time one of the ``valid`` ones."""
+    return st.sampled_from(values) | st.sampled_from(valid)
+
+
+def _nv_demo(argv, workdir):
+    """``_run`` of an ``nv-demo`` argv, its ``DIR`` a models directory in ``workdir``, and
+    the accepted run's outputs: the emitted JSON files, or stdout."""
+    code, stdout, written = _run([a.replace("DIR", str(workdir / "models")) for a in argv],
+                                 {}, workdir)
+    outputs = [path.read_text() for path in sorted((workdir / "models").glob("*"))] if code == 0 else []
+    return code, stdout, written, outputs or [stdout]
+
+
+@seed(20261023)
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.data())
+def test_drawn_nv_demo_arguments_keep_the_cli_contract(data):
+    if data.draw(st.booleans()):
+        argv = ["nv-demo", "--emit-models", "DIR",
+                f"--gamma={data.draw(_value(NUMBERS, ['0', '0.5', '2']))}",
+                f"--ratio={data.draw(_value(NUMBERS, ['0', '0.1', '3']))}"]
+    else:
+        argv = ["nv-demo", *data.draw(st.sampled_from([["--table"], ["--regime", "relaxation"]])),
+                f"--restarts={data.draw(_value(RESTARTS, ['1', '2', '3']))}",
+                f"--seed={data.draw(st.sampled_from(SEEDS))}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, written, outputs = _nv_demo(argv, Path(tmp))
+    assert code in (0, 1)
+    if code:
+        assert not written and not stdout
+        return
+    if "--table" in argv:  # markdown: every witness printed as a finite number
+        assert not re.search(r"nan|inf", stdout, re.IGNORECASE), stdout
+        return
+    assert outputs and all(outputs)
+    for text in outputs:
+        _assert_finite(json.loads(text, parse_constant=_refuse_constant), argv[0])
+
+
+def test_an_infinite_bath_rate_emits_no_models():
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, written, _ = _nv_demo(["nv-demo", "--emit-models", "DIR", "--gamma=inf"],
+                                            Path(tmp))
     assert (code, stdout, written) == (1, "", [])

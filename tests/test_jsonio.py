@@ -78,7 +78,7 @@ class TestRoundTrip:
         for regime in Regime:
             spec = BathSpectrum.peak0(0.5, 1, regime=regime)
             for nu in (-1.0, 0.0, 1.0):
-                np.testing.assert_array_equal(spec.rate(nu), [[0.5 if nu == 0 else 0.0]])
+                np.testing.assert_array_equal(spec.rates([nu])[0], [[0.5 if nu == 0 else 0.0]])
 
 
 class TestKeyRule:

@@ -13,6 +13,7 @@ Frozen oracle values (hand derivation, verified against direct arithmetic):
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -162,25 +163,25 @@ class TestEigendecomposeGrouped:
 class TestBathSpectrum:
     def test_flat_low_temperature_blocks_excitation(self):
         spec = BathSpectrum.flat(0.9, 1)
-        assert spec.rate(2.0)[0, 0] == pytest.approx(0.9)
-        assert spec.rate(0.0)[0, 0] == pytest.approx(0.9)
-        assert spec.rate(-2.0)[0, 0] == 0.0
+        assert spec.rates([2.0])[0][0, 0] == pytest.approx(0.9)
+        assert spec.rates([0.0])[0][0, 0] == pytest.approx(0.9)
+        assert spec.rates([-2.0])[0][0, 0] == 0.0
 
     def test_flat_full_thermal_drives_both_signs(self):
         spec = BathSpectrum.flat(0.9, 2, regime=Regime.FULL_THERMAL)
-        np.testing.assert_allclose(spec.rate(-2.0), 0.9 * np.eye(2))
-        np.testing.assert_allclose(spec.rate(2.0), 0.9 * np.eye(2))
+        np.testing.assert_allclose(spec.rates([-2.0])[0], 0.9 * np.eye(2))
+        np.testing.assert_allclose(spec.rates([2.0])[0], 0.9 * np.eye(2))
 
     def test_peak0_is_dephasing_only(self):
         spec = BathSpectrum.peak0(1.3, 1)
         assert spec.regime is Regime.DEPHASING_ONLY
-        assert spec.rate(0.0)[0, 0] == pytest.approx(1.3)
-        assert spec.rate(1.0)[0, 0] == 0.0
+        assert spec.rates([0.0])[0][0, 0] == pytest.approx(1.3)
+        assert spec.rates([1.0])[0][0, 0] == 0.0
 
     def test_ohmic_shape(self):
         spec = BathSpectrum.ohmic(2.0, 5.0, 1)
-        assert spec.rate(1.0)[0, 0] == pytest.approx(2.0 * np.exp(-0.2))
-        assert spec.rate(0.0)[0, 0] == 0.0
+        assert spec.rates([1.0])[0][0, 0] == pytest.approx(2.0 * np.exp(-0.2))
+        assert spec.rates([0.0])[0][0, 0] == 0.0
         with pytest.raises(ValidationError):
             BathSpectrum.ohmic(1.0, 0.0, 1)
 
@@ -194,7 +195,22 @@ class TestBathSpectrum:
         # a peak0 model used to run, since no nu = 0 rate was ever evaluated
         with pytest.raises(ValidationError, match="bath rate must be >= 0"):
             build(rate)
-        assert build(0.0).rate(0.0)[0, 0] == 0.0
+        assert build(0.0).rates([0.0])[0][0, 0] == 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda rate: BathSpectrum.flat(rate, 2),
+        lambda rate: BathSpectrum.ohmic(rate, 5.0, 2),
+        lambda rate: BathSpectrum.peak0(rate, 2),
+        lambda cutoff: BathSpectrum.ohmic(1.0, cutoff, 2),
+    ], ids=["flat", "ohmic", "peak0", "ohmic-cutoff"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_built_in_shapes_refuse_what_the_descriptor_reader_refuses(self, build, value):
+        # the descriptor reader's rule, so that every built spectrum can be written
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="bath rate must be >= 0|ohmic cutoff must be positive"):
+                build(value)
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("cutoff", [-1.0, np.nan])
     def test_ohmic_refuses_a_cutoff_not_above_zero(self, cutoff):
@@ -203,92 +219,96 @@ class TestBathSpectrum:
 
     def test_scalar_rate_broadcasts_to_matrix(self):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(1) * 0.4, 3)
-        np.testing.assert_allclose(spec.rate(1.0), 0.4 * np.eye(3))
+        np.testing.assert_allclose(spec.rates([1.0])[0], 0.4 * np.eye(3))
 
     def test_rejects_non_hermitian_rate_matrix(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: bad, 2)
         with pytest.raises(ValidationError):
-            spec.rate(1.0)
+            spec.rates([1.0])
 
     def test_rejects_indefinite_rate_matrix(self):
         bad = np.diag([1.0, -0.5])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: bad, 2)
         with pytest.raises(ValidationError):
-            spec.rate(1.0)
+            spec.rates([1.0])
 
     def test_each_call_applies_its_own_psd_tolerance(self):
         # a loose first call must not let the matrix past a stricter one
         slightly_bad = np.diag([1.0, -1e-9])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: slightly_bad, 2)
-        np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
+        np.testing.assert_allclose(spec.rates([1.0], tol=Tolerances(psd=1e-6))[0], slightly_bad)
         with pytest.raises(ValidationError):
-            spec.rate(1.0)
-        np.testing.assert_allclose(spec.rate(1.0, tol=Tolerances(psd=1e-6)), slightly_bad)
+            spec.rates([1.0])
+        np.testing.assert_allclose(spec.rates([1.0], tol=Tolerances(psd=1e-6))[0], slightly_bad)
 
     def test_writing_into_a_returned_rate_changes_nothing(self):
         spec = BathSpectrum.flat(0.3, 3, regime=Regime.FULL_THERMAL)
         h = HermitianOperator(np.diag([0.0, 1.0, 3.0]).astype(complex))
         lset = jump_operators(h, [HermitianOperator(m) for m in spin_matrices(2)])
         before = superoperator(h, lset, spec)
-        rate = spec.rate(0.0)
+        rate = spec.rates([0.0])[0]
         rate[:] = -np.eye(3)
-        np.testing.assert_array_equal(spec.rate(0.0), 0.3 * np.eye(3))
+        np.testing.assert_array_equal(spec.rates([0.0])[0], 0.3 * np.eye(3))
         np.testing.assert_array_equal(superoperator(h, lset, spec), before)
         with pytest.raises(ValidationError, match="negative eigenvalue"):
-            dataclasses.replace(spec, gamma=lambda nu: rate).rate(0.0)
+            dataclasses.replace(spec, gamma=lambda nu: rate).rates([0.0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.gamma = lambda nu: rate
 
     def test_rejects_shape_mismatch(self):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(3), 2)
         with pytest.raises(ValidationError):
-            spec.rate(1.0)
+            spec.rates([1.0])
 
     def test_each_call_applies_its_own_hermiticity_tolerance(self):
         # an anti-Hermitian part of 1e-9 passes at 1e-6 and fails at the default
         skewed = np.eye(2) + 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: skewed, 2)
         loose = Tolerances(hermiticity=1e-6)
-        np.testing.assert_allclose(spec.rate(1.0, tol=loose), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(spec.rates([1.0], tol=loose)[0], np.eye(2), atol=1e-15)
         with pytest.raises(ValidationError, match="not Hermitian"):
-            spec.rate(1.0)
-        np.testing.assert_allclose(spec.rate(1.0, tol=loose), np.eye(2), atol=1e-15)
+            spec.rates([1.0])
+        np.testing.assert_allclose(spec.rates([1.0], tol=loose)[0], np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_coefficients(self, bad):
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.diag([1.0, bad]), 2,
                             lamb_coeffs=lambda nu: np.array([[bad]]))
         with pytest.raises(ValidationError, match="non-finite"):
-            spec.rate(1.0)
+            spec.rates([1.0])
         with pytest.raises(ValidationError, match="non-finite"):
-            spec.lamb(1.0)
+            lamb_shift(jump_operators(HermitianOperator(np.diag([0.0, 1.0])), [PAULI_X, PAULI_Z]), spec)
 
     def test_shift_coefficients_go_through_the_same_checks(self):
+        # two couplings whose one jump frequency is 0, where L_a(0) = A_a
+        lset = jump_operators(HermitianOperator(np.diag([0.0, 1.0])),
+                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(2), 2,
                             lamb_coeffs=lambda nu: np.array([[1.0 + 5j]]))
         with pytest.raises(ValidationError, match="not Hermitian"):
-            spec.lamb(0.0)
+            lamb_shift(lset, spec)
         skewed = np.eye(2) + 1e-9 * np.array([[0.0, 1j], [1j, 0.0]])
         spec = dataclasses.replace(spec, lamb_coeffs=lambda nu: skewed)
         with pytest.raises(ValidationError, match="not Hermitian"):
-            spec.lamb(0.0)
-        np.testing.assert_allclose(spec.lamb(0.0, tol=Tolerances(hermiticity=1e-6)), np.eye(2))
+            lamb_shift(lset, spec)
+        np.testing.assert_allclose(lamb_shift(lset, spec, tol=Tolerances(hermiticity=1e-6)).entries,
+                                   np.eye(2))
         spec = dataclasses.replace(spec, lamb_coeffs=lambda nu: np.eye(3))
         with pytest.raises(ValidationError, match="shape"):
-            spec.lamb(0.0)
+            lamb_shift(lset, spec)
 
     def test_json_round_trip_flat(self):
         spec = BathSpectrum.flat(0.7, 2, regime=Regime.FULL_THERMAL)
         rebuilt = spectrum_from_json(spec.descriptor, 2)
         for nu in (-1.0, 0.0, 1.0):
-            np.testing.assert_allclose(rebuilt.rate(nu), spec.rate(nu))
+            np.testing.assert_allclose(rebuilt.rates([nu])[0], spec.rates([nu])[0])
 
     def test_json_round_trip_ohmic_and_peak0(self):
         for spec in (BathSpectrum.ohmic(1.1, 3.0, 1), BathSpectrum.peak0(0.5, 1)):
             rebuilt = spectrum_from_json(spec.descriptor, 1)
             for nu in (-2.0, 0.0, 0.7, 2.0):
-                np.testing.assert_allclose(rebuilt.rate(nu), spec.rate(nu))
+                np.testing.assert_allclose(rebuilt.rates([nu])[0], spec.rates([nu])[0])
 
     def test_json_rejects_unknown_kind(self):
         with pytest.raises(ValidationError):

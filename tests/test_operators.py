@@ -13,6 +13,7 @@ from dressedmet.operators import (
     OperatorSpan,
     ScalarField,
     StateVector,
+    as_matrix,
     eigh_fixed,
     lift,
     orthonormal_span,
@@ -88,6 +89,12 @@ class TestWireFormat:
             state_from_json(data)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_as_matrix_refuses_a_shape_that_is_not_square(shape):
+    with pytest.raises(ValidationError, match=r"expected a square matrix, got shape"):
+        as_matrix(np.zeros(shape))
+
+
 def test_tensor_and_lift_shapes():
     lifted = lift(PAULI_Z, 3)
     assert lifted.shape == (6, 6)
@@ -114,6 +121,11 @@ class TestOrthonormalSpan:
         span = orthonormal_span(gens, ScalarField.REAL)
         member = 0.7 * gens[0] - 2.0 * gens[1]
         assert np.linalg.norm(span.project(member) - member) < 1e-10
+
+    def test_projection_refuses_another_dimension(self):
+        span = orthonormal_span([np.eye(2), PAULI_Z], ScalarField.REAL)
+        with pytest.raises(ValidationError, match="dimension mismatch in span projection"):
+            span.project(np.eye(3))
 
     def test_real_span_rejects_non_hermitian_basis(self):
         with pytest.raises(ValidationError):
@@ -147,6 +159,11 @@ class TestPositiveNegativeSplit:
         assert weight == pytest.approx(2 / 3)
         assert np.allclose(rho1, np.diag([0.5, 0.0, 0.5]), atol=1e-12)
         assert np.allclose(rho0, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+
+    def test_rejects_a_one_sided_spectrum(self):
+        # trace 1e-10 passes as traceless at this scale, yet nothing is negative
+        with pytest.raises(ValidationError, match="lacks a two-sided spectrum"):
+            positive_negative_split(np.diag([1e-10, 0.0, 0.0]))
 
     def test_rejects_traceful(self):
         with pytest.raises(ValidationError):
@@ -236,9 +253,9 @@ ONE_RULE = {
     "purify_pair": (
         lambda plant, tol: purify_pair(plant(np.diag([1.0, 0.0, 0.0])),
                                        np.diag([0.0, 0.0, 1.0]), tol=tol), True),
-    "BathSpectrum.rate": (
+    "BathSpectrum.rates": (
         lambda plant, tol: BathSpectrum(
-            Regime.FULL_THERMAL, lambda nu: plant(np.eye(3)), 3).rate(1.0, tol=tol), True),
+            Regime.FULL_THERMAL, lambda nu: plant(np.eye(3)), 3).rates([1.0], tol=tol), True),
     "evolve": (
         lambda plant, tol: evolve(plant(np.diag([0.5, 0.0, 0.5])), HermitianOperator(SZ1),
                                   _DEPHASING, BathSpectrum.flat(1.0, 1),

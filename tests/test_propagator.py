@@ -203,7 +203,7 @@ def old_default_dt(model, offsets):
     def one(h):
         lset = model.jump_set()
         hnorm = float(np.abs(np.linalg.eigvalsh(h.entries)).max())
-        total_rate = sum(float(np.trace(model.spectrum.rate(nu)).real) for nu in lset.frequencies)
+        total_rate = sum(float(np.trace(model.spectrum.rates([nu])[0]).real) for nu in lset.frequencies)
         return 1e-3 / max(hnorm, total_rate, 1e-3)
     return min(one(model.hamiltonian(d)) for d in offsets)
 

@@ -16,6 +16,7 @@ from dressedmet.errors import ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
 from dressedmet.nv import protected_model
 from dressedmet.operators import HermitianOperator, spin_matrices
+from dressedmet.tolerances import TOL
 
 FREQS = (-2.5, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.5)
 BUILT_IN = {
@@ -57,7 +58,7 @@ def test_built_in_shapes_are_bitwise_the_loop(kind, regime, k):
     spectrum = BUILT_IN[kind](k, regime)
     assert_same(stacked(spectrum, FREQS), loop(spectrum, FREQS))
     for nu in FREQS:
-        assert_same(spectrum.rate(nu).astype(complex), loop(spectrum, [nu])[0])
+        assert_same(spectrum.rates([nu])[0].astype(complex), loop(spectrum, [nu])[0])
 
 
 def custom(bad_at):
@@ -117,7 +118,8 @@ def test_shift_coefficients_are_bitwise_the_loop():
     shift = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.eye(2), 2,
                          lamb_coeffs=lambda nu: np.array([[-0.5 * nu]]))
     for nu in FREQS:
-        assert shift.lamb(nu).tobytes() == ref.lamb(shift, nu).tobytes()
+        got = shift._coefficients("shift", shift.lamb_coeffs, [nu], TOL)[0]
+        assert got.tobytes() == ref.lamb(shift, nu).tobytes()
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -125,7 +127,7 @@ def test_a_spectrum_over_no_couplings_gives_empty_rates(regime):
     for spectrum in (BathSpectrum.flat(0.3, 0, regime),
                      BathSpectrum(regime, lambda nu: np.zeros((0, 0)), 0),
                      BathSpectrum(regime, lambda nu: np.eye(1), 0)):
-        assert spectrum.rate(0.5).shape == (0, 0)
+        assert spectrum.rates([0.5])[0].shape == (0, 0)
         assert spectrum.rates(FREQS).shape == (len(FREQS), 0, 0)
 
 
@@ -142,7 +144,6 @@ def test_the_generator_reads_its_rates_in_one_stacked_call(monkeypatch):
         return counted(self, freqs, *args, **kwargs)
 
     monkeypatch.setattr(BathSpectrum, "rates", rates)
-    monkeypatch.setattr(BathSpectrum, "rate", lambda *a, **k: pytest.fail("per-frequency rate"))
     assert superoperator(model.h, lset, spectrum).tobytes() == before.tobytes()
     assert calls == [lset.frequencies]
 

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from dressedmet import sdp
 from dressedmet.codespace import code_from_optimizer
 from dressedmet.errors import ValidationError
 from dressedmet.operators import spin_matrices
@@ -247,6 +248,18 @@ class TestSolvePrimal:
             worst_gap = max(worst_gap, sol.gap)
         elapsed = time.monotonic() - start
         assert elapsed < 30.0
+
+    def test_zero_generator_is_certified_at_zero(self):
+        sol = solve_primal(SdpProblem.from_couplings(np.zeros((3, 3)), [SZ]))
+        assert (sol.primal_value, sol.dual_value, sol.gap, sol.iterations) == (0.0, 0.0, 0.0, 0)
+        assert sol.stop == "path_end" and sol.certified
+        assert not sol.g_tilde.entries.any()
+
+    def test_step_cap_stops_uncertified(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_STEPS", 2)
+        sol = solve_primal(SdpProblem.from_couplings(SZSQ, [SZ]))
+        assert (sol.stop, sol.iterations) == ("max_steps", 2)
+        assert not sol.certified
 
     def test_requires_identity_first(self):
         with pytest.raises(ValidationError):

@@ -31,6 +31,7 @@ from dressedmet.cli import _csv_text
 from dressedmet.codespace import CodeSpace
 from dressedmet.errors import NumericalError, ValidationError
 from dressedmet.lindblad import BathSpectrum, Regime, jump_operators, superoperator
+from dressedmet.nv import protected_model
 from dressedmet.operators import HermitianOperator, StateVector, spin_matrices
 from dressedmet.simulate import (
     ProbeModel,
@@ -142,14 +143,14 @@ class TestEvolve:
         sop = superoperator(h, lset, spec)
         traj = evolve(GROUND, h, lset, spec, SimConfig(t_final=0.7, dt=0.002))
         exact = (sla.expm(0.7 * sop) @ GROUND.reshape(-1)).reshape(2, 2)
-        assert np.abs(traj.final - exact).max() < 1e-10
+        assert np.abs(traj.states[-1] - exact).max() < 1e-10
         assert 0.0 <= traj.trace_drift < 1e-12
 
     def test_default_step_path(self):
         h, lset, spec = driven_dephasing()
         traj = evolve(GROUND, h, lset, spec, SimConfig(t_final=0.3))
         assert math.isclose(traj.times[-1], 0.3, rel_tol=1e-12)
-        assert abs(np.trace(traj.final).real - 1.0) < 1e-12
+        assert abs(np.trace(traj.states[-1]).real - 1.0) < 1e-12
 
     def test_stride_chunks_recording(self):
         h, lset, spec = driven_dephasing()
@@ -166,7 +167,7 @@ class TestEvolve:
         errs = []
         for dt in (0.01, 0.005):
             traj = evolve(GROUND, h, lset, spec, SimConfig(t_final=1.0, dt=dt))
-            errs.append(np.abs(traj.final - exact).max())
+            errs.append(np.abs(traj.states[-1] - exact).max())
         order = math.log2(errs[0] / errs[1])
         assert 3.8 <= order <= 4.2
 
@@ -208,7 +209,7 @@ class TestProbeModel:
             rho0=GROUND.copy(),
         )
         traj = model.evolve(0.0, SimConfig(t_final=math.pi / 2.0, dt=0.001))
-        assert abs(traj.final[1, 1].real - 1.0) < 1e-9
+        assert abs(traj.states[-1][1, 1].real - 1.0) < 1e-9
 
     def test_offset_enters_coherent_part_only(self):
         model = dephasing_probe()
@@ -219,10 +220,10 @@ class TestProbeModel:
         model = dephasing_probe()
         for t in (0.5, 1.0):
             traj = model.evolve(0.0, SimConfig(t_final=t))
-            assert abs(model.coherence(traj.final) - 0.5 * math.exp(-2.0 * t)) < 1e-10
+            assert abs(model.coherences(traj.states)[-1] - 0.5 * math.exp(-2.0 * t)) < 1e-10
 
     def test_default_coherence_frame(self):
-        assert abs(dephasing_probe().coherence(PLUS) - 0.5) < 1e-14
+        assert abs(dephasing_probe().coherences(PLUS[None])[0] - 0.5) < 1e-14
 
     def test_code_coherence_frame(self):
         code = dressed_pair_code()
@@ -236,7 +237,7 @@ class TestProbeModel:
             rho0=rho,
             code=code,
         )
-        assert abs(model.coherence(rho) - 0.5) < 1e-12
+        assert abs(model.coherences(rho[None])[0] - 0.5) < 1e-12
 
     def test_json_round_trip(self):
         model = dephasing_probe()
@@ -315,9 +316,23 @@ class TestQfi:
     def test_a_non_finite_offset_is_refused_without_a_warning(self, delta):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValidationError, match="operator has non-finite entries"):
+            with pytest.raises(ValidationError, match="offset delta must be finite"):
                 qfi_numeric(noiseless_probe(), 1.0, delta=delta)  # dt defaulted
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("dt", [0.01, None], ids=["explicit-dt", "default-dt"])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-170])
+    def test_an_offset_not_finite_or_squaring_to_zero_is_refused(self, delta, dt):
+        # the estimate divides by delta**2 and by (2 delta)**2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="offset delta must be finite with a nonzero square"):
+                qfi_numeric(protected_model(), 1.0, SimConfig(t_final=1.0, dt=dt), delta=delta)
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_a_negative_offset_is_valid(self):
+        est = qfi_numeric(protected_model(), 1.0, SimConfig(t_final=1.0, dt=0.01), delta=-1e-4)
+        assert est.reliable and abs(est.value - 0.25) < 1e-6
 
     def test_coarse_offset_flags_unreliable(self):
         est = qfi_numeric(noiseless_probe(), 3.0, delta=0.5)

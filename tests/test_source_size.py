@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dressedmet"
 
-CEILING = 23418
+CEILING = 23248
 DATACLASSES = 10
 
 

@@ -334,6 +334,12 @@ class TestSearches:
         assert res.signal == pytest.approx(1.0, abs=1e-12)
         assert res.kl_penalty == min(pens) < 2.5000002
 
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (1e-9, 1.0000001e-9), (5e-10, 3.0)])
+    @pytest.mark.parametrize("signal, other", [(0.0, 1.0), (2.0, 0.5), (-1.0, 1.0), (0.3, 0.3)])
+    def test_a_restart_within_the_penalty_floor_beats_one_above_it(self, low, high, signal, other):
+        assert _better_restart(low, signal, high, other)
+        assert not _better_restart(high, signal, low, other)
+
     def test_in_span_restarts_stop_at_rounding_floor(self):
         # code-search instances like the benchmark's: a random d in 3-6, two
         # couplings, and a generator moved into their quadratic span

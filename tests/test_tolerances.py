@@ -31,7 +31,7 @@ def _span_of_a_skewed_generator(tol):
 
 def _slightly_indefinite_rate(tol):
     spec = BathSpectrum(Regime.FULL_THERMAL, lambda nu: np.diag([1.0, -1e-9]), 2)
-    return spec.rate(1.0, tol).tolist()
+    return spec.rates([1.0], tol)[0].tolist()
 
 
 def _merged_levels(tol):
